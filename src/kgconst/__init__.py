@@ -28,6 +28,7 @@ from .series import (
     limit_S,
     parseval_closure,
     partial_sum_S,
+    partial_sums,
     recurrence_check,
 )
 from .elliptic import (
@@ -64,6 +65,7 @@ __all__ = [
     "FourierCoefficient",
     "inner_term",
     "partial_sum_S",
+    "partial_sums",
     "limit_S",
     "inner_tail",
     "fourier_a",

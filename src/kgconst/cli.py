@@ -26,10 +26,10 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import elliptic, identities, khintchine, series
-from .core import PrecisionContext, const_KG, const_L, const_pi
+from .core import MIN_GUARD_DIGITS, PrecisionContext, const_KG, const_L, const_pi
 from .errors import InvalidPrecision, KgconstError, MaxTermsExceeded, NoConvergence
 
 EXIT_OK = 0
@@ -102,7 +102,10 @@ def _build_parser() -> _Parser:
 
 
 def _nstr(value, digits):
-    return mp.nstr(mpf(value), digits, strip_zeros=False)
+    # format the value's own binary digits; converting it at mpmath's default
+    # 53-bit precision would keep only about 16 of them
+    with mp.workdps(digits + MIN_GUARD_DIGITS):
+        return mp.nstr(mp.convert(value), digits, strip_zeros=False)
 
 
 def _emit(text, out_path):
@@ -217,50 +220,24 @@ def _checkpoints(final_n):
 
 
 def _trace_rows(target, ctx, max_terms):
-    """(index, partial value, residual vs final value) rows plus final residual."""
-    if target == "double_series":
-        final = series.double_series(ctx, max_terms=max_terms).value
-        with ctx.workprec():
-            needed = series._pure_truncation_N(ctx.tolerance)
-            last = min(needed, max_terms)
-            rows = []
-            tail = series.limit_S(ctx)
-            acc = mpf(0)
-            marks = set(_checkpoints(last))
-            for n in range(1, last + 1):
-                sign = 1 if n % 2 == 0 else -1
-                tail -= sign * (mpf(1) / (4 * n - 1) - mpf(1) / (4 * n - 3))
-                acc += tail * tail
-                if n in marks:
-                    rows.append((n, acc, abs(acc - final)))
-        return rows
-    if target == "partial_sum_S":
-        final = series.limit_S(ctx)
-        with ctx.workprec():
-            needed = 1
-            while series.inner_term_magnitude(needed + 1, ctx) >= ctx.tolerance:
-                needed += 1
-                if needed >= max_terms:
-                    break
-            last = min(needed, max_terms)
-            rows = []
-            acc = mpf(0)
-            marks = set(_checkpoints(last))
-            for n in range(1, last + 1):
-                acc += series.inner_term(n, ctx)
-                if n in marks:
-                    rows.append((n, acc, abs(acc - final)))
-        return rows
+    """(index, partial value, residual vs final value) rows."""
     if target == "khintchine_partial":
-        ctx_final = ctx
-        final = khintchine.khintchine_accelerated(ctx_final, 6).value
-        last = min(10 ** 6, max_terms)
-        rows = []
-        for n in _checkpoints(last):
-            value = khintchine.khintchine_partial(n, ctx).value
-            rows.append((n, value, abs(value - final)))
-        return rows
-    raise KeyError(target)
+        final = khintchine.khintchine_accelerated(ctx, 6).value
+        marks = _checkpoints(min(10 ** 6, max_terms))
+        values = [khintchine.khintchine_partial(n, ctx).value for n in marks]
+    else:
+        squared = target == "double_series"
+        if squared:
+            final = series.double_series(ctx, max_terms=max_terms).value
+            with ctx.workprec():
+                needed = series._pure_truncation_N(ctx.tolerance)
+        else:
+            final = series.limit_S(ctx)
+            needed = series._inner_truncation_N(ctx.tolerance, ctx)
+        marks = _checkpoints(min(needed, max_terms))
+        values = series.partial_sums(marks, ctx, squared=squared)
+    with ctx.workprec():
+        return [(n, value, abs(value - final)) for n, value in zip(marks, values)]
 
 
 def _run_trace(cfg: RunConfig) -> int:

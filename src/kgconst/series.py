@@ -26,6 +26,14 @@ exact digamma representation
 which extends T_n^2 = I(n)^2 to a smooth, completely monotone function of n.
 Set ``accelerate=False`` to force pure truncation (raises MaxTermsExceeded
 when the required N exceeds the cap).
+
+Explicit summation
+------------------
+Every term-by-term sum (S_n, the direct tails, sum T_n^2 and the CLI trace)
+runs through one fixed-point integer loop, ``_fixed_point_sums``: exact
+Python-int accumulation of floor(2^(P+1) / ((4k-3)(4k-1))), in the manner of
+mpmath's own ``libelefun`` (Brent & Zimmermann, Modern Computer Arithmetic,
+2010, section 4.4).
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ MAX_OUTER_TERMS = 10_000_000
 # pure truncation is used whenever it needs at most this many outer terms
 EM_SWITCH_TERMS = 20_000
 # explicit outer terms ahead of the Euler-Maclaurin tail
-EM_EXPLICIT_TERMS = 1_000
-EM_MAX_CORRECTIONS = 16
+EM_EXPLICIT_TERMS = 10_000
+# fraction bits of the fixed-point sums beyond working precision and log2(N)
+GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -78,17 +87,64 @@ def inner_term_magnitude(k: int, ctx: PrecisionContext) -> BigReal:
         return mpf(2) / ((4 * k - 3) * (4 * k - 1))
 
 
-def partial_sum_S(n: int, ctx: PrecisionContext) -> BigReal:
-    """S_n = sum_{k=1}^{n} (-1)^{k-1} (1/(4k-3) - 1/(4k-1)); S_0 = 0.
+def _fixed_point_sums(marks, *, first: int = 1, squared: bool = False) -> list:
+    """Partial sums of t_k from k = first, at each index in marks (ascending,
+    each >= first - 1), in one pass; call at the working precision.
 
-    Summed in ascending k with exact (error-free) accumulation.
+    squared=False gives sum_{k=first}^{m} t_k.  squared=True (first = 1)
+    gives sum_{n=1}^{m} T_n^2 with T_n = S - S_n, starting from T_0 = S
+    rounded once to P bits.
+
+    The loop works on integers scaled by 2^P, P = mp.prec + N.bit_length()
+    + GUARD_BITS, N = marks[-1].  Each term floor(2^(P+1) / ((4k-3)(4k-1)))
+    is short by under one unit 2^-P and the integer accumulation is exact,
+    so a plain sum of N terms is off by less than N 2^-P.  The squares are
+    accumulated exactly at 2P bits; T_n is off by under (n+1) 2^-P and
+    2 (n+1) |T_n| < 1/(2n), so sum T_n^2 is off by under
+    (1 + ln N)/2 2^-P <= N 2^-P.  Both bounds are below
+    2^-(mp.prec + GUARD_BITS); the one rounding to an mpf per result
+    dominates.
     """
+    P = mp.prec + marks[-1].bit_length() + GUARD_BITS
+    two = 2 << P
+    tail = 0  # T_0 - (sum of the terms so far), scaled by 2^P
+    if squared:
+        with mp.workprec(P + 10):
+            tail = int(mp.nint(mp.ldexp(mp.sqrt(2) / 2 * mp.log(1 + mp.sqrt(2)), P)))
+    acc = 0   # sum of tail^2, scaled by 2^(2P)
+    out = []
+    start = first
+    for mark in marks:
+        for k in range(start, mark + 1):
+            term = two // ((4 * k - 3) * (4 * k - 1))
+            if k & 1:  # t_k > 0 for odd k
+                tail -= term
+            else:
+                tail += term
+            if squared:
+                acc += tail * tail
+        start = max(start, mark + 1)
+        out.append(mp.ldexp(acc, -2 * P) if squared else -mp.ldexp(tail, -P))
+    return out
+
+
+def partial_sums(indices, ctx: PrecisionContext, *, squared: bool = False) -> list:
+    """S_n for each n in indices (ascending), or sum_{m<=n} T_m^2 with
+    squared=True (each n >= 1), from one pass of the fixed-point loop."""
+    indices = list(indices)
+    if not indices:
+        return []
+    if indices != sorted(indices) or indices[0] < int(squared):
+        raise DomainError(f"indices must ascend from {int(squared)}, got {indices}")
+    with ctx.workprec():
+        return _fixed_point_sums(indices, squared=squared)
+
+
+def partial_sum_S(n: int, ctx: PrecisionContext) -> BigReal:
+    """S_n = sum_{k=1}^{n} (-1)^{k-1} (1/(4k-3) - 1/(4k-1)); S_0 = 0."""
     if n < 0:
         raise DomainError(f"partial sum index must be >= 0, got {n}")
-    with ctx.workprec():
-        if n == 0:
-            return mpf(0)
-        return mp.fsum(inner_term(k, ctx) for k in range(1, n + 1))
+    return partial_sums([n], ctx)[0]
 
 
 def limit_S(ctx: PrecisionContext) -> BigReal:
@@ -103,8 +159,9 @@ def inner_tail(n: int, ctx: PrecisionContext, *, method: str = "closed",
 
     method="closed" evaluates the difference of the closed-form limit and the
     partial sum (tail bound 0 at working precision).  method="direct" sums
-    the tail term by term until the alternating remainder bound drops below
-    ctx.tolerance; it exists as an independent cross-check route.
+    t_{n+1} .. t_m, where m >= n+1 is the first index whose alternating
+    remainder bound |t_{m+1}| drops below ctx.tolerance; it exists as an
+    independent cross-check route.
     """
     if n < 0:
         raise DomainError(f"tail index must be >= 0, got {n}")
@@ -115,22 +172,16 @@ def inner_tail(n: int, ctx: PrecisionContext, *, method: str = "closed",
                                 tail_bound=mpf(0), converged=True)
         if method == "direct":
             tol = ctx.tolerance
-            acc = mpf(0)
-            k = n + 1
-            used = 0
-            while True:
-                acc += inner_term(k, ctx)
-                used += 1
-                bound = inner_term_magnitude(k + 1, ctx)
-                if bound < tol:
-                    return SeriesResult(value=acc, terms_used=used,
-                                        tail_bound=bound, converged=True)
-                if used >= max_terms:
-                    raise MaxTermsExceeded(
-                        f"direct tail for n={n} needs more than {max_terms} terms "
-                        f"to reach tolerance {tol}"
-                    )
-                k += 1
+            last = max(_inner_truncation_N(tol, ctx), n + 1)
+            if last - n > max_terms:
+                raise MaxTermsExceeded(
+                    f"direct tail for n={n} needs more than {max_terms} terms "
+                    f"to reach tolerance {tol}"
+                )
+            value = _fixed_point_sums([last], first=n + 1)[0]
+            return SeriesResult(value=value, terms_used=last - n,
+                                tail_bound=inner_term_magnitude(last + 1, ctx),
+                                converged=True)
         raise DomainError(f"unknown inner_tail method {method!r}")
 
 
@@ -211,34 +262,39 @@ def _pure_truncation_N(tol: mpf) -> int:
     return N
 
 
-def double_series_partial(N: int, ctx: PrecisionContext) -> BigReal:
-    """Brute-force partial sum sum_{n=1}^{N} T_n^2 with closed-route tails.
+def _inner_truncation_N(tol: mpf, ctx: PrecisionContext) -> int:
+    """Smallest n >= 1 with |t_{n+1}| = 2/((4n+1)(4n+3)) < tol, so that
+    |S - S_n| < tol.
 
-    The independent cross-check route for double_series: ascending n with
-    compensated accumulation, each T_n updated incrementally from T_{n-1}.
+    (4n+1)(4n+3) = (4n+2)^2 - 1 gives n > (sqrt(2/tol + 1) - 2)/4; the
+    rounding of that estimate is settled by inner_term_magnitude, the
+    comparison a term-by-term count would make.
     """
+    with ctx.workprec():
+        n = max(int(mp.floor((mp.sqrt(2 / tol + 1) - 2) / 4)) + 1, 1)
+    while n > 1 and inner_term_magnitude(n, ctx) < tol:
+        n -= 1
+    while inner_term_magnitude(n + 1, ctx) >= tol:
+        n += 1
+    return n
+
+
+def double_series_partial(N: int, ctx: PrecisionContext) -> BigReal:
+    """Brute-force partial sum sum_{n=1}^{N} T_n^2, the independent
+    cross-check route for double_series."""
     if N < 1:
         raise DomainError(f"partial sum length must be >= 1, got {N}")
-    with ctx.workprec():
-        tail = limit_S(ctx)  # T_0 = S
-        acc = mpf(0)
-        comp = mpf(0)
-        for n in range(1, N + 1):
-            sign = 1 if n % 2 == 0 else -1
-            tail -= sign * (mpf(1) / (4 * n - 1) - mpf(1) / (4 * n - 3))
-            term = tail * tail
-            y = term - comp  # Kahan step
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-        return acc
+    return partial_sums([N], ctx, squared=True)[0]
 
 
 def _euler_maclaurin_tail(start: int, tol: mpf, ctx: PrecisionContext):
     """sum_{n>=start} I(n)^2 via Euler-Maclaurin, with an error bound.
 
     I^2 is completely monotone, so the remainder after each Bernoulli
-    correction is bounded by the first omitted correction term.
+    correction is bounded by the first omitted correction term.  The
+    corrections form an asymptotic series: they shrink until order about
+    pi * start and grow after that, so NoConvergence is raised as soon as one
+    fails to shrink before reaching tol/1000.
     Returns (tail_value, tail_bound).
     """
     a = mpf(start)
@@ -251,28 +307,31 @@ def _euler_maclaurin_tail(start: int, tol: mpf, ctx: PrecisionContext):
     quad_res = quadrature.integrate(integrand, mpf(0), 1 / a, ctx, tolerance=quad_tol)
     tail = quad_res.value
 
-    # derivatives of f = I^2 at a, by Leibniz over the digamma derivatives
-    max_order = 2 * EM_MAX_CORRECTIONS
-    ideriv = [_smooth_tail_derivative(a, k) for k in range(max_order)]
+    # derivatives of f = I^2 at a, by Leibniz over the digamma derivatives,
+    # computed only up to the order the corrections reach
+    ideriv = [_smooth_tail_derivative(a, 0)]
 
     def f_derivative(m):
+        while len(ideriv) <= m:
+            ideriv.append(_smooth_tail_derivative(a, len(ideriv)))
         return mp.fsum(mp.binomial(m, j) * ideriv[j] * ideriv[m - j] for j in range(m + 1))
 
     tail += ideriv[0] ** 2 / 2
     threshold = tol / 1000
-    bound = None
-    for j in range(1, EM_MAX_CORRECTIONS):
+    previous = mp.inf
+    j = 0
+    while True:
+        j += 1
         term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * f_derivative(2 * j - 1)
+        if abs(term) >= previous:
+            raise NoConvergence(
+                f"Euler-Maclaurin corrections from n={start} stopped shrinking at "
+                f"order {j} before reaching {threshold}"
+            )
         tail -= term
         if abs(term) < threshold:
-            bound = 10 * abs(term) + quad_res.error_estimate
-            break
-    if bound is None:
-        raise NoConvergence(
-            f"Euler-Maclaurin tail corrections did not reach {threshold} "
-            f"within {EM_MAX_CORRECTIONS} orders"
-        )
-    return tail, bound
+            return tail, 10 * abs(term) + quad_res.error_estimate
+        previous = abs(term)
 
 
 @lru_cache(maxsize=None)
@@ -299,14 +358,14 @@ def double_series(ctx: PrecisionContext, *, max_terms: int = MAX_OUTER_TERMS,
                             tail_bound=bound, converged=bool(bound < tol))
 
 
-def parseval_closure(ctx: PrecisionContext, *, max_terms: int = MAX_OUTER_TERMS) -> SeriesResult:
+def parseval_closure(ctx: PrecisionContext) -> SeriesResult:
     """a_0^2/2 + sum_{n>=1} a_n^2, which must equal 8/pi.
 
     Uses the same outer truncation discipline as double_series via the exact
     substitution a_n = (8 sqrt(2)/pi) T_n.
     """
     with ctx.workprec():
-        ds = double_series(ctx, max_terms=max_terms)
+        ds = double_series(ctx)
         a0 = fourier_a(0, ctx).value
         scale = 128 / mp.pi ** 2
         return SeriesResult(value=a0 ** 2 / 2 + scale * ds.value,

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from mpmath import mp, mpf
 
 from kgconst.cli import (
     EXIT_IDENTITY_FAILED,
@@ -38,6 +39,21 @@ class TestCompute:
         header, row = out.strip().splitlines()
         assert header == "target,value,runtime_ms,paper_anchor"
         assert row.startswith("L,0.88137358701954302523")
+
+    def test_prints_every_requested_digit(self, capsys):
+        # a fresh CLI process runs at mpmath's default precision, not the
+        # 80 digits the test bodies get
+        with mp.workdps(15):
+            code, out, _ = invoke(capsys, "compute", "KC_UPPER", "--digits", "60",
+                                  "--format", "json")
+        assert code == EXIT_OK
+        with mp.workdps(90):
+            def f(x):
+                m = x * x
+                return (mp.ellipe(m) - (1 - m) * mp.ellipk(m)) / x - mp.pi * (x + 1) / 8
+            x0 = mp.findroot(f, (mpf("0.01"), mpf("0.99")), solver="anderson")
+            reference = 8 / (mp.pi * (x0 + 1))
+            assert abs(mpf(json.loads(out)["value"]) - reference) < mpf(10) ** -59
 
     def test_unknown_constant(self, capsys):
         code, _, err = invoke(capsys, "compute", "NOPE")

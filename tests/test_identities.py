@@ -24,6 +24,12 @@ def reports():
 
 class TestVerifyAll:
 
+    @pytest.mark.parametrize("digits", [100, 200])
+    def test_everything_passes_at_high_precision(self, digits):
+        reports = verify_all(PrecisionContext(digits=digits))
+        failures = [(r.id.value, r.params.get("error")) for r in reports if not r.passed]
+        assert failures == []
+
     def test_everything_passes_at_20_digits(self, reports):
         failures = [r.id.value for r in reports if not r.passed]
         assert failures == []

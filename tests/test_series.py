@@ -17,9 +17,46 @@ from kgconst import (
     limit_S,
     parseval_closure,
     partial_sum_S,
+    partial_sums,
     recurrence_check,
 )
-from kgconst.series import inner_term_magnitude, smooth_tail_magnitude
+from kgconst.series import (
+    _euler_maclaurin_tail,
+    _inner_truncation_N,
+    inner_term_magnitude,
+    smooth_tail_magnitude,
+)
+from kgconst.errors import NoConvergence
+
+
+def _reference_sum(first, last, dps):
+    """Plain mpf loop: sum_{k=first}^{last} t_k at dps digits."""
+    with mp.workdps(dps):
+        acc = mpf(0)
+        for k in range(first, last + 1):
+            sign = 1 if k % 2 == 0 else -1
+            acc += sign * (mpf(1) / (4 * k - 1) - mpf(1) / (4 * k - 3))
+        return acc
+
+
+def _reference_double_partial(N, dps):
+    """Plain mpf loop: sum_{n=1}^{N} T_n^2 at dps digits, T_0 = S."""
+    with mp.workdps(dps):
+        tail = mp.sqrt(2) / 2 * mp.log(1 + mp.sqrt(2))
+        acc = mpf(0)
+        for n in range(1, N + 1):
+            sign = 1 if n % 2 == 0 else -1
+            tail -= sign * (mpf(1) / (4 * n - 1) - mpf(1) / (4 * n - 3))
+            acc += tail * tail
+        return acc
+
+
+def _counting_loop_N(tol, ctx):
+    """The closed-form term count, found one term at a time instead."""
+    needed = 1
+    while inner_term_magnitude(needed + 1, ctx) >= tol:
+        needed += 1
+    return needed
 
 
 class TestInnerTerm:
@@ -50,6 +87,82 @@ class TestPartialSums:
         n = 10 ** 4
         bound = mpf(2) / ((4 * n + 1) * (4 * n + 3))
         assert abs(partial_sum_S(n, ctx30) - limit_S(ctx30)) <= bound
+
+
+class TestFixedPointKernel:
+    """The integer kernel against plain mpf loops run 20 digits deeper."""
+
+    @given(digits=st.integers(min_value=12, max_value=200),
+           n=st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=25, deadline=None)
+    def test_partial_sum_matches_mpf_loop(self, digits, n):
+        ctx = PrecisionContext(digits=digits)
+        reference = _reference_sum(1, n, ctx.working_dps + 20)
+        assert abs(partial_sum_S(n, ctx) - reference) < mpf(10) ** -(ctx.working_dps - 1)
+
+    @given(digits=st.integers(min_value=12, max_value=200),
+           N=st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=25, deadline=None)
+    def test_double_partial_matches_mpf_loop(self, digits, N):
+        ctx = PrecisionContext(digits=digits)
+        reference = _reference_double_partial(N, ctx.working_dps + 20)
+        assert abs(double_series_partial(N, ctx) - reference) < mpf(10) ** -(ctx.working_dps - 1)
+
+    @given(digits=st.integers(min_value=12, max_value=200),
+           n=st.integers(min_value=0, max_value=2000),
+           tol_exp=st.integers(min_value=3, max_value=8))
+    @settings(max_examples=25, deadline=None)
+    def test_direct_tail_matches_mpf_loop(self, digits, n, tol_exp):
+        ctx = PrecisionContext(digits=digits, tolerance=mpf(10) ** -tol_exp)
+        direct = inner_tail(n, ctx, method="direct")
+        # the term-by-term stopping rule: add t_k until |t_{k+1}| < tolerance
+        last = n + 1
+        while inner_term_magnitude(last + 1, ctx) >= ctx.tolerance:
+            last += 1
+        assert direct.terms_used == last - n
+        assert direct.tail_bound == inner_term_magnitude(last + 1, ctx)
+        reference = _reference_sum(n + 1, last, ctx.working_dps + 20)
+        assert abs(direct.value - reference) < mpf(10) ** -(ctx.working_dps - 1)
+
+    def test_many_indices_in_one_pass(self, ctx30):
+        # the fixed-point scale depends on the last index, so only the
+        # working-precision digits are shared with one-index calls
+        eps = mpf(10) ** -(ctx30.working_dps - 1)
+        indices = [0, 1, 2, 10, 10, 11, 500]
+        plain = partial_sums(indices, ctx30)
+        squared = partial_sums(indices[1:], ctx30, squared=True)
+        assert isinstance(plain, list) and isinstance(squared, list)
+        for n, value in zip(indices, plain):
+            assert abs(value - partial_sum_S(n, ctx30)) < eps
+        for N, value in zip(indices[1:], squared):
+            assert abs(value - double_series_partial(N, ctx30)) < eps
+
+    def test_indices_must_ascend(self, ctx30):
+        with pytest.raises(DomainError):
+            partial_sums([3, 2], ctx30)
+        with pytest.raises(DomainError):
+            partial_sums([0, 1], ctx30, squared=True)
+
+    def test_closed_form_count_is_minimal(self):
+        # what the counting loop returns, for tolerances it would need up to
+        # 10^19 steps to reach
+        for tol_exp in range(10, 41):
+            ctx = PrecisionContext(digits=tol_exp)
+            n = _inner_truncation_N(ctx.tolerance, ctx)
+            assert inner_term_magnitude(n + 1, ctx) < ctx.tolerance <= inner_term_magnitude(n, ctx)
+
+    @given(k=st.integers(min_value=1, max_value=2000), nudge=st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_count_equals_counting_loop(self, k, nudge):
+        # tolerances at and next to a term magnitude catch off-by-one slips
+        ctx = PrecisionContext(digits=20)
+        with ctx.workprec():
+            tol = inner_term_magnitude(k, ctx) * (1 + nudge * mpf(10) ** -15)
+        assert _inner_truncation_N(tol, ctx) == _counting_loop_N(tol, ctx)
+
+    def test_closed_form_count_equals_counting_loop_at_1e10(self):
+        ctx = PrecisionContext(digits=10)
+        assert _inner_truncation_N(ctx.tolerance, ctx) == _counting_loop_N(ctx.tolerance, ctx)
 
 
 class TestLimit:
@@ -172,6 +285,13 @@ class TestDoubleSeries:
         pure = double_series(ctx, accelerate=False)
         accel = double_series(PrecisionContext(digits=30))
         assert abs(pure.value - accel.value) < ctx.tolerance
+
+    def test_euler_maclaurin_stops_when_corrections_grow(self):
+        # from n = 2 the asymptotic corrections start growing after a few
+        # orders, long before they reach 1e-60
+        ctx = PrecisionContext(digits=60)
+        with ctx.workprec(), pytest.raises(NoConvergence):
+            _euler_maclaurin_tail(2, ctx.tolerance, ctx)
 
     def test_determinism(self, ctx30):
         a = double_series(ctx30)
