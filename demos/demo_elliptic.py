@@ -46,7 +46,7 @@ print("  Haagerup bound 1/(2K(i)-E(i)) =", mp.nstr(haagerup_bound(ctx), 25))
 print()
 
 root = solve_x0(ctx)
-print(f"root solve ({root.iterations} Brent iterations):")
+print(f"root solve ({root.iterations} root-function evaluations):")
 print("  x0 =", mp.nstr(root.x0, 25))
 print("  residual =", mp.nstr(root.residual, 3))
 print("  complex-case upper limit 8/(pi(x0+1)) =", mp.nstr(kc_upper(ctx), 25))

@@ -20,10 +20,6 @@ from .core import BigReal, PrecisionContext
 from .errors import BracketFailure, DomainError, NoConvergence
 from . import quadrature
 
-# below this distance from k = 1, E falls back to the defining integral to
-# avoid cancellation in the AGM companion sequence
-E_QUADRATURE_WINDOW = mpf("1e-5")
-
 ROOT_BRACKET = (mpf("0.01"), mpf("0.99"))
 
 
@@ -49,21 +45,24 @@ def _agm(a, b):
     return (a + b) / 2
 
 
+def _complement(k):
+    # k' = sqrt(1 - k^2), factored so that no digits cancel as k -> 1
+    return mp.sqrt((1 - k) * (1 + k))
+
+
 def ellip_K(k, ctx: PrecisionContext) -> BigReal:
     """K(k) = integral of 1/sqrt(1 - k^2 sin^2(t)) over (0, pi/2), via the AGM."""
     with ctx.workprec():
         k = mpf(k)
         if not (0 <= k < 1):
             raise DomainError(f"ellip_K requires 0 <= k < 1, got {k}")
-        return mp.pi / (2 * _agm(mpf(1), mp.sqrt(1 - k * k)))
+        return mp.pi / (2 * _agm(mpf(1), _complement(k)))
 
 
 def ellip_E(k, ctx: PrecisionContext) -> BigReal:
     """E(k) = integral of sqrt(1 - k^2 sin^2(t)) over (0, pi/2).
 
-    AGM companion iteration E = K (1 - sum 2^{n-1} c_n^2); near k = 1 the
-    companion sequence cancels, so the defining integral is used instead.
-    E(1) = 1 exactly.
+    AGM companion iteration E = K (1 - sum 2^{n-1} c_n^2); E(1) = 1 exactly.
     """
     with ctx.workprec():
         k = mpf(k)
@@ -71,9 +70,7 @@ def ellip_E(k, ctx: PrecisionContext) -> BigReal:
             raise DomainError(f"ellip_E requires 0 <= k <= 1, got {k}")
         if k == 1:
             return mpf(1)
-        if 1 - k < E_QUADRATURE_WINDOW:
-            return ellip_E_quadrature(k, ctx)
-        a, b, c = mpf(1), mp.sqrt(1 - k * k), k
+        a, b, c = mpf(1), _complement(k), k
         csum = c * c / 2
         power = mpf(1)
         eps = mpf(10) ** (-(mp.dps - 2))
@@ -186,74 +183,38 @@ def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:
         return x * res.value
 
 
-def _brent(f, a, b, fa, fb, xtol, max_iter):
-    """Classic Brent root finder on a sign-changing bracket."""
-    c, fc = a, fa
-    d = e = b - a
-    for it in range(1, max_iter + 1):
-        if fb * fc > 0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2 * mp.eps * abs(b) + xtol / 2
-        xm = (c - b) / 2
-        if abs(xm) <= tol1 or fb == 0:
-            return b, fb, it
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2 * xm * s
-                q = 1 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2 * xm * q * (q - r) - (b - a) * (r - 1))
-                q = (q - 1) * (r - 1) * (s - 1)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2 * p < min(3 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
-        else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        if abs(d) > tol1:
-            b += d
-        else:
-            b += tol1 if xm > 0 else -tol1
-        fb = f(b)
-    raise NoConvergence(f"Brent did not converge within {max_iter} iterations")
-
-
 def solve_x0(ctx: PrecisionContext) -> RootResult:
     """Root of krivine_complex_f on the bracket (0.01, 0.99).
 
     Endpoint signs are verified before iterating; the solve is bracketed and
-    derivative-free (Brent), with |f(x0)| < ctx.tolerance on success.
+    derivative-free (mpmath's Pegasus regula falsi), with |f(x0)| <
+    ctx.tolerance on success.  ``iterations`` counts the evaluations of f
+    made by the solver.
     """
     with ctx.workprec():
         lo, hi = ROOT_BRACKET
-        f = lambda x: krivine_complex_f(x, ctx)
-        flo, fhi = f(lo), f(hi)
+        flo, fhi = krivine_complex_f(lo, ctx), krivine_complex_f(hi, ctx)
         if not (flo * fhi < 0):
             raise BracketFailure(
                 f"no sign change on ({lo}, {hi}): f(lo)={flo}, f(hi)={fhi}"
             )
-        xtol = mpf(10) ** (-(mp.dps - 3))
-        x0, fx0, iterations = _brent(f, lo, hi, flo, fhi, xtol, 20 * mp.dps)
-        residual = abs(fx0)
+        evaluations = 0
+
+        def f(x):
+            nonlocal evaluations
+            evaluations += 1
+            return krivine_complex_f(x, ctx)
+
+        try:
+            x0 = +mp.findroot(f, (lo, hi), solver="pegasus")
+        except ValueError as exc:
+            raise NoConvergence(f"root solve failed: {exc}") from exc
+        residual = abs(krivine_complex_f(x0, ctx))
         if residual >= ctx.tolerance:
             raise NoConvergence(
                 f"root residual {residual} did not reach tolerance {ctx.tolerance}"
             )
-        return RootResult(x0=x0, residual=residual, iterations=iterations,
+        return RootResult(x0=x0, residual=residual, iterations=evaluations,
                           bracket=(lo, hi))
 
 

@@ -1,9 +1,11 @@
 """Registry of every verifiable identity, with residual reports.
 
-Each registered identity evaluates its two sides through the owning modules
-and reports the absolute residual, the number of digits of agreement, and a
-pass flag against the context tolerance (with per-identity overrides where a
-check is intrinsically desk-scale, e.g. the Khintchine stability test).
+Each identity is one row of ``_TABLE``: its paper anchor and a ``sides``
+callable returning ``(lhs, rhs, extra)`` from independent routes through the
+owning modules.  ``verify`` reports the absolute residual, the number of
+digits of agreement, and a pass flag against the context tolerance (with
+per-identity overrides where a check is intrinsically desk-scale, e.g. the
+Khintchine stability test).
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 
-from .core import BigReal, PrecisionContext, const_KG, const_L, const_pi
-from .errors import KgconstError
+from .core import BigReal, PrecisionContext, const_KG, const_L
 from . import elliptic, khintchine, quadrature, series
 
 
@@ -58,14 +61,6 @@ LEGENDRE_GRID = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8",
                  "0.9", "0.999")  # plus 1/sqrt(2), added at working precision
 
 
-def _csch(x):
-    return 1 / mp.sinh(x)
-
-
-def _sech(x):
-    return 1 / mp.cosh(x)
-
-
 def _acosh_coth(x):
     # coth(x) - 1 collapses to O(e^{-2x}); extra digits keep acosh meaningful
     # at the deep quadrature nodes
@@ -73,37 +68,63 @@ def _acosh_coth(x):
         return mp.acosh(mp.coth(x))
 
 
-def _eval_parseval_double_series(ctx, params):
-    lhs = series.double_series(ctx).value
-    rhs = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
-    return lhs, rhs, {}
+_INTEGRANDS = {
+    "arcsinh(csch x)": lambda x: mp.asinh(1 / mp.sinh(x)),
+    "arccosh(coth x)": _acosh_coth,
+    "arctanh(sech x)": lambda x: mp.atanh(1 / mp.cosh(x)),
+}
 
 
-def _eval_parseval_closure(ctx, params):
-    lhs = series.parseval_closure(ctx).value
-    rhs = 8 / mp.pi
-    return lhs, rhs, {}
+class _Row(NamedTuple):
+    anchor: str
+    sides: Callable  # (ctx, params) -> (lhs, rhs, extra)
 
 
-def _eval_kg_definition(ctx, params):
-    lhs = const_KG(ctx)
-    rhs = const_pi(ctx) / (2 * const_L(ctx))
-    return lhs, rhs, {}
+@lru_cache(maxsize=None)
+def _integral(name: str, ctx: PrecisionContext, tail: bool) -> BigReal:
+    """int_L^inf (tail) or int_0^L of the named integrand.
+
+    Shared by the appendix identities and their K_G fixed-point forms, whose
+    limit pi/(2 K_G) is L by definition.  Pass ``tail`` positionally at every
+    call site: lru_cache keys on how the arguments are spelled.
+    """
+    f, L = _INTEGRANDS[name], const_L(ctx)
+    if tail:
+        return quadrature.integrate_to_infinity(f, L, ctx).value
+    return quadrature.integrate(f, mpf(0), L, ctx).value
 
 
-def _eval_kg_from_series(ctx, params):
+def _appendix(name):
+    """Row of the appendix identity pi^2 = 4L^2 + 8 int_L^inf f."""
+    return _Row(f"pi^2 = 4L^2 + 8 int_L^inf {name} dx",
+                lambda ctx, p: (mp.pi ** 2,
+                                4 * const_L(ctx) ** 2 + 8 * _integral(name, ctx, True), {}))
+
+
+def _kg_fixed_point(name, tail):
+    """K_G = 1/sqrt(+-(1 - (8/pi^2) int f)), the integral limit being pi/(2 K_G) = L."""
+    def sides(ctx, params):
+        inner = 8 / mp.pi ** 2 * _integral(name, ctx, tail)
+        return const_KG(ctx), 1 / mp.sqrt(1 - inner if tail else inner - 1), {}
+    return sides
+
+
+def _kg_definition(ctx, params):
+    # rhs takes L from its defining property sinh(L) = 1 (exp path, no log)
+    L = mp.findroot(lambda x: mp.sinh(x) - 1, mpf("0.88"))
+    return const_KG(ctx), mp.pi / (2 * L), {}
+
+
+def _kg_from_series(ctx, params):
     V = series.double_series(ctx).value
     KG = const_KG(ctx)
     # first boxed form: V = (pi/16)(1 - pi/KG^2)
     resid_a = abs(V - mp.pi / 16 * (1 - mp.pi / KG ** 2))
     # second boxed form: KG = pi / sqrt(pi - 16 V)
-    lhs = KG
-    rhs = mp.pi / mp.sqrt(mp.pi - 16 * V)
-    extra = {"series_form_residual": resid_a}
-    return lhs, rhs, extra
+    return KG, mp.pi / mp.sqrt(mp.pi - 16 * V), {"series_form_residual": resid_a}
 
 
-def _eval_recurrence(ctx, params):
+def _recurrence(ctx, params):
     n = params.get("n", 7)
     sign = 1 if n % 2 == 0 else -1
     lhs = series.fourier_a(n, ctx).value - series.fourier_a(n - 1, ctx).value
@@ -111,95 +132,19 @@ def _eval_recurrence(ctx, params):
     return lhs, rhs, {"n": n}
 
 
-def _eval_coeff_vs_quadrature(ctx, params):
+def _coeff_vs_quadrature(ctx, params):
     n = params.get("n", 3)
-    lhs = series.fourier_a(n, ctx).value
-    rhs = series.fourier_a_quadrature(n, ctx).value
-    return lhs, rhs, {"n": n}
+    return (series.fourier_a(n, ctx).value,
+            series.fourier_a_quadrature(n, ctx).value, {"n": n})
 
 
-def _asinh_csch_tail_integral(ctx):
-    L = const_L(ctx)
-    return quadrature.integrate_to_infinity(lambda x: mp.asinh(_csch(x)), L, ctx).value
-
-
-def _eval_appendix_a1(ctx, params):
-    L = const_L(ctx)
-    lhs = mp.pi ** 2
-    rhs = 4 * L ** 2 + 8 * _asinh_csch_tail_integral(ctx)
-    return lhs, rhs, {}
-
-
-def _eval_appendix_a2_corrected(ctx, params):
-    L = const_L(ctx)
-    lhs = mp.pi ** 2 + 4 * L ** 2
-    rhs = 8 * quadrature.integrate(lambda x: mp.asinh(_csch(x)), mpf(0), L, ctx).value
-    return lhs, rhs, {"as_printed": "ambiguous"}
-
-
-def _eval_appendix_a3(ctx, params):
-    L = const_L(ctx)
-    lhs = mp.pi ** 2
-    rhs = 4 * L ** 2 + 8 * quadrature.integrate_to_infinity(
-        _acosh_coth, L, ctx).value
-    return lhs, rhs, {}
-
-
-def _eval_appendix_a4(ctx, params):
-    L = const_L(ctx)
-    lhs = mp.pi ** 2
-    rhs = 4 * L ** 2 + 8 * quadrature.integrate_to_infinity(
-        lambda x: mp.atanh(_sech(x)), L, ctx).value
-    return lhs, rhs, {}
-
-
-def _fixed_point(ctx, integrand, lower_is_zero: bool, plus_form: bool):
-    """K_G = 1/sqrt(1 -/+ (8/pi^2) * integral), evaluated at K_G = pi/(2L)."""
-    KG = const_KG(ctx)
-    limit = mp.pi / (2 * KG)  # equals L by definition
-    if lower_is_zero:
-        integral = quadrature.integrate(integrand, mpf(0), limit, ctx).value
-    else:
-        integral = quadrature.integrate_to_infinity(integrand, limit, ctx).value
-    inner = 8 / mp.pi ** 2 * integral
-    rhs = 1 / mp.sqrt(inner - 1) if plus_form else 1 / mp.sqrt(1 - inner)
-    return KG, rhs
-
-
-def _eval_fixed_point_1(ctx, params):
-    lhs, rhs = _fixed_point(ctx, lambda x: mp.asinh(_csch(x)), False, False)
-    return lhs, rhs, {}
-
-
-def _eval_fixed_point_2(ctx, params):
-    lhs, rhs = _fixed_point(ctx, lambda x: mp.asinh(_csch(x)), True, True)
-    return lhs, rhs, {}
-
-
-def _eval_fixed_point_3(ctx, params):
-    lhs, rhs = _fixed_point(ctx, _acosh_coth, False, False)
-    return lhs, rhs, {}
-
-
-def _eval_fixed_point_4(ctx, params):
-    lhs, rhs = _fixed_point(ctx, lambda x: mp.atanh(_sech(x)), False, False)
-    return lhs, rhs, {}
-
-
-def _eval_haagerup(ctx, params):
-    lhs = elliptic.haagerup_bound(ctx)
-    rhs = elliptic.haagerup_bound_quadrature(ctx)
-    return lhs, rhs, {}
-
-
-def _eval_krivine_middle(ctx, params):
+def _krivine_middle(ctx, params):
     x = mpf(params.get("x", "0.5"))
     lhs = (elliptic.ellip_E(x, ctx) - (1 - x * x) * elliptic.ellip_K(x, ctx)) / x
-    rhs = elliptic.krivine_complex_middle(x, ctx)
-    return lhs, rhs, {"x": x}
+    return lhs, elliptic.krivine_complex_middle(x, ctx), {"x": x}
 
 
-def _eval_legendre(ctx, params):
+def _legendre(ctx, params):
     grid = [mpf(k) for k in LEGENDRE_GRID] + [1 / mp.sqrt(2)]
     worst_k, worst = grid[0], mpf(-1)
     for k in grid:
@@ -210,59 +155,61 @@ def _eval_legendre(ctx, params):
     lhs = (elliptic.ellip_E(worst_k, ctx) * elliptic.ellip_K(kp, ctx)
            + elliptic.ellip_E(kp, ctx) * elliptic.ellip_K(worst_k, ctx)
            - elliptic.ellip_K(worst_k, ctx) * elliptic.ellip_K(kp, ctx))
-    rhs = mp.pi / 2
-    return lhs, rhs, {"worst_k": worst_k, "grid_size": len(grid)}
+    return lhs, mp.pi / 2, {"worst_k": worst_k, "grid_size": len(grid)}
 
 
-def _eval_khintchine_stability(ctx, params):
+def _khintchine_stability(ctx, params):
     target = params.get("target_digits", 6)
     res = khintchine.khintchine_accelerated(ctx, target)
-    lhs = res.value
-    rhs = res.value - res.tail_estimate  # value at the un-doubled range
-    return lhs, rhs, {"terms_used": res.terms_used, "target_digits": target}
+    # rhs: the value at the un-doubled range
+    return (res.value, res.value - res.tail_estimate,
+            {"terms_used": res.terms_used, "target_digits": target})
 
 
-_ANCHORS = {
-    IdentityId.PARSEVAL_DOUBLE_SERIES: "boxed double series = pi/16 - ln^2(1+sqrt(2))/4",
-    IdentityId.PARSEVAL_CLOSURE: "a0^2/2 + sum a_n^2 = 8/pi (Parseval for 1/cos(x/4))",
-    IdentityId.KG_DEFINITION: "K_G = pi/(2 ln(1+sqrt(2)))",
-    IdentityId.KG_FROM_SERIES: "K_G = pi/sqrt(pi - 16 * double series)",
-    IdentityId.RECURRENCE: "a_n - a_{n-1} = (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]",
-    IdentityId.COEFF_VS_QUADRATURE: "closed-form a_n vs (8/pi) int cos(4nt)/cos(t) dt",
-    IdentityId.APPENDIX_A1: "pi^2 = 4L^2 + 8 int_L^inf arcsinh(csch x) dx",
-    IdentityId.APPENDIX_A2_CORRECTED: "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)",
-    IdentityId.APPENDIX_A3: "pi^2 = 4L^2 + 8 int_L^inf arccosh(coth x) dx",
-    IdentityId.APPENDIX_A4: "pi^2 = 4L^2 + 8 int_L^inf arctanh(sech x) dx",
-    IdentityId.FIXED_POINT_1: "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arcsinh(csch))",
-    IdentityId.FIXED_POINT_2: "K_G = 1/sqrt((8/pi^2) int_0^{pi/2K_G} arcsinh(csch) - 1)",
-    IdentityId.FIXED_POINT_3: "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arccosh(coth))",
-    IdentityId.FIXED_POINT_4: "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arctanh(sech))",
-    IdentityId.HAAGERUP_CONSISTENCY: "1/(2K(i)-E(i)) vs 1/int cos^2/sqrt(1+sin^2)",
-    IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY:
-        "x int cos^2/sqrt(1-x^2 sin^2) = (1/x)[E(x)-(1-x^2)K(x)]",
-    IdentityId.LEGENDRE_RELATION: "E K' + E' K - K K' = pi/2",
-    IdentityId.KHINTCHINE_STABILITY: "Gauss-Kuz'min product stable across N doubling",
-}
-
-_EVALUATORS = {
-    IdentityId.PARSEVAL_DOUBLE_SERIES: _eval_parseval_double_series,
-    IdentityId.PARSEVAL_CLOSURE: _eval_parseval_closure,
-    IdentityId.KG_DEFINITION: _eval_kg_definition,
-    IdentityId.KG_FROM_SERIES: _eval_kg_from_series,
-    IdentityId.RECURRENCE: _eval_recurrence,
-    IdentityId.COEFF_VS_QUADRATURE: _eval_coeff_vs_quadrature,
-    IdentityId.APPENDIX_A1: _eval_appendix_a1,
-    IdentityId.APPENDIX_A2_CORRECTED: _eval_appendix_a2_corrected,
-    IdentityId.APPENDIX_A3: _eval_appendix_a3,
-    IdentityId.APPENDIX_A4: _eval_appendix_a4,
-    IdentityId.FIXED_POINT_1: _eval_fixed_point_1,
-    IdentityId.FIXED_POINT_2: _eval_fixed_point_2,
-    IdentityId.FIXED_POINT_3: _eval_fixed_point_3,
-    IdentityId.FIXED_POINT_4: _eval_fixed_point_4,
-    IdentityId.HAAGERUP_CONSISTENCY: _eval_haagerup,
-    IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY: _eval_krivine_middle,
-    IdentityId.LEGENDRE_RELATION: _eval_legendre,
-    IdentityId.KHINTCHINE_STABILITY: _eval_khintchine_stability,
+_TABLE = {
+    IdentityId.PARSEVAL_DOUBLE_SERIES: _Row(
+        "boxed double series = pi/16 - ln^2(1+sqrt(2))/4",
+        lambda ctx, p: (series.double_series(ctx).value,
+                        mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4, {})),
+    IdentityId.PARSEVAL_CLOSURE: _Row(
+        "a0^2/2 + sum a_n^2 = 8/pi (Parseval for 1/cos(x/4))",
+        lambda ctx, p: (series.parseval_closure(ctx).value, 8 / mp.pi, {})),
+    IdentityId.KG_DEFINITION: _Row("K_G = pi/(2 ln(1+sqrt(2)))", _kg_definition),
+    IdentityId.KG_FROM_SERIES: _Row("K_G = pi/sqrt(pi - 16 * double series)",
+                                    _kg_from_series),
+    IdentityId.RECURRENCE: _Row(
+        "a_n - a_{n-1} = (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]", _recurrence),
+    IdentityId.COEFF_VS_QUADRATURE: _Row(
+        "closed-form a_n vs (8/pi) int cos(4nt)/cos(t) dt", _coeff_vs_quadrature),
+    IdentityId.APPENDIX_A1: _appendix("arcsinh(csch x)"),
+    IdentityId.APPENDIX_A2_CORRECTED: _Row(
+        "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)",
+        lambda ctx, p: (mp.pi ** 2 + 4 * const_L(ctx) ** 2,
+                        8 * _integral("arcsinh(csch x)", ctx, False),
+                        {"as_printed": "ambiguous"})),
+    IdentityId.APPENDIX_A3: _appendix("arccosh(coth x)"),
+    IdentityId.APPENDIX_A4: _appendix("arctanh(sech x)"),
+    IdentityId.FIXED_POINT_1: _Row(
+        "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arcsinh(csch))",
+        _kg_fixed_point("arcsinh(csch x)", True)),
+    IdentityId.FIXED_POINT_2: _Row(
+        "K_G = 1/sqrt((8/pi^2) int_0^{pi/2K_G} arcsinh(csch) - 1)",
+        _kg_fixed_point("arcsinh(csch x)", False)),
+    IdentityId.FIXED_POINT_3: _Row(
+        "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arccosh(coth))",
+        _kg_fixed_point("arccosh(coth x)", True)),
+    IdentityId.FIXED_POINT_4: _Row(
+        "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arctanh(sech))",
+        _kg_fixed_point("arctanh(sech x)", True)),
+    IdentityId.HAAGERUP_CONSISTENCY: _Row(
+        "1/(2K(i)-E(i)) vs 1/int cos^2/sqrt(1+sin^2)",
+        lambda ctx, p: (elliptic.haagerup_bound(ctx),
+                        elliptic.haagerup_bound_quadrature(ctx), {})),
+    IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY: _Row(
+        "x int cos^2/sqrt(1-x^2 sin^2) = (1/x)[E(x)-(1-x^2)K(x)]", _krivine_middle),
+    IdentityId.LEGENDRE_RELATION: _Row("E K' + E' K - K K' = pi/2", _legendre),
+    IdentityId.KHINTCHINE_STABILITY: _Row(
+        "Gauss-Kuz'min product stable across N doubling", _khintchine_stability),
 }
 
 # desk-scale checks keep a fixed tolerance regardless of ctx.digits
@@ -270,11 +217,11 @@ _TOLERANCE_OVERRIDES = {
     IdentityId.KHINTCHINE_STABILITY: mpf("1e-6"),
 }
 
-REGISTRY_ORDER = tuple(_EVALUATORS)
+REGISTRY_ORDER = tuple(_TABLE)
 
 
 def anchor(identity: IdentityId) -> str:
-    return _ANCHORS[identity]
+    return _TABLE[identity].anchor
 
 
 def _digits_agreed(residual, lhs, rhs, cap):
@@ -286,29 +233,32 @@ def _digits_agreed(residual, lhs, rhs, cap):
 
 
 def verify(identity, ctx: PrecisionContext, **params) -> IdentityReport:
-    """Evaluate both sides of one identity and report the residual."""
+    """Evaluate both sides of one identity and report the residual.
+
+    An unknown id raises ValueError; any error while evaluating a registered
+    identity (a library error or a bad parameter) becomes a failed report.
+    """
     identity = IdentityId(identity)
     tol = _TOLERANCE_OVERRIDES.get(identity, ctx.tolerance)
     start = time.perf_counter()
     with ctx.workprec():
         try:
-            lhs, rhs, extra = _EVALUATORS[identity](ctx, params)
+            lhs, rhs, extra = _TABLE[identity].sides(ctx, params)
             residual = abs(lhs - rhs)
             passed = bool(residual < tol)
-            report_params = dict(extra)
             if "series_form_residual" in extra:
                 passed = passed and bool(extra["series_form_residual"] < tol)
-        except KgconstError as exc:
+            digits = _digits_agreed(residual, lhs, rhs, ctx.digits)
+        except Exception as exc:
             elapsed = (time.perf_counter() - start) * 1000
             return IdentityReport(id=identity, lhs=mpf(0), rhs=mpf(0),
                                   residual=mp.inf, digits_agreed=0, passed=False,
                                   params={"error": f"{type(exc).__name__}: {exc}"},
                                   runtime_ms=elapsed)
-        digits = _digits_agreed(residual, lhs, rhs, ctx.digits)
     elapsed = (time.perf_counter() - start) * 1000
     return IdentityReport(id=identity, lhs=lhs, rhs=rhs, residual=residual,
                           digits_agreed=digits, passed=passed,
-                          params=report_params, runtime_ms=elapsed)
+                          params=dict(extra), runtime_ms=elapsed)
 
 
 def verify_all(ctx: PrecisionContext, ids=None) -> list:

@@ -140,3 +140,15 @@ class TestUpperLimit:
         assert mp.nstr(kc, 6) == "1.40491"
         # the root-equation limit sits strictly above Haagerup's bound
         assert kc > haagerup_bound(ctx30)
+
+
+class TestNearOne:
+    @pytest.mark.parametrize("gap", ["1e-9", "1e-15", "1e-20"])
+    def test_against_mpmath(self, gap, ctx30):
+        # reference at the k the functions receive: K is ill-conditioned
+        # near 1, so an unrounded k would measure the rounding, not the code
+        with ctx30.workprec():
+            k = 1 - mpf(gap)
+        ref_K, ref_E = mp.ellipk(k * k), mp.ellipe(k * k)
+        assert abs(ellip_K(k, ctx30) / ref_K - 1) < mpf("1e-35")
+        assert abs(ellip_E(k, ctx30) / ref_E - 1) < mpf("1e-35")

@@ -1,0 +1,68 @@
+"""The identity table: failed reports instead of exceptions, an independent
+KG_DEFINITION side, and the integrals shared by the appendix identities and
+their fixed-point forms."""
+
+import pytest
+from mpmath import mp, mpf
+
+from kgconst import IdentityId, PrecisionContext, identities, quadrature, verify
+
+# each fixed-point form reads the integral of the appendix identity before it
+SHARED_INTEGRALS = [
+    (IdentityId.APPENDIX_A1, IdentityId.FIXED_POINT_1),
+    (IdentityId.APPENDIX_A2_CORRECTED, IdentityId.FIXED_POINT_2),
+    (IdentityId.APPENDIX_A3, IdentityId.FIXED_POINT_3),
+    (IdentityId.APPENDIX_A4, IdentityId.FIXED_POINT_4),
+]
+
+
+@pytest.mark.parametrize("ident, params, error", [
+    (IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY, {"x": "0"}, "ZeroDivisionError: "),
+    (IdentityId.COEFF_VS_QUADRATURE, {"n": "x"}, "TypeError: "),
+])
+def test_bad_params_become_failed_reports(ident, params, error):
+    r = verify(ident, PrecisionContext(digits=20), **params)
+    assert not r.passed
+    assert r.residual == mp.inf
+    assert r.params["error"].startswith(error)
+
+
+def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
+    # the rhs takes L from sinh(L) = 1, so a wrong log moves only the lhs
+    log = mp.log
+    monkeypatch.setattr(mp, "log", lambda *a, **k: log(*a, **k) * (1 + mpf("1e-25")))
+    r = verify(IdentityId.KG_DEFINITION, PrecisionContext(digits=30))
+    assert not r.passed
+    assert r.residual > mpf("1e-26")
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """Count quadrature.integrate calls, starting from an empty integral cache."""
+    calls = []
+    integrate = quadrature.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    identities._integral.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("appendix, fixed_point", SHARED_INTEGRALS)
+def test_fixed_point_reuses_appendix_integral(appendix, fixed_point, integrate_calls):
+    ctx = PrecisionContext(digits=23)
+    assert verify(appendix, ctx).passed
+    assert len(integrate_calls) == 1
+    r = verify(fixed_point, ctx)
+    assert r.passed, r.params
+    assert len(integrate_calls) == 1
+
+
+def test_fixed_point_alone_computes_its_integral(integrate_calls):
+    r = verify(IdentityId.FIXED_POINT_2, PrecisionContext(digits=27))
+    assert r.passed, r.params
+    assert r.residual < mpf("1e-27")
+    assert len(integrate_calls) == 1
