@@ -131,18 +131,25 @@ def ellip_E_imag_quadrature(ctx: PrecisionContext) -> BigReal:
                                     mpf(0), half_pi, ctx).value
 
 
+def legendre_lhs(k, ctx: PrecisionContext) -> BigReal:
+    """E(k)K(k') + E(k')K(k) - K(k)K(k') with k' = sqrt((1-k)(1+k)); Legendre's
+    relation makes it pi/2."""
+    with ctx.workprec():
+        k = mpf(k)
+        kp = _complement(k)
+        K, Kp = ellip_K(k, ctx), ellip_K(kp, ctx)
+        E, Ep = ellip_E(k, ctx), ellip_E(kp, ctx)
+        return E * Kp + Ep * K - K * Kp
+
+
 def legendre_residual(k, ctx: PrecisionContext) -> BigReal:
-    """|E(k)K(k') + E(k')K(k) - K(k)K(k') - pi/2| with k' = sqrt(1-k^2).
+    """|legendre_lhs(k) - pi/2|.
 
     The Legendre relation is an independent correctness certificate for the
     AGM implementation.
     """
     with ctx.workprec():
-        k = mpf(k)
-        kp = mp.sqrt(1 - k * k)
-        K, Kp = ellip_K(k, ctx), ellip_K(kp, ctx)
-        E, Ep = ellip_E(k, ctx), ellip_E(kp, ctx)
-        return abs(E * Kp + Ep * K - K * Kp - mp.pi / 2)
+        return abs(legendre_lhs(k, ctx) - mp.pi / 2)
 
 
 def haagerup_bound(ctx: PrecisionContext) -> BigReal:
@@ -189,7 +196,8 @@ def solve_x0(ctx: PrecisionContext) -> RootResult:
     Endpoint signs are verified before iterating; the solve is bracketed and
     derivative-free (mpmath's Pegasus regula falsi), with |f(x0)| <
     ctx.tolerance on success.  ``iterations`` counts the evaluations of f
-    made by the solver.
+    computed to find x0, the two sign checks included; the solver's repeat
+    probes of the bracket ends reuse those.
     """
     with ctx.workprec():
         lo, hi = ROOT_BRACKET
@@ -198,10 +206,13 @@ def solve_x0(ctx: PrecisionContext) -> RootResult:
             raise BracketFailure(
                 f"no sign change on ({lo}, {hi}): f(lo)={flo}, f(hi)={fhi}"
             )
-        evaluations = 0
+        known = {lo: flo, hi: fhi}
+        evaluations = len(known)
 
         def f(x):
             nonlocal evaluations
+            if x in known:
+                return known[x]
             evaluations += 1
             return krivine_complex_f(x, ctx)
 

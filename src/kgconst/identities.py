@@ -146,16 +146,10 @@ def _krivine_middle(ctx, params):
 
 def _legendre(ctx, params):
     grid = [mpf(k) for k in LEGENDRE_GRID] + [1 / mp.sqrt(2)]
-    worst_k, worst = grid[0], mpf(-1)
-    for k in grid:
-        r = elliptic.legendre_residual(k, ctx)
-        if r > worst:
-            worst_k, worst = k, r
-    kp = mp.sqrt(1 - worst_k ** 2)
-    lhs = (elliptic.ellip_E(worst_k, ctx) * elliptic.ellip_K(kp, ctx)
-           + elliptic.ellip_E(kp, ctx) * elliptic.ellip_K(worst_k, ctx)
-           - elliptic.ellip_K(worst_k, ctx) * elliptic.ellip_K(kp, ctx))
-    return lhs, mp.pi / 2, {"worst_k": worst_k, "grid_size": len(grid)}
+    half_pi = mp.pi / 2
+    worst_k, lhs = max(((k, elliptic.legendre_lhs(k, ctx)) for k in grid),
+                       key=lambda pair: abs(pair[1] - half_pi))
+    return lhs, half_pi, {"worst_k": worst_k, "grid_size": len(grid)}
 
 
 def _khintchine_stability(ctx, params):

@@ -46,21 +46,30 @@ def _level_nodes(dps: int, level: int):
         nodes = _node_cache.get(key)
         if nodes is not None:
             return nodes
-        with mp.workdps(dps):
+        # one exponential per node: e^t is stepped by e^(step h) and gives
+        # sinh t and cosh t; E = e^(2z) gives 1 - tanh z = 2/(E+1) and
+        # cosh^-2 z = 4E/(E+1)^2 (Bailey, Jeyabalan & Li 2005).  The 15 extra
+        # digits cover the stepping and the growth of z.
+        with mp.workdps(dps + 15):
             h = mpf(2) ** (-level)
             cutoff = mpf(10) ** (-(dps + 10))
             built = []
             j = 0 if level == 0 else 1
             step = 1 if level == 0 else 2
+            et = mp.exp(j * h)
+            growth = mp.exp(step * h)
             while True:
-                t = j * h
-                z = mp.pi * mp.sinh(t) / 2
-                w = mp.pi * mp.cosh(t) / (2 * mp.cosh(z) ** 2)
-                d = 2 / (mp.exp(2 * z) + 1)  # 1 - tanh(z), no cancellation
+                inv = 1 / et
+                E = mp.exp(mp.pi * (et - inv) / 2)  # e^(2z), z = (pi/2) sinh t
+                d = 2 / (E + 1)
+                w = mp.pi * (et + inv) * E / (E + 1) ** 2
                 built.append((d, w))
                 if j > 0 and w < cutoff:
                     break
                 j += step
+                et *= growth
+        with mp.workdps(dps):
+            built = [(+d, +w) for d, w in built]
         _node_cache[key] = built
         return built
 

@@ -17,13 +17,15 @@ Outer-tail evaluation
 tail beyond N is bounded by 1/(3 (4N+1)^3) (integral comparison).  Pure
 truncation therefore needs
 ~10^9 terms for 30-digit tolerances; by default the tail beyond a fixed
-explicit range is evaluated with an Euler-Maclaurin correction built on the
-exact digamma representation
+explicit range is summed by Euler-Maclaurin on the exact digamma
+representation
 
     |T_n| = I(n) = (1/8) [ psi((n+5/4)/2) - psi((n+1/4)/2)
                          - psi((n+7/4)/2) + psi((n+3/4)/2) ],
 
 which extends T_n^2 = I(n)^2 to a smooth, completely monotone function of n.
+The integral and the derivatives it needs come in closed form from the
+asymptotic expansion of I(n) in powers of 2/(n+1).
 Set ``accelerate=False`` to force pure truncation (raises MaxTermsExceeded
 when the required N exceeds the cap).
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from mpmath import mp, mpf
 
@@ -186,29 +189,28 @@ def inner_tail(n: int, ctx: PrecisionContext, *, method: str = "closed",
 
 
 def smooth_tail_magnitude(n, ctx: PrecisionContext) -> BigReal:
-    """I(n) = |T_n| as a smooth function of (real) n, via digamma values."""
+    """I(n) = |T_n| as a smooth function of (real) n, via digamma values.
+
+    The digamma values are about ln(n/2) and I(n) about 1/(16 n^2), so they
+    are taken with 2 log10(n) + 2 extra digits against the cancellation.
+    """
     with ctx.workprec():
         n = mpf(n)
-        a1 = n + mpf(1) / 4
-        a2 = n + mpf(3) / 4
-        return (mp.psi(0, (a1 + 1) / 2) - mp.psi(0, a1 / 2)
-                - mp.psi(0, (a2 + 1) / 2) + mp.psi(0, a2 / 2)) / 8
-
-
-def _smooth_tail_derivative(n, order: int) -> mpf:
-    """order-th derivative of I at n (order 0 gives I itself)."""
-    n = mpf(n)
-    a1 = n + mpf(1) / 4
-    a2 = n + mpf(3) / 4
-    scale = mpf(2) ** (-order) / 8
-    return scale * (mp.psi(order, (a1 + 1) / 2) - mp.psi(order, a1 / 2)
-                    - mp.psi(order, (a2 + 1) / 2) + mp.psi(order, a2 / 2))
+        with mp.extradps(2 * int(mp.log10(n + 10)) + 2):
+            a1 = n + mpf(1) / 4
+            a2 = n + mpf(3) / 4
+            value = (mp.psi(0, (a1 + 1) / 2) - mp.psi(0, a1 / 2)
+                     - mp.psi(0, (a2 + 1) / 2) + mp.psi(0, a2 / 2)) / 8
+        return +value
 
 
 def fourier_a(n: int, ctx: PrecisionContext) -> FourierCoefficient:
     """Fourier cosine coefficient a_n of 1/cos(x/4) on [-pi, pi].
 
-    a_0 = (8/pi) ln(1+sqrt(2)); a_n = (8 sqrt(2)/pi) T_n for n >= 1.
+    a_0 = (8/pi) ln(1+sqrt(2)); a_n = (8 sqrt(2)/pi) (-1)^n I(n) for n >= 1,
+    with I(n) = |T_n| from smooth_tail_magnitude and sign(T_n) =
+    sign(t_{n+1}) = (-1)^n, so the cost does not grow with n and no partial
+    sum S_n is formed.
     """
     if n < 0:
         raise DomainError(f"coefficient index must be >= 0, got {n}")
@@ -216,7 +218,8 @@ def fourier_a(n: int, ctx: PrecisionContext) -> FourierCoefficient:
         if n == 0:
             value = 8 / mp.pi * mp.log(1 + mp.sqrt(2))
         else:
-            value = 8 * mp.sqrt(2) / mp.pi * inner_tail(n, ctx).value
+            sign = 1 if n % 2 == 0 else -1
+            value = sign * 8 * mp.sqrt(2) / mp.pi * smooth_tail_magnitude(n, ctx)
         return FourierCoefficient(n=n, value=value)
 
 
@@ -287,51 +290,92 @@ def double_series_partial(N: int, ctx: PrecisionContext) -> BigReal:
     return partial_sums([N], ctx, squared=True)[0]
 
 
+def _tail_coefficient(k: int) -> mpf:
+    """c_k of the asymptotic expansion I(n) ~ sum_{k>=2} c_k x^-k, x = (n+1)/2.
+
+    The digamma arguments of I(n) are x + h for h = 1/8, -3/8, 3/8, -1/8
+    with signs +, -, -, +, and psi(x+h) ~ ln x + sum_k (-1)^(k+1) B_k(h)/(k x^k)
+    (DLMF 5.11).  The signed sum of the B_k(h) has the generating function
+    t (2 cosh(t/8) - 2 cosh(3t/8)) / (e^t - 1), which gives
+    sum_{i even >= 2} C(k, i) B_{k-i} 2 (1 - 3^i) / 8^i.
+    """
+    s = mpf(0)
+    for i in range(2, k + 1, 2):
+        b = mp.bernoulli(k - i)
+        if b:
+            s += b * (comb(k, i) * 2 * (1 - 3 ** i)) / mpf(8 ** i)
+    return (-1) ** (k + 1) * s / (8 * k)
+
+
 def _euler_maclaurin_tail(start: int, tol: mpf, ctx: PrecisionContext):
     """sum_{n>=start} I(n)^2 via Euler-Maclaurin, with an error bound.
 
+    With x = (n+1)/2 and I(n)^2 = sum_m e_m x^-m (the square of the expansion
+    of _tail_coefficient), the integral over (start, inf), f(start)/2 and
+    every odd derivative f^(p)(start) = sum_m e_m (-1)^p (m)_p 2^-p x^-(m+p)
+    are closed-form sums: no quadrature and no digamma call.  The expansion
+    is asymptotic, so it is taken until a term of the integral-plus-f/2 sum
+    falls below tol/1000 and NoConvergence is raised as soon as one stops
+    shrinking; the derivatives use the same orders.
+
     I^2 is completely monotone, so the remainder after each Bernoulli
     correction is bounded by the first omitted correction term.  The
-    corrections form an asymptotic series: they shrink until order about
-    pi * start and grow after that, so NoConvergence is raised as soon as one
-    fails to shrink before reaching tol/1000.
+    corrections form an asymptotic series too, so NoConvergence is raised as
+    soon as one fails to shrink before reaching tol/1000.  The bound is ten
+    times the last correction plus ten times the largest last term of any of
+    the expansion sums.
     Returns (tail_value, tail_bound).
     """
-    a = mpf(start)
-    quad_tol = tol / 1000
+    with ctx.workprec():
+        threshold = tol / 1000
+        y = mpf(2) / (start + 1)  # 1/x at n = start
+        c = [mpf(0), mpf(0)]
+        g = []  # e_m y^m for m = 4, 5, ...
+        power = y ** 3
+        tail = mpf(0)
+        previous = mp.inf
+        m = 3
+        while True:
+            m += 1
+            c.append(_tail_coefficient(m - 2))
+            power *= y
+            g.append(mp.fsum(c[k] * c[m - k] for k in range(2, m - 1)) * power)
+            # integral of x^-m over n in (start, inf), plus f(start)/2
+            term = g[-1] * (2 / ((m - 1) * y) + mpf(1) / 2)
+            if abs(term) >= previous:
+                raise NoConvergence(
+                    f"expansion of I(n)^2 at n={start} stopped shrinking at "
+                    f"order {m} before reaching {threshold}"
+                )
+            tail += term
+            if abs(term) < threshold:
+                break
+            previous = abs(term)
+        orders = range(4, m + 1)
+        expansion_bound = abs(term)
 
-    def integrand(u):
-        return smooth_tail_magnitude(1 / u, ctx) ** 2 / u ** 2
-
-    # integral of I(n)^2 over (start, inf) via n = 1/u
-    quad_res = quadrature.integrate(integrand, mpf(0), 1 / a, ctx, tolerance=quad_tol)
-    tail = quad_res.value
-
-    # derivatives of f = I^2 at a, by Leibniz over the digamma derivatives,
-    # computed only up to the order the corrections reach
-    ideriv = [_smooth_tail_derivative(a, 0)]
-
-    def f_derivative(m):
-        while len(ideriv) <= m:
-            ideriv.append(_smooth_tail_derivative(a, len(ideriv)))
-        return mp.fsum(mp.binomial(m, j) * ideriv[j] * ideriv[m - j] for j in range(m + 1))
-
-    tail += ideriv[0] ** 2 / 2
-    threshold = tol / 1000
-    previous = mp.inf
-    j = 0
-    while True:
-        j += 1
-        term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * f_derivative(2 * j - 1)
-        if abs(term) >= previous:
-            raise NoConvergence(
-                f"Euler-Maclaurin corrections from n={start} stopped shrinking at "
-                f"order {j} before reaching {threshold}"
-            )
-        tail -= term
-        if abs(term) < threshold:
-            return tail, 10 * abs(term) + quad_res.error_estimate
-        previous = abs(term)
+        rising = list(orders)  # (m)_p
+        factor = -y / 4        # -(y/2)^p / (p+1)!
+        previous = mp.inf
+        j = 0
+        while True:
+            j += 1
+            p = 2 * j - 1
+            if j > 1:
+                rising = [r * (o + p - 2) * (o + p - 1) for r, o in zip(rising, orders)]
+                factor *= (y / 2) ** 2 / (p * (p + 1))
+            scale = mp.bernoulli(2 * j) * factor
+            expansion_bound = max(expansion_bound, abs(scale * g[-1] * rising[-1]))
+            term = scale * mp.fsum(gm * r for gm, r in zip(g, rising))
+            if abs(term) >= previous:
+                raise NoConvergence(
+                    f"Euler-Maclaurin corrections from n={start} stopped shrinking at "
+                    f"order {j} before reaching {threshold}"
+                )
+            tail -= term
+            if abs(term) < threshold:
+                return tail, 10 * abs(term) + 10 * expansion_bound
+            previous = abs(term)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from kgconst import (
     krivine_complex_f,
     solve_x0,
 )
+from kgconst import elliptic
 from kgconst.elliptic import (
     ellip_E_imag_quadrature,
     ellip_E_quadrature,
@@ -152,3 +153,20 @@ class TestNearOne:
         ref_K, ref_E = mp.ellipk(k * k), mp.ellipe(k * k)
         assert abs(ellip_K(k, ctx30) / ref_K - 1) < mpf("1e-35")
         assert abs(ellip_E(k, ctx30) / ref_E - 1) < mpf("1e-35")
+
+
+def test_solve_computes_bracket_ends_once(monkeypatch):
+    points = []
+    f = elliptic.krivine_complex_f
+
+    def counting(x, ctx):
+        points.append(mpf(x))
+        return f(x, ctx)
+
+    monkeypatch.setattr(elliptic, "krivine_complex_f", counting)
+    root = solve_x0(PrecisionContext(digits=50))
+    lo, hi = root.bracket
+    assert points.count(lo) == 1
+    assert points.count(hi) == 1
+    # every evaluation computed, except the residual gate's at x0
+    assert root.iterations == len(points) - 1

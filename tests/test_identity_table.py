@@ -5,7 +5,7 @@ their fixed-point forms."""
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import IdentityId, PrecisionContext, identities, quadrature, verify
+from kgconst import IdentityId, PrecisionContext, elliptic, identities, quadrature, verify
 
 # each fixed-point form reads the integral of the appendix identity before it
 SHARED_INTEGRALS = [
@@ -66,3 +66,15 @@ def test_fixed_point_alone_computes_its_integral(integrate_calls):
     assert r.passed, r.params
     assert r.residual < mpf("1e-27")
     assert len(integrate_calls) == 1
+
+
+def test_legendre_relation_computes_each_value_once(monkeypatch):
+    calls = []
+    for name in ("ellip_K", "ellip_E"):
+        fn = getattr(elliptic, name)
+        monkeypatch.setattr(elliptic, name,
+                            lambda k, ctx, fn=fn: (calls.append(k), fn(k, ctx))[1])
+    r = verify(IdentityId.LEGENDRE_RELATION, PrecisionContext(digits=30))
+    assert r.passed, r.params
+    # K and E at each grid modulus and its complement, nothing at the worst one again
+    assert len(calls) == 4 * r.params["grid_size"]

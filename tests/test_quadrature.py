@@ -9,6 +9,7 @@ from kgconst import (
     integrate,
     integrate_to_infinity,
 )
+from kgconst.quadrature import _level_nodes
 
 
 class TestFiniteInterval:
@@ -115,3 +116,34 @@ class TestDeterminism:
         assert mp.nstr(a.value, 30) == mp.nstr(b.value, 30)
         assert a.evaluations == b.evaluations
         assert a.levels == b.levels
+
+
+def _reference_nodes(dps, level):
+    """Nodes of one level from sinh/cosh/exp directly, 20 digits deeper,
+    with the cutoff rule of _level_nodes."""
+    with mp.workdps(dps + 20):
+        h = mpf(2) ** (-level)
+        cutoff = mpf(10) ** (-(dps + 10))
+        nodes = []
+        j = 0 if level == 0 else 1
+        while True:
+            t = j * h
+            z = mp.pi * mp.sinh(t) / 2
+            w = mp.pi * mp.cosh(t) / (2 * mp.cosh(z) ** 2)
+            nodes.append((2 / (mp.exp(2 * z) + 1), w))
+            if j > 0 and w < cutoff:
+                return nodes
+            j += 1 if level == 0 else 2
+
+
+class TestNodes:
+    @pytest.mark.parametrize("dps, top_level", [(36, 4), (70, 6), (220, 8)])
+    def test_match_direct_reference(self, dps, top_level):
+        for level in range(top_level + 1):
+            nodes = _level_nodes(dps, level)
+            reference = _reference_nodes(dps, level)
+            assert len(nodes) == len(reference)
+            with mp.workdps(dps + 20):
+                for (d, w), (ref_d, ref_w) in zip(nodes, reference):
+                    assert abs(d - ref_d) < ref_d * mpf(10) ** -dps
+                    assert abs(w - ref_w) < ref_w * mpf(10) ** -dps

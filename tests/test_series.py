@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -20,9 +22,11 @@ from kgconst import (
     partial_sums,
     recurrence_check,
 )
+from kgconst import quadrature, series
 from kgconst.series import (
     _euler_maclaurin_tail,
     _inner_truncation_N,
+    _tail_coefficient,
     inner_term_magnitude,
     smooth_tail_magnitude,
 )
@@ -247,6 +251,22 @@ class TestFourierCoefficients:
             bound = 8 * mp.sqrt(2) / mp.pi * inner_term_magnitude(n + 1, ctx30)
             assert abs(fourier_a(n, ctx30).value) <= bound
 
+    def test_no_partial_sums(self, ctx30, monkeypatch):
+        # a_n comes from the digamma form of |T_n|, so the recurrence check
+        # does not telescope the sums S_n that would build it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("partial sums used")
+
+        monkeypatch.setattr(series, "_fixed_point_sums", forbidden)
+        assert recurrence_check(7, ctx30) < ctx30.tolerance
+
+    def test_large_index_is_fast(self, ctx30):
+        start = time.perf_counter()
+        a = fourier_a(10 ** 6, ctx30).value
+        assert time.perf_counter() - start < 0.05
+        bound = 8 * mp.sqrt(2) / mp.pi * inner_term_magnitude(10 ** 6 + 1, ctx30)
+        assert 0 < a <= bound
+
 
 class TestRecurrence:
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 100])
@@ -292,6 +312,50 @@ class TestDoubleSeries:
         ctx = PrecisionContext(digits=60)
         with ctx.workprec(), pytest.raises(NoConvergence):
             _euler_maclaurin_tail(2, ctx.tolerance, ctx)
+
+    def test_300_digits(self):
+        ctx = PrecisionContext(digits=300)
+        ds = double_series(ctx)
+        with ctx.workprec():
+            closed = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
+        assert ds.converged
+        assert abs(ds.value - closed) < ctx.tolerance
+
+    def test_miss_makes_no_quadrature_call(self, monkeypatch):
+        calls = []
+        integrate = quadrature.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counting)
+        double_series.cache_clear()
+        assert double_series(PrecisionContext(digits=45)).converged
+        assert calls == []
+
+    @pytest.mark.parametrize("digits", [30, 100, 200])
+    def test_tail_after_explicit_terms(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        tail, bound = _euler_maclaurin_tail(10 ** 4 + 1, ctx.tolerance, ctx)
+        with ctx.workprec():
+            value = double_series_partial(10 ** 4, ctx) + tail
+            closed = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
+        assert bound < ctx.tolerance
+        assert abs(value - closed) < ctx.tolerance
+
+    def test_expansion_coefficients(self):
+        # odd orders have the closed form (3^(k-1) - 1) / 8^k
+        with mp.workdps(60):
+            assert _tail_coefficient(2) == mpf(1) / 64
+            assert _tail_coefficient(4) == mpf(37) / 4096
+            for k in range(3, 40, 2):
+                assert abs(_tail_coefficient(k) - mpf(3 ** (k - 1) - 1) / 8 ** k) < mpf(10) ** -58
+            # and the expansion reproduces the digamma form far out
+            ctx = PrecisionContext(digits=50)
+            x = mpf(10 ** 4 + 1) / 2
+            expansion = mp.fsum(_tail_coefficient(k) / x ** k for k in range(2, 20))
+            assert abs(expansion - smooth_tail_magnitude(10 ** 4, ctx)) < mpf(10) ** -58
 
     def test_determinism(self, ctx30):
         a = double_series(ctx30)
