@@ -32,7 +32,6 @@ from .series import (
     recurrence_check,
 )
 from .elliptic import (
-    EllipticPair,
     RootResult,
     ellip_E,
     ellip_E_imag,
@@ -77,7 +76,6 @@ __all__ = [
     "QuadratureResult",
     "integrate",
     "integrate_to_infinity",
-    "EllipticPair",
     "RootResult",
     "ellip_K",
     "ellip_E",

@@ -7,8 +7,8 @@ Grammar::
             [--digits N] [--max-terms N] [--format text|json|csv] [--out PATH]
             [--timings]
 
-Exit codes: 0 success/verified, 2 not converged, 3 identity failed beyond
-tolerance, 64 usage error.
+Exit codes: 0 success/verified, 2 not converged or --out not writable, 3
+identity failed beyond tolerance, 64 usage error.
 
 Numbers are serialized as decimal strings carrying exactly ``digits``
 significant digits, never as binary floats.  Output is byte-deterministic
@@ -256,11 +256,7 @@ def _run_trace(cfg: RunConfig) -> int:
     writer.writerow(["index", "value", "residual"])
     for index, value, residual in rows:
         writer.writerow([index, _nstr(value, cfg.digits), _nstr(residual, cfg.digits)])
-    try:
-        _emit(buf.getvalue(), cfg.trace_path)
-    except OSError as exc:
-        print(f"error: cannot write trace: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    _emit(buf.getvalue(), cfg.trace_path)
     final_residual = rows[-1][2]
     with ctx.workprec():
         return EXIT_OK if final_residual < ctx.tolerance else EXIT_NOT_CONVERGED
@@ -271,6 +267,8 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.max_terms < 1:
+            parser.error(f"argument --max-terms: must be >= 1, got {ns.max_terms}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     cfg = RunConfig(command=ns.command, target=getattr(ns, "target", ""),
@@ -288,6 +286,10 @@ def run(argv) -> int:
     except InvalidPrecision as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write {cfg.trace_path or 'stdout'}: {exc}",
+              file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except KgconstError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .core import BigReal, PrecisionContext
@@ -37,17 +36,11 @@ class ProductResult:
 def _log_sum(N: int) -> float:
     """sum_{n=1}^{N} (ln n/ln 2) ln(1 + 1/(n(n+2))), exactly rounded in binary64.
 
-    Terms are formed vectorised and accumulated with math.fsum (error-free);
-    binary64 is ample for the module's eight-digit scope.
+    Each term is a binary64 value and math.fsum adds them without rounding
+    error; binary64 is ample for the module's eight-digit scope.
     """
-    total = 0.0
-    parts = []
-    chunk = 1_000_000
-    for start in range(1, N + 1, chunk):
-        n = np.arange(start, min(start + chunk, N + 1), dtype=np.float64)
-        terms = np.log(n) / _LN2 * np.log1p(1.0 / (n * (n + 2.0)))
-        parts.append(math.fsum(terms))
-    return math.fsum(parts)
+    return math.fsum(math.log(n) / _LN2 * math.log1p(1.0 / (n * (n + 2.0)))
+                     for n in range(1, N + 1))
 
 
 def log_tail_bound(N: int, ctx: PrecisionContext) -> BigReal:

@@ -161,3 +161,24 @@ class TestUsage:
     def test_bad_format(self, capsys):
         code, _, _ = invoke(capsys, "compute", "PI", "--format", "xml")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_terms_below_one(self, capsys, value):
+        code, out, err = invoke(capsys, "trace", "partial_sum_S", "--max-terms", value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--max-terms" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "PI"),
+        ("verify", "KG_DEFINITION"),
+        ("list",),
+        ("trace", "double_series", "--digits", "12"),
+    ])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = invoke(capsys, *argv, "--out", str(path))
+        assert code == EXIT_NOT_CONVERGED
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}")
+        assert "Traceback" not in err

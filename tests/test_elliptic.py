@@ -155,18 +155,29 @@ class TestNearOne:
         assert abs(ellip_E(k, ctx30) / ref_E - 1) < mpf("1e-35")
 
 
-def test_solve_computes_bracket_ends_once(monkeypatch):
+def record_solve(monkeypatch, digits):
+    """solve_x0 at the given digits, with every argument passed to f."""
     points = []
     f = elliptic.krivine_complex_f
 
-    def counting(x, ctx):
+    def recording(x, ctx):
         points.append(mpf(x))
         return f(x, ctx)
 
-    monkeypatch.setattr(elliptic, "krivine_complex_f", counting)
-    root = solve_x0(PrecisionContext(digits=50))
+    monkeypatch.setattr(elliptic, "krivine_complex_f", recording)
+    return solve_x0(PrecisionContext(digits=digits)), points
+
+
+def test_solve_computes_bracket_ends_once(monkeypatch):
+    root, points = record_solve(monkeypatch, 50)
     lo, hi = root.bracket
     assert points.count(lo) == 1
     assert points.count(hi) == 1
     # every evaluation computed, except the residual gate's at x0
     assert root.iterations == len(points) - 1
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+def test_solve_evaluates_no_point_twice(monkeypatch, digits):
+    _, points = record_solve(monkeypatch, digits)
+    assert len(set(points)) == len(points)
