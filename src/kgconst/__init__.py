@@ -15,7 +15,12 @@ from .errors import (
     NonFiniteEvaluation,
 )
 from .identities import IdentityId, IdentityReport, verify, verify_all
-from .quadrature import QuadratureResult, integrate, integrate_to_infinity
+from .quadrature import (
+    QuadratureResult,
+    integrate,
+    integrate_even_periodic,
+    integrate_to_infinity,
+)
 from .series import (
     FourierCoefficient,
     SeriesResult,
@@ -76,6 +81,7 @@ __all__ = [
     "QuadratureResult",
     "integrate",
     "integrate_to_infinity",
+    "integrate_even_periodic",
     "RootResult",
     "ellip_K",
     "ellip_E",

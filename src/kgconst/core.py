@@ -55,6 +55,14 @@ class PrecisionContext:
         """Decimal digits used for all intermediate arithmetic."""
         return self.digits + self.guard_digits
 
+    @property
+    def working_tolerance(self) -> BigReal:
+        """tolerance 10^-guard_digits: the error target of the quadratures and
+        the accelerated double series, whose results are rescaled or compared
+        at working precision."""
+        with mp.workdps(self.working_dps):
+            return self.tolerance * mpf(10) ** (-self.guard_digits)
+
     def workprec(self):
         """Context manager switching mpmath to this context's working precision."""
         return mp.workdps(self.working_dps)

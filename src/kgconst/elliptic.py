@@ -151,12 +151,12 @@ def haagerup_bound(ctx: PrecisionContext) -> BigReal:
 
 
 def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:
-    """Independent route: reciprocal of the integral of cos^2(t)/sqrt(1+sin^2(t))."""
+    """Independent route: reciprocal of the integral of cos^2(t)/sqrt(1+sin^2(t))
+    over (0, pi/2), by the periodic trapezoid rule (the integrand is even with
+    period pi)."""
     with ctx.workprec():
-        half_pi = mp.pi / 2
-        integral = quadrature.integrate(
-            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 + mp.sin(t) ** 2),
-            mpf(0), half_pi, ctx).value
+        integral = quadrature.integrate_even_periodic(
+            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
         return 1 / integral
 
 
@@ -170,15 +170,15 @@ def krivine_complex_f(x, ctx: PrecisionContext) -> BigReal:
 
 
 def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:
-    """Middle expression x * integral of cos^2(t)/sqrt(1-x^2 sin^2(t)) (oracle)."""
+    """Middle expression x * integral of cos^2(t)/sqrt(1-x^2 sin^2(t)) over
+    (0, pi/2) (oracle), by the periodic trapezoid rule (the integrand is even
+    with period pi)."""
     with ctx.workprec():
         x = mpf(x)
         if not (0 < x < 1):
             raise DomainError(f"middle expression requires 0 < x < 1, got {x}")
-        half_pi = mp.pi / 2
-        res = quadrature.integrate(
-            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 - (x * mp.sin(t)) ** 2),
-            mpf(0), half_pi, ctx)
+        res = quadrature.integrate_even_periodic(
+            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 - (x * mp.sin(t)) ** 2), mp.pi / 2, ctx)
         return x * res.value
 
 

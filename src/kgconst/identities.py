@@ -208,7 +208,7 @@ _TABLE = {
 
 # desk-scale checks keep a fixed tolerance regardless of ctx.digits
 _TOLERANCE_OVERRIDES = {
-    IdentityId.KHINTCHINE_STABILITY: mpf("1e-6"),
+    IdentityId.KHINTCHINE_STABILITY: khintchine.STABILITY_TOLERANCE,
 }
 
 REGISTRY_ORDER = tuple(_TABLE)

@@ -21,6 +21,8 @@ from .errors import DomainError, NoConvergence
 from . import quadrature
 
 MAX_TARGET_DIGITS = 8
+# the fixed tolerance of the desk-scale Khintchine checks, whatever the digits
+STABILITY_TOLERANCE = mpf("1e-6")
 ACCEL_BASE_TERMS = 20_000
 _LN2 = math.log(2)
 

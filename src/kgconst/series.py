@@ -51,8 +51,6 @@ from .errors import DomainError, MaxTermsExceeded, NoConvergence
 from . import quadrature
 
 MAX_OUTER_TERMS = 10_000_000
-# pure truncation is used whenever it needs at most this many outer terms
-EM_SWITCH_TERMS = 20_000
 # explicit outer terms ahead of the Euler-Maclaurin tail
 EM_EXPLICIT_TERMS = 10_000
 # fraction bits of the fixed-point sums beyond working precision and log2(N)
@@ -381,11 +379,17 @@ def _euler_maclaurin_tail(start: int, tol: mpf, ctx: PrecisionContext):
 @lru_cache(maxsize=None)
 def double_series(ctx: PrecisionContext, *, max_terms: int = MAX_OUTER_TERMS,
                   accelerate: bool = True) -> SeriesResult:
-    """V = sum_{n>=1} T_n^2, the double-series value (= pi/16 - L^2/4)."""
+    """V = sum_{n>=1} T_n^2, the double-series value (= pi/16 - L^2/4).
+
+    The accelerated route sums EM_EXPLICIT_TERMS terms plus the
+    Euler-Maclaurin tail to ctx.working_tolerance, so that scaled forms such
+    as parseval_closure still meet ctx.tolerance; accelerate=False truncates
+    at ctx.tolerance.
+    """
     with ctx.workprec():
-        tol = ctx.tolerance
-        N_pure = _pure_truncation_N(tol)
-        if not accelerate or N_pure <= EM_SWITCH_TERMS:
+        if not accelerate:
+            tol = ctx.tolerance
+            N_pure = _pure_truncation_N(tol)
             if N_pure > max_terms:
                 raise MaxTermsExceeded(
                     f"pure truncation needs {N_pure} outer terms for tolerance "
@@ -395,6 +399,7 @@ def double_series(ctx: PrecisionContext, *, max_terms: int = MAX_OUTER_TERMS,
             bound = outer_tail_bound(N_pure, ctx)
             return SeriesResult(value=value, terms_used=N_pure,
                                 tail_bound=bound, converged=bool(bound < tol))
+        tol = ctx.working_tolerance
         N0 = EM_EXPLICIT_TERMS
         explicit = double_series_partial(N0, ctx)
         tail, bound = _euler_maclaurin_tail(N0 + 1, tol, ctx)

@@ -142,6 +142,13 @@ class TestTrace:
         assert lines[0] == "index,value,residual"
         assert len(lines) > 2
 
+    def test_khintchine_default_flags(self, capsys):
+        code, out, _ = invoke(capsys, "trace", "khintchine_partial")
+        assert code == EXIT_OK
+        last = out.strip().splitlines()[-1].split(",")
+        assert last[0] == "accelerated"
+        assert mpf(last[2]) < mpf("1e-6")
+
     def test_unknown_target(self, capsys):
         code, _, err = invoke(capsys, "trace", "mystery_series")
         assert code == EXIT_USAGE
@@ -168,6 +175,12 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--max-terms" in err
+
+    def test_digits_above_ceiling(self, capsys):
+        code, out, err = invoke(capsys, "verify", "all", "--digits", "501")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--digits" in err
 
     @pytest.mark.parametrize("argv", [
         ("compute", "PI"),

@@ -38,13 +38,15 @@ def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """Count quadrature.integrate calls, starting from an empty integral cache."""
+    """Record the result of each quadrature.integrate (tanh-sinh) call,
+    starting from an empty integral cache."""
     calls = []
     integrate = quadrature.integrate
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return integrate(*args, **kwargs)
+        res = integrate(*args, **kwargs)
+        calls.append(res)
+        return res
 
     monkeypatch.setattr(quadrature, "integrate", counting)
     identities._integral.cache_clear()
@@ -66,6 +68,23 @@ def test_fixed_point_alone_computes_its_integral(integrate_calls):
     assert r.passed, r.params
     assert r.residual < mpf("1e-27")
     assert len(integrate_calls) == 1
+
+
+def test_tanh_sinh_levels_at_200_digits(integrate_calls):
+    # digit doubling: the stop rule accepts the first level that reaches
+    # the working precision, not the one after it
+    reports = identities.verify_all(PrecisionContext(digits=200))
+    assert all(r.passed for r in reports)
+    assert integrate_calls
+    assert max(res.levels for res in integrate_calls) <= 8
+
+
+@pytest.mark.parametrize("ident", [IdentityId.HAAGERUP_CONSISTENCY,
+                                   IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY])
+def test_periodic_integrands_make_no_tanh_sinh_call(ident, integrate_calls):
+    r = verify(ident, PrecisionContext(digits=200))
+    assert r.passed, r.params
+    assert integrate_calls == []
 
 
 def test_legendre_relation_computes_each_value_once(monkeypatch):

@@ -6,10 +6,11 @@ from kgconst import (
     NoConvergence,
     NonFiniteEvaluation,
     PrecisionContext,
+    const_L,
     integrate,
     integrate_to_infinity,
 )
-from kgconst.quadrature import _level_nodes
+from kgconst.quadrature import _level_nodes, integrate_even_periodic
 
 
 class TestFiniteInterval:
@@ -147,3 +148,76 @@ class TestNodes:
                 for (d, w), (ref_d, ref_w) in zip(nodes, reference):
                     assert abs(d - ref_d) < ref_d * mpf(10) ** -dps
                     assert abs(w - ref_w) < ref_w * mpf(10) ** -dps
+
+
+def _assert_relative(value, reference, ctx):
+    """|value/reference() - 1| < 10^-(working_dps - 1), with the test-body
+    arithmetic and reference() run 20 digits deeper than the context."""
+    with mp.workdps(ctx.working_dps + 20):
+        assert abs(value / reference() - 1) < mpf(10) ** -(ctx.working_dps - 1)
+
+
+def _L():
+    return mp.log(1 + mp.sqrt(2))
+
+
+def _arcsinh_csch(x):
+    return mp.asinh(1 / mp.sinh(x))
+
+
+@pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
+class TestClosedForms:
+    """Both rules at their default target, the working precision, against
+    closed forms computed with mpmath."""
+
+    def test_appendix_tail(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        value = integrate_to_infinity(_arcsinh_csch, const_L(ctx), ctx).value
+        _assert_relative(value, lambda: mp.pi ** 2 / 8 - _L() ** 2 / 2, ctx)
+
+    def test_appendix_head(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        value = integrate(_arcsinh_csch, 0, const_L(ctx), ctx).value
+        _assert_relative(value, lambda: mp.pi ** 2 / 8 + _L() ** 2 / 2, ctx)
+
+    def test_haagerup_integral(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        with ctx.workprec():
+            half_pi = mp.pi / 2
+        value = integrate_even_periodic(
+            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 + mp.sin(t) ** 2), half_pi, ctx).value
+        _assert_relative(value, lambda: 2 * mp.ellipk(-1) - mp.ellipe(-1), ctx)
+
+    @pytest.mark.parametrize("x", ["0.25", "0.5", "0.9", "0.999"])
+    def test_krivine_middle_integral(self, digits, x):
+        ctx = PrecisionContext(digits=digits)
+        with ctx.workprec():
+            x = mpf(x)
+            half_pi = mp.pi / 2
+        value = integrate_even_periodic(
+            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 - (x * mp.sin(t)) ** 2), half_pi, ctx).value
+
+        def reference():
+            m = x * x
+            return (mp.ellipe(m) - (1 - m) * mp.ellipk(m)) / m
+        _assert_relative(value, reference, ctx)
+
+
+class TestEvenPeriodic:
+    def test_each_point_evaluated_once(self, ctx30):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return 1 / (2 + mp.cos(2 * t))
+
+        res = integrate_even_periodic(f, mp.pi / 2, ctx30)
+        assert res.evaluations == len(seen) == len(set(seen))
+        with ctx30.workprec():
+            assert abs(res.value - mp.pi / (2 * mp.sqrt(3))) < ctx30.tolerance
+
+    def test_point_cap_raises(self, ctx30):
+        # t^2 is even but not periodic: the trapezoid error falls only like
+        # h^2, far above the target at the cap
+        with pytest.raises(NoConvergence):
+            integrate_even_periodic(lambda t: t * t, 1, ctx30)
