@@ -30,6 +30,7 @@ from .series import (
     fourier_a_quadrature,
     inner_tail,
     inner_term,
+    legendre_chi2,
     limit_S,
     parseval_closure,
     partial_sum_S,
@@ -78,6 +79,7 @@ __all__ = [
     "double_series",
     "double_series_partial",
     "parseval_closure",
+    "legendre_chi2",
     "QuadratureResult",
     "integrate",
     "integrate_to_infinity",

@@ -225,16 +225,18 @@ def _checkpoints(final_n):
 def _trace_rows(target, ctx, max_terms):
     """(index, partial value, residual vs final value) rows.
 
-    The Khintchine rows end with the accelerated value, and their residuals
-    are taken against mpmath's zeta-series value of the constant.
+    The Khintchine rows end with the accelerated value when max_terms
+    covers its factor count, and their residuals are taken against mpmath's
+    zeta-series value of the constant.
     """
     if target == "khintchine_partial":
         with ctx.workprec():
             final = +mp.khinchin
         marks = _checkpoints(min(10 ** 6, max_terms))
         values = [khintchine.khintchine_partial(n, ctx).value for n in marks]
-        marks.append("accelerated")
-        values.append(khintchine.khintchine_accelerated(ctx, 6).value)
+        if max_terms >= 2 * khintchine.ACCEL_BASE_TERMS:
+            marks.append("accelerated")
+            values.append(khintchine.khintchine_accelerated(ctx, 6).value)
     else:
         squared = target == "double_series"
         if squared:

@@ -110,17 +110,18 @@ def ellip_E_imag(ctx: PrecisionContext) -> BigReal:
 
 
 def ellip_K_imag_quadrature(ctx: PrecisionContext) -> BigReal:
+    """Defining-integral route for K(i), by the periodic trapezoid rule (the
+    integrand is even with period pi)."""
     with ctx.workprec():
-        half_pi = mp.pi / 2
-        return quadrature.integrate(lambda t: 1 / mp.sqrt(1 + mp.sin(t) ** 2),
-                                    mpf(0), half_pi, ctx).value
+        return quadrature.integrate_even_periodic(
+            lambda t: 1 / mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
 
 
 def ellip_E_imag_quadrature(ctx: PrecisionContext) -> BigReal:
+    """Defining-integral route for E(i), by the periodic trapezoid rule."""
     with ctx.workprec():
-        half_pi = mp.pi / 2
-        return quadrature.integrate(lambda t: mp.sqrt(1 + mp.sin(t) ** 2),
-                                    mpf(0), half_pi, ctx).value
+        return quadrature.integrate_even_periodic(
+            lambda t: mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
 
 
 def legendre_lhs(k, ctx: PrecisionContext) -> BigReal:

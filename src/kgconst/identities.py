@@ -61,50 +61,62 @@ LEGENDRE_GRID = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8",
                  "0.9", "0.999")  # plus 1/sqrt(2), added at working precision
 
 
-def _acosh_coth(x):
-    # coth(x) - 1 collapses to O(e^{-2x}); extra digits keep acosh meaningful
-    # at the deep quadrature nodes
-    with mp.extradps(int(x) + 10):
-        return mp.acosh(mp.coth(x))
-
-
-_INTEGRANDS = {
-    "arcsinh(csch x)": lambda x: mp.asinh(1 / mp.sinh(x)),
-    "arccosh(coth x)": _acosh_coth,
-    "arctanh(sech x)": lambda x: mp.atanh(1 / mp.cosh(x)),
-}
-
-
 class _Row(NamedTuple):
     anchor: str
     sides: Callable  # (ctx, params) -> (lhs, rhs, extra)
 
 
+def _arcsinh_csch(x):
+    return mp.asinh(1 / mp.sinh(x))
+
+
 @lru_cache(maxsize=None)
-def _integral(name: str, ctx: PrecisionContext, tail: bool) -> BigReal:
-    """int_L^inf (tail) or int_0^L of the named integrand.
+def _integral(ctx: PrecisionContext, tail: bool) -> BigReal:
+    """int_L^inf (tail) or int_0^L of arcsinh(csch x), by tanh-sinh.
 
-    Shared by the appendix identities and their K_G fixed-point forms, whose
-    limit pi/(2 K_G) is L by definition.  Pass ``tail`` positionally at every
-    call site: lru_cache keys on how the arguments are spelled.
+    Shared by APPENDIX_A1 and APPENDIX_A2_CORRECTED and their K_G
+    fixed-point forms, whose limit pi/(2 K_G) is L by definition.  Pass
+    ``tail`` positionally at every call site: lru_cache keys on how the
+    arguments are spelled.
     """
-    f, L = _INTEGRANDS[name], const_L(ctx)
+    L = const_L(ctx)
     if tail:
-        return quadrature.integrate_to_infinity(f, L, ctx).value
-    return quadrature.integrate(f, mpf(0), L, ctx).value
+        return quadrature.integrate_to_infinity(_arcsinh_csch, L, ctx).value
+    return quadrature.integrate(_arcsinh_csch, mpf(0), L, ctx).value
 
 
-def _appendix(name):
+def _quadrature(tail):
+    return lambda ctx: _integral(ctx, tail)
+
+
+def _chi2_tail(ctx: PrecisionContext) -> BigReal:
+    """int_L^inf 2 atanh(e^-x) dx = 2 chi_2(sqrt(2) - 1), by the chi_2 series.
+
+    For x > 0, arccosh(coth x) = arctanh(sech x) = 2 atanh(e^-x), since
+    coth x + csch x = coth(x/2) and (1 + sech x)/(1 - sech x) = coth^2(x/2),
+    and e^-L = sqrt(2) - 1.  That is taken 10 digits deeper; the series
+    reads every bit of it.
+    """
+    with mp.extradps(10):
+        z = mp.sqrt(2) - 1
+    return 2 * series.legendre_chi2(z, ctx).value
+
+
+# anchor suffix of the rows whose integrand is a rewrite of 2 atanh(e^-x)
+_CHI2_ROUTE = "; = 2 atanh(e^-x), int = 2 chi_2(sqrt(2)-1) by series"
+
+
+def _appendix(spelling, tail_integral, route=""):
     """Row of the appendix identity pi^2 = 4L^2 + 8 int_L^inf f."""
-    return _Row(f"pi^2 = 4L^2 + 8 int_L^inf {name} dx",
+    return _Row(f"pi^2 = 4L^2 + 8 int_L^inf {spelling} dx{route}",
                 lambda ctx, p: (mp.pi ** 2,
-                                4 * const_L(ctx) ** 2 + 8 * _integral(name, ctx, True), {}))
+                                4 * const_L(ctx) ** 2 + 8 * tail_integral(ctx), {}))
 
 
-def _kg_fixed_point(name, tail):
+def _kg_fixed_point(integral, tail):
     """K_G = 1/sqrt(+-(1 - (8/pi^2) int f)), the integral limit being pi/(2 K_G) = L."""
     def sides(ctx, params):
-        inner = 8 / mp.pi ** 2 * _integral(name, ctx, tail)
+        inner = 8 / mp.pi ** 2 * integral(ctx)
         return const_KG(ctx), 1 / mp.sqrt(1 - inner if tail else inner - 1), {}
     return sides
 
@@ -175,26 +187,26 @@ _TABLE = {
         "a_n - a_{n-1} = (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]", _recurrence),
     IdentityId.COEFF_VS_QUADRATURE: _Row(
         "closed-form a_n vs (8/pi) int cos(4nt)/cos(t) dt", _coeff_vs_quadrature),
-    IdentityId.APPENDIX_A1: _appendix("arcsinh(csch x)"),
+    IdentityId.APPENDIX_A1: _appendix("arcsinh(csch x)", _quadrature(True)),
     IdentityId.APPENDIX_A2_CORRECTED: _Row(
         "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)",
         lambda ctx, p: (mp.pi ** 2 + 4 * const_L(ctx) ** 2,
-                        8 * _integral("arcsinh(csch x)", ctx, False),
+                        8 * _integral(ctx, False),
                         {"as_printed": "ambiguous"})),
-    IdentityId.APPENDIX_A3: _appendix("arccosh(coth x)"),
-    IdentityId.APPENDIX_A4: _appendix("arctanh(sech x)"),
+    IdentityId.APPENDIX_A3: _appendix("arccosh(coth x)", _chi2_tail, _CHI2_ROUTE),
+    IdentityId.APPENDIX_A4: _appendix("arctanh(sech x)", _chi2_tail, _CHI2_ROUTE),
     IdentityId.FIXED_POINT_1: _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arcsinh(csch))",
-        _kg_fixed_point("arcsinh(csch x)", True)),
+        _kg_fixed_point(_quadrature(True), True)),
     IdentityId.FIXED_POINT_2: _Row(
         "K_G = 1/sqrt((8/pi^2) int_0^{pi/2K_G} arcsinh(csch) - 1)",
-        _kg_fixed_point("arcsinh(csch x)", False)),
+        _kg_fixed_point(_quadrature(False), False)),
     IdentityId.FIXED_POINT_3: _Row(
-        "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arccosh(coth))",
-        _kg_fixed_point("arccosh(coth x)", True)),
+        "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arccosh(coth))" + _CHI2_ROUTE,
+        _kg_fixed_point(_chi2_tail, True)),
     IdentityId.FIXED_POINT_4: _Row(
-        "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arctanh(sech))",
-        _kg_fixed_point("arctanh(sech x)", True)),
+        "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arctanh(sech))" + _CHI2_ROUTE,
+        _kg_fixed_point(_chi2_tail, True)),
     IdentityId.HAAGERUP_CONSISTENCY: _Row(
         "1/(2K(i)-E(i)) vs 1/int cos^2/sqrt(1+sin^2)",
         lambda ctx, p: (elliptic.haagerup_bound(ctx),

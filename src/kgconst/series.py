@@ -1,5 +1,6 @@
 """The alternating quarter-integer series, its inner tails, the Fourier
-coefficients of 1/cos(x/4), and the double series
+coefficients of 1/cos(x/4), Legendre's chi function chi_2, and the double
+series
 
     sum_{n>=1} [ sum_{k>n} (-1)^k (1/(4k-1) - 1/(4k-3)) ]^2
         = pi/16 - ln^2(1+sqrt(2))/4.
@@ -35,7 +36,7 @@ Every term-by-term sum (S_n, the direct tails, sum T_n^2 and the CLI trace)
 runs through one fixed-point integer loop, ``_fixed_point_sums``: exact
 Python-int accumulation of floor(2^(P+1) / ((4k-3)(4k-1))), in the manner of
 mpmath's own ``libelefun`` (Brent & Zimmermann, Modern Computer Arithmetic,
-2010, section 4.4).
+2010, section 4.4).  legendre_chi2 sums its series the same way.
 """
 
 from __future__ import annotations
@@ -421,3 +422,52 @@ def parseval_closure(ctx: PrecisionContext) -> SeriesResult:
                             terms_used=ds.terms_used,
                             tail_bound=scale * ds.tail_bound,
                             converged=ds.converged)
+
+
+def legendre_chi2(z, ctx: PrecisionContext) -> SeriesResult:
+    """Legendre's chi function chi_2(z) = sum_{j>=0} z^(2j+1)/(2j+1)^2, 0 < z < 1.
+
+    Integrating 2 atanh(e^-x) = sum_j 2 e^-(2j+1)x/(2j+1) term by term gives
+    int_a^inf 2 atanh(e^-x) dx = 2 chi_2(e^-a); at a = L, e^-L = sqrt(2) - 1,
+    and Landen's value is chi_2(sqrt(2)-1) = pi^2/16 - L^2/4 (Lewin,
+    Polylogarithms and Associated Functions, 1981).
+
+    The sum runs in the fixed point of _fixed_point_sums, on integers scaled
+    by 2^P, and reads z to twice the working precision, so a z computed
+    deeper than working precision (as sqrt(2) - 1 is for the appendix rows)
+    loses none of its extra bits.  With q = z^2, Z = floor(z 2^P) and
+    Q = floor(Z^2 / 2^P), the power z^(2j+1) is carried as
+    p_{j+1} = floor(p_j Q / 2^P).  Every floor rounds down: Q is short by
+    under 3 units 2^-P, so each p_j is short by under 4/(1-q) units, and
+    the loop stops when p_j reaches 0, which leaves a remainder under
+    4/(1-q)^2 units.  With one unit per floor of p_j / (2j+1)^2, J terms
+    are short by under (J + 9/(1-q)^2) 2^-P, the returned tail_bound.
+    P = mp.prec + bitlength(J + 9/(1-q)^2) + GUARD_BITS puts it below
+    2^-(mp.prec + GUARD_BITS); the one rounding to an mpf dominates.  The
+    terms shrink by q per step, so J is about mp.prec / log2(1/q): 282 at
+    200 digits for z = sqrt(2) - 1.
+    """
+    with ctx.workprec():
+        prec = mp.prec
+    with mp.workprec(2 * prec):
+        z = mpf(z)
+        if not 0 < z < 1:
+            raise DomainError(f"chi_2 series requires 0 < z < 1, got {z}")
+        q = z * z
+        slack = 9 / (1 - q) ** 2
+        # above J + slack: the terms to shrink 64 bits below 2^-prec
+        budget = int((prec + 64) / -mp.log(q, 2) + slack)
+        P = prec + budget.bit_length() + GUARD_BITS
+        Z = int(mp.floor(mp.ldexp(z, P)))
+    Q = Z * Z >> P
+    power = Z
+    acc = 0
+    j = 0
+    while power:
+        acc += power // (2 * j + 1) ** 2
+        power = power * Q >> P
+        j += 1
+    with ctx.workprec():
+        return SeriesResult(value=mp.ldexp(acc, -P), terms_used=j,
+                            tail_bound=(j + slack) * mp.ldexp(1, -P),
+                            converged=True)

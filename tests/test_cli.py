@@ -149,6 +149,15 @@ class TestTrace:
         assert last[0] == "accelerated"
         assert mpf(last[2]) < mpf("1e-6")
 
+    def test_khintchine_max_terms_below_accelerated(self, capsys):
+        # the accelerated row sums 2 * ACCEL_BASE_TERMS factors, so a cap of
+        # one factor ends on the one-factor product, which is 1
+        code, out, _ = invoke(capsys, "trace", "khintchine_partial", "--max-terms", "1")
+        assert code == EXIT_NOT_CONVERGED
+        lines = out.strip().splitlines()
+        assert lines[0] == "index,value,residual"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+
     def test_unknown_target(self, capsys):
         code, _, err = invoke(capsys, "trace", "mystery_series")
         assert code == EXIT_USAGE

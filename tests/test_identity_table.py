@@ -1,8 +1,10 @@
 """The identity table: failed reports instead of exceptions, an independent
-KG_DEFINITION side, and the integrals shared by the appendix identities and
-their fixed-point forms."""
+KG_DEFINITION side, the integrals shared by the appendix identities and
+their fixed-point forms, and the rewrite that gives A3, A4 and their fixed
+points the chi_2 series instead of a quadrature."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from kgconst import IdentityId, PrecisionContext, elliptic, identities, quadrature, verify
@@ -14,6 +16,14 @@ SHARED_INTEGRALS = [
     (IdentityId.APPENDIX_A3, IdentityId.FIXED_POINT_3),
     (IdentityId.APPENDIX_A4, IdentityId.FIXED_POINT_4),
 ]
+# the rows that take the chi_2 series make no tanh-sinh call
+CHI2_ROWS = {IdentityId.APPENDIX_A3, IdentityId.APPENDIX_A4}
+
+SPELLINGS = {
+    "arcsinh(csch x)": lambda x: mp.asinh(1 / mp.sinh(x)),
+    "arccosh(coth x)": lambda x: mp.acosh(mp.coth(x)),
+    "arctanh(sech x)": lambda x: mp.atanh(1 / mp.cosh(x)),
+}
 
 
 @pytest.mark.parametrize("ident, params, error", [
@@ -56,11 +66,12 @@ def integrate_calls(monkeypatch):
 @pytest.mark.parametrize("appendix, fixed_point", SHARED_INTEGRALS)
 def test_fixed_point_reuses_appendix_integral(appendix, fixed_point, integrate_calls):
     ctx = PrecisionContext(digits=23)
+    quadratures = 0 if appendix in CHI2_ROWS else 1
     assert verify(appendix, ctx).passed
-    assert len(integrate_calls) == 1
+    assert len(integrate_calls) == quadratures
     r = verify(fixed_point, ctx)
     assert r.passed, r.params
-    assert len(integrate_calls) == 1
+    assert len(integrate_calls) == quadratures
 
 
 def test_fixed_point_alone_computes_its_integral(integrate_calls):
@@ -77,6 +88,31 @@ def test_tanh_sinh_levels_at_200_digits(integrate_calls):
     assert all(r.passed for r in reports)
     assert integrate_calls
     assert max(res.levels for res in integrate_calls) <= 8
+
+
+def test_tanh_sinh_calls_at_200_digits(integrate_calls):
+    # a_3 for COEFF_VS_QUADRATURE, the arcsinh(csch x) integrals over
+    # (L, inf) and (0, L), and Khintchine's two tail integrals
+    reports = identities.verify_all(PrecisionContext(digits=200))
+    assert all(r.passed for r in reports)
+    assert len(integrate_calls) == 5
+
+
+@given(x=st.floats(min_value=0.01, max_value=300), digits=st.integers(12, 500))
+@settings(max_examples=30, deadline=None)
+def test_spellings_are_two_atanh_exp(x, digits):
+    # each spelling runs int(x) + 10 digits deeper: coth x - 1 cancels about
+    # 0.87 x digits, and 1 - sech x under 5 at x >= 0.01
+    ctx = PrecisionContext(digits=digits)
+    with mp.workdps(ctx.working_dps + 40):
+        reference = 2 * mp.atanh(mp.exp(-mpf(x)))
+    for name, f in SPELLINGS.items():
+        with mp.workdps(ctx.working_dps + int(x) + 10):
+            value = f(mpf(x))
+        with ctx.workprec():
+            value = +value
+        with mp.workdps(ctx.working_dps + 40):
+            assert abs(value / reference - 1) < mpf(10) ** -(ctx.working_dps - 1), name
 
 
 @pytest.mark.parametrize("ident", [IdentityId.HAAGERUP_CONSISTENCY,

@@ -16,6 +16,7 @@ from kgconst import (
     fourier_a_quadrature,
     inner_tail,
     inner_term,
+    legendre_chi2,
     limit_S,
     parseval_closure,
     partial_sum_S,
@@ -375,3 +376,37 @@ class TestParsevalClosure:
         with ctx30.workprec():
             combined = a0 ** 2 / 2 + 128 / mp.pi ** 2 * double_series(ctx30).value
         assert abs(pc.value - combined) < ctx30.tolerance
+
+
+class TestLegendreChi2:
+    """chi_2(z) = sum z^(2j+1)/(2j+1)^2 by the fixed-point series, against
+    mpmath's dilogarithm and Landen's value, both 40 digits deeper."""
+
+    @pytest.mark.parametrize("digits", [12, 60, 250])
+    @pytest.mark.parametrize("z", ["0.05", "0.3", "0.5", "0.8", "0.95"])
+    def test_against_dilogarithm(self, digits, z):
+        ctx = PrecisionContext(digits=digits)
+        res = legendre_chi2(z, ctx)
+        with mp.workdps(ctx.working_dps + 40):
+            zz = mpf(z)
+            reference = (mp.polylog(2, zz) - mp.polylog(2, -zz)) / 2
+            assert abs(res.value / reference - 1) < mpf(10) ** -(ctx.working_dps - 1)
+            assert res.tail_bound < ctx.working_tolerance
+
+    @pytest.mark.parametrize("digits", [12, 50, 200, 500])
+    def test_landen_value(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        with mp.workdps(ctx.working_dps + 10):
+            z = mp.sqrt(2) - 1
+        res = legendre_chi2(z, ctx)
+        with mp.workdps(ctx.working_dps + 40):
+            reference = mp.pi ** 2 / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
+            assert abs(res.value / reference - 1) < mpf(10) ** -(ctx.working_dps - 1)
+        # the terms shrink by (sqrt(2)-1)^2 = 0.17, 2.54 bits each
+        with ctx.workprec():
+            assert res.terms_used < mp.prec / 2.5 + 10
+
+    @pytest.mark.parametrize("z", ["0", "1", "-0.5"])
+    def test_domain(self, z, ctx30):
+        with pytest.raises(DomainError):
+            legendre_chi2(z, ctx30)
