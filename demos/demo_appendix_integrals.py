@@ -6,8 +6,10 @@ arctanh(sech x).  Rearranged, each becomes a fixed-point equation satisfied
 by K_G = pi/(2L).
 
 For x > 0 the three integrands are one function, 2 atanh(e^-x).  So the
-library integrates arcsinh(csch x) by tanh-sinh, over (L, inf) and (0, L),
-and gives the arccosh and arctanh rows the tail in closed form instead:
+library integrates arcsinh(csch x) only: over (L, inf) by Fejer's second
+rule (the integrand is analytic after x = L - ln(1-u)) and over (0, L),
+log-singular at 0, by tanh-sinh.  It gives the arccosh and arctanh rows the
+tail in closed form instead:
 integrating the series of 2 atanh(e^-x) term by term,
 int_L^inf = 2 chi_2(sqrt(2)-1), Legendre's chi function, summed as a series.
 """
@@ -18,15 +20,15 @@ from kgconst import IdentityId, PrecisionContext, verify
 
 ctx = PrecisionContext(digits=30)
 
-TANH_SINH_TAIL = "tanh-sinh of arcsinh(csch x) over (L, inf)"
+FEJER_TAIL = "Fejer's second rule on arcsinh(csch x) over (L, inf), x = L - ln(1-u)"
 TANH_SINH_HEAD = "tanh-sinh of arcsinh(csch x) over (0, L)"
 CHI2_SERIES = "2 chi_2(sqrt(2)-1) series, arccosh(coth x) = arctanh(sech x) = 2 atanh(e^-x)"
 ROUTES = {
-    IdentityId.APPENDIX_A1: TANH_SINH_TAIL,
+    IdentityId.APPENDIX_A1: FEJER_TAIL,
     IdentityId.APPENDIX_A2_CORRECTED: TANH_SINH_HEAD,
     IdentityId.APPENDIX_A3: CHI2_SERIES,
     IdentityId.APPENDIX_A4: CHI2_SERIES,
-    IdentityId.FIXED_POINT_1: TANH_SINH_TAIL,
+    IdentityId.FIXED_POINT_1: FEJER_TAIL,
     IdentityId.FIXED_POINT_2: TANH_SINH_HEAD,
     IdentityId.FIXED_POINT_3: CHI2_SERIES,
     IdentityId.FIXED_POINT_4: CHI2_SERIES,

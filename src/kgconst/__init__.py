@@ -18,6 +18,7 @@ from .identities import IdentityId, IdentityReport, verify, verify_all
 from .quadrature import (
     QuadratureResult,
     integrate,
+    integrate_analytic,
     integrate_even_periodic,
     integrate_to_infinity,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "legendre_chi2",
     "QuadratureResult",
     "integrate",
+    "integrate_analytic",
     "integrate_to_infinity",
     "integrate_even_periodic",
     "RootResult",

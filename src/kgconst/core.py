@@ -20,6 +20,9 @@ BigReal = mpf
 
 MIN_DIGITS = 10
 MIN_GUARD_DIGITS = 10
+# fraction bits of the integer fixed-point loops (series sums, quadrature
+# weights) beyond working precision and the bits their term counts cost
+GUARD_BITS = 8
 
 
 @dataclass(frozen=True)

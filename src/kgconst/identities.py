@@ -72,7 +72,14 @@ def _arcsinh_csch(x):
 
 @lru_cache(maxsize=None)
 def _integral(ctx: PrecisionContext, tail: bool) -> BigReal:
-    """int_L^inf (tail) or int_0^L of arcsinh(csch x), by tanh-sinh.
+    """int_L^inf (tail) or int_0^L of arcsinh(csch x).
+
+    The tail is taken through x = L - ln(1-u) as the integral over u in
+    (0, 1) of arcsinh(csch x)/(1-u), which is analytic on [0, 1] (its
+    nearest singularity is at u = 1 - (sqrt(2)+1)), by Fejer's second rule.
+    The integrand is written in v = 1 - u, so the rule's points near u = 1
+    give 1 - u as r(1 - cos theta), not by a subtraction.  The integral over
+    (0, L) is log-singular at 0 and runs through tanh-sinh.
 
     Shared by APPENDIX_A1 and APPENDIX_A2_CORRECTED and their K_G
     fixed-point forms, whose limit pi/(2 K_G) is L by definition.  Pass
@@ -81,7 +88,8 @@ def _integral(ctx: PrecisionContext, tail: bool) -> BigReal:
     """
     L = const_L(ctx)
     if tail:
-        return quadrature.integrate_to_infinity(_arcsinh_csch, L, ctx).value
+        return quadrature.integrate_analytic(
+            lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx).value
     return quadrature.integrate(_arcsinh_csch, mpf(0), L, ctx).value
 
 

@@ -24,6 +24,11 @@ MAX_TARGET_DIGITS = 8
 # the fixed tolerance of the desk-scale Khintchine checks, whatever the digits
 STABILITY_TOLERANCE = mpf("1e-6")
 ACCEL_BASE_TERMS = 20_000
+# the Euler-Maclaurin tail is needed to TAIL_TOLERANCE only, far beyond the
+# module's eight digits, so its quadrature and derivative run at the 30
+# working digits of TAIL_CTX at every caller precision
+TAIL_TOLERANCE = mpf("1e-14")
+TAIL_CTX = PrecisionContext(digits=20)
 _LN2 = math.log(2)
 
 
@@ -71,16 +76,17 @@ def _log_term(x):
     return mp.log(x) / mp.log(2) * mp.log1p(1 / (x * (x + 2)))
 
 
-def _em_log_tail(N: int, ctx: PrecisionContext) -> BigReal:
-    """Euler-Maclaurin correction for the log-space tail beyond N."""
-    with ctx.workprec():
+def _em_log_tail(N: int) -> BigReal:
+    """Euler-Maclaurin correction for the log-space tail beyond N, to
+    TAIL_TOLERANCE, computed in TAIL_CTX whatever the caller's precision."""
+    with TAIL_CTX.workprec():
         a = mpf(N + 1)
 
         def integrand(u):
             return _log_term(1 / u) / u ** 2
 
-        integral = quadrature.integrate(integrand, mpf(0), 1 / a, ctx,
-                                        tolerance=mpf("1e-14")).value
+        integral = quadrature.integrate(integrand, mpf(0), 1 / a, TAIL_CTX,
+                                        tolerance=TAIL_TOLERANCE).value
         return integral + _log_term(a) / 2 - mp.diff(_log_term, a) / 12
 
 
@@ -96,7 +102,7 @@ def khintchine_accelerated(ctx: PrecisionContext, target_digits: int,
     with ctx.workprec():
         values = []
         for N in (base_terms, 2 * base_terms):
-            values.append(mp.exp(mpf(_log_sum(N)) + _em_log_tail(N, ctx)))
+            values.append(mp.exp(mpf(_log_sum(N)) + _em_log_tail(N)))
         spread = abs(values[1] - values[0])
         if spread > mpf(10) ** (-target_digits):
             raise NoConvergence(

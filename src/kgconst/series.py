@@ -47,15 +47,13 @@ from math import comb
 
 from mpmath import mp, mpf
 
-from .core import BigReal, PrecisionContext
+from .core import GUARD_BITS, BigReal, PrecisionContext
 from .errors import DomainError, MaxTermsExceeded, NoConvergence
 from . import quadrature
 
 MAX_OUTER_TERMS = 10_000_000
 # explicit outer terms ahead of the Euler-Maclaurin tail
 EM_EXPLICIT_TERMS = 10_000
-# fraction bits of the fixed-point sums beyond working precision and log2(N)
-GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -223,13 +221,14 @@ def fourier_a(n: int, ctx: PrecisionContext) -> FourierCoefficient:
 
 
 def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> FourierCoefficient:
-    """Independent route: a_n = (8/pi) * integral of cos(4nt)/cos(t) over (0, pi/4)."""
+    """Independent route: a_n = (8/pi) * integral of cos(4nt)/cos(t) over
+    (0, pi/4), by Fejer's second rule (the integrand is analytic there)."""
     if n < 0:
         raise DomainError(f"coefficient index must be >= 0, got {n}")
     with ctx.workprec():
         quarter_pi = mp.pi / 4
-        res = quadrature.integrate(lambda t: mp.cos(4 * n * t) / mp.cos(t),
-                                   mpf(0), quarter_pi, ctx)
+        res = quadrature.integrate_analytic(lambda t: mp.cos(4 * n * t) / mp.cos(t),
+                                            0, quarter_pi, ctx)
         return FourierCoefficient(n=n, value=8 / mp.pi * res.value)
 
 

@@ -48,17 +48,17 @@ def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """Record the result of each quadrature.integrate (tanh-sinh) call,
-    starting from an empty integral cache."""
+    """Record (rule, result) for each quadrature.integrate (tanh-sinh) and
+    quadrature.integrate_analytic (Fejer) call, starting from an empty
+    integral cache."""
     calls = []
-    integrate = quadrature.integrate
+    for rule in ("integrate", "integrate_analytic"):
+        def counting(*args, rule=rule, fn=getattr(quadrature, rule), **kwargs):
+            res = fn(*args, **kwargs)
+            calls.append((rule, res))
+            return res
 
-    def counting(*args, **kwargs):
-        res = integrate(*args, **kwargs)
-        calls.append(res)
-        return res
-
-    monkeypatch.setattr(quadrature, "integrate", counting)
+        monkeypatch.setattr(quadrature, rule, counting)
     identities._integral.cache_clear()
     return calls
 
@@ -86,16 +86,33 @@ def test_tanh_sinh_levels_at_200_digits(integrate_calls):
     # the working precision, not the one after it
     reports = identities.verify_all(PrecisionContext(digits=200))
     assert all(r.passed for r in reports)
-    assert integrate_calls
-    assert max(res.levels for res in integrate_calls) <= 8
+    levels = [res.levels for rule, res in integrate_calls if rule == "integrate"]
+    assert levels
+    assert max(levels) <= 8
 
 
 def test_tanh_sinh_calls_at_200_digits(integrate_calls):
-    # a_3 for COEFF_VS_QUADRATURE, the arcsinh(csch x) integrals over
-    # (L, inf) and (0, L), and Khintchine's two tail integrals
+    # tanh-sinh: the arcsinh(csch x) integral over (0, L) and Khintchine's
+    # two tail integrals; Fejer: a_3 for COEFF_VS_QUADRATURE and the
+    # arcsinh(csch x) tail over (L, inf)
     reports = identities.verify_all(PrecisionContext(digits=200))
     assert all(r.passed for r in reports)
-    assert len(integrate_calls) == 5
+    rules = [rule for rule, res in integrate_calls]
+    assert rules.count("integrate") == 3
+    assert rules.count("integrate_analytic") == 2
+
+
+@pytest.mark.parametrize("ident, max_evaluations", [
+    (IdentityId.COEFF_VS_QUADRATURE, 511),
+    (IdentityId.APPENDIX_A1, 255),
+])
+def test_analytic_evaluations_at_200_digits(ident, max_evaluations, integrate_calls):
+    # Fejer's second rule at n = 512 (a_3) and n = 256 (the tail), where
+    # tanh-sinh took 1,495 evaluations for each
+    r = verify(ident, PrecisionContext(digits=200))
+    assert r.passed, r.params
+    assert [rule for rule, res in integrate_calls] == ["integrate_analytic"]
+    assert integrate_calls[0][1].evaluations <= max_evaluations
 
 
 @given(x=st.floats(min_value=0.01, max_value=300), digits=st.integers(12, 500))

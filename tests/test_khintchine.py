@@ -1,7 +1,14 @@
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import DomainError, PrecisionContext, khintchine_accelerated, khintchine_partial
+from kgconst import (
+    DomainError,
+    PrecisionContext,
+    khintchine,
+    khintchine_accelerated,
+    khintchine_partial,
+    quadrature,
+)
 from kgconst.khintchine import log_tail_bound
 
 # reference value of the constant, for regression only (first 16 digits)
@@ -68,3 +75,20 @@ class TestAccelerated:
             khintchine_accelerated(ctx15, target_digits=9)
         with pytest.raises(DomainError):
             khintchine_accelerated(ctx15, target_digits=0)
+
+    def test_tail_runs_at_fixed_precision(self, monkeypatch):
+        # the tail integrals run in TAIL_CTX at every caller precision, so
+        # the product does not move with the requested digits beyond it
+        contexts = []
+        integrate = quadrature.integrate
+
+        def recording(f, a, b, ctx, **kwargs):
+            contexts.append(ctx)
+            return integrate(f, a, b, ctx, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", recording)
+        low = khintchine_accelerated(PrecisionContext(digits=20), target_digits=6)
+        high = khintchine_accelerated(PrecisionContext(digits=300), target_digits=6)
+        assert contexts == [khintchine.TAIL_CTX] * 4
+        with mp.workdps(40):
+            assert abs(high.value - low.value) < mpf("1e-28")

@@ -7,10 +7,13 @@ from kgconst import (
     NonFiniteEvaluation,
     PrecisionContext,
     const_L,
+    fourier_a,
     integrate,
+    integrate_analytic,
     integrate_to_infinity,
 )
-from kgconst.quadrature import _level_nodes, integrate_even_periodic
+from kgconst import quadrature
+from kgconst.quadrature import _fejer_rule, _level_nodes, integrate_even_periodic
 
 
 class TestFiniteInterval:
@@ -90,6 +93,8 @@ class TestFailureModes:
             integrate(lambda x: x, 1, 1, ctx30)
         with pytest.raises(DomainError):
             integrate(lambda x: x, 2, 1, ctx30)
+        with pytest.raises(DomainError):
+            integrate_analytic(lambda x: x, 1, 1, ctx30)
 
     def test_nonfinite_integrand(self, ctx30):
         with pytest.raises(NonFiniteEvaluation):
@@ -175,6 +180,14 @@ class TestClosedForms:
         value = integrate_to_infinity(_arcsinh_csch, const_L(ctx), ctx).value
         _assert_relative(value, lambda: mp.pi ** 2 / 8 - _L() ** 2 / 2, ctx)
 
+    def test_appendix_tail_analytic(self, digits):
+        # the tail through x = L - ln v, v = 1 - u in (0, 1), as the
+        # appendix identities take it
+        ctx = PrecisionContext(digits=digits)
+        L = const_L(ctx)
+        value = integrate_analytic(lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx).value
+        _assert_relative(value, lambda: mp.pi ** 2 / 8 - _L() ** 2 / 2, ctx)
+
     def test_appendix_head(self, digits):
         ctx = PrecisionContext(digits=digits)
         value = integrate(_arcsinh_csch, 0, const_L(ctx), ctx).value
@@ -221,3 +234,83 @@ class TestEvenPeriodic:
         # h^2, far above the target at the cap
         with pytest.raises(NoConvergence):
             integrate_even_periodic(lambda t: t * t, 1, ctx30)
+
+
+def _reference_fejer(n, dps):
+    """Distances 1 - cos(theta_j) and weights of Fejer's second rule from
+    mpmath's sin and cos directly, 20 digits deeper, for j = 1 .. n/2."""
+    with mp.workdps(dps + 20):
+        distances, weights = [], []
+        for j in range(1, n // 2 + 1):
+            theta = j * mp.pi / n
+            distances.append(1 - mp.cos(theta))
+            weights.append(4 * mp.sin(theta) / n * mp.fsum(
+                mp.sin((2 * k - 1) * theta) / (2 * k - 1) for k in range(1, n // 2 + 1)))
+        return distances, weights
+
+
+class TestAnalytic:
+    @pytest.mark.parametrize("dps, n", [(36, 8), (36, 64), (220, 256)])
+    def test_rule_matches_direct_reference(self, dps, n):
+        with mp.workdps(dps):
+            distances, weights = _fejer_rule(n, mp.prec)
+        ref_d, ref_w = _reference_fejer(n, dps)
+        with mp.workdps(dps + 20):
+            for d, w, rd, rw in zip(distances[1:], weights[1:], ref_d, ref_w):
+                assert abs(d - rd) < rd * mpf(10) ** -dps
+                assert abs(w - rw) < mpf(10) ** -dps
+
+    @pytest.mark.parametrize("digits", [30, 120])
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_fourier_coefficients(self, digits, n):
+        ctx = PrecisionContext(digits=digits)
+        with ctx.workprec():
+            quarter_pi = mp.pi / 4
+        res = integrate_analytic(lambda t: mp.cos(4 * n * t) / mp.cos(t), 0, quarter_pi, ctx)
+        with ctx.workprec():
+            assert abs(8 / mp.pi * res.value - fourier_a(n, ctx).value) < ctx.tolerance
+
+    def test_endpoints_never_evaluated(self, ctx30):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return mp.exp(x)
+
+        res = integrate_analytic(f, 0, 1, ctx30)
+        with ctx30.workprec():
+            assert abs(res.value - (mp.e - 1)) < ctx30.tolerance
+        assert seen and all(0 < x < 1 for x in seen)
+
+    def test_each_point_evaluated_once(self, ctx30):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1 / (2 + x)
+
+        res = integrate_analytic(f, -1, 1, ctx30)
+        assert res.evaluations == len(seen) == len(set(seen))
+        with ctx30.workprec():
+            assert abs(res.value - mp.log(3)) < ctx30.tolerance
+
+    def test_nonfinite_integrand(self, ctx30):
+        with pytest.raises(NonFiniteEvaluation):
+            integrate_analytic(lambda x: mpf("nan"), 0, 1, ctx30)
+        with pytest.raises(NonFiniteEvaluation):
+            integrate_analytic(lambda x: mpf("inf") if x > mpf("0.5") else x, 0, 1, ctx30)
+
+    def test_interval_cap_raises(self, ctx30):
+        # sqrt is not analytic at 0: the error falls only like n^-3, far
+        # above the target at the cap
+        with pytest.raises(NoConvergence):
+            integrate_analytic(mp.sqrt, 0, 1, ctx30)
+
+    def test_identical_reruns(self, ctx30, monkeypatch):
+        # the second run rebuilds the weights from an empty cache
+        a = integrate_analytic(lambda x: 1 / (1 + x * x), 0, 1, ctx30)
+        monkeypatch.setattr(quadrature, "_fejer_cache", {})
+        b = integrate_analytic(lambda x: 1 / (1 + x * x), 0, 1, ctx30)
+        assert a.value == b.value
+        assert a.evaluations == b.evaluations
+        assert a.levels == b.levels
