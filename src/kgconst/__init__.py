@@ -15,13 +15,7 @@ from .errors import (
     NonFiniteEvaluation,
 )
 from .identities import IdentityId, IdentityReport, verify, verify_all
-from .quadrature import (
-    QuadratureResult,
-    integrate,
-    integrate_analytic,
-    integrate_even_periodic,
-    integrate_to_infinity,
-)
+from .quadrature import QuadratureResult, integrate_analytic, integrate_even_periodic
 from .series import (
     FourierCoefficient,
     SeriesResult,
@@ -82,9 +76,7 @@ __all__ = [
     "parseval_closure",
     "legendre_chi2",
     "QuadratureResult",
-    "integrate",
     "integrate_analytic",
-    "integrate_to_infinity",
     "integrate_even_periodic",
     "RootResult",
     "ellip_K",

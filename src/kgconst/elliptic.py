@@ -42,12 +42,16 @@ def _complement(k):
     return mp.sqrt((1 - k) * (1 + k))
 
 
+def _check_modulus(k, name):
+    if not (0 <= k < 1):
+        raise DomainError(f"{name} requires 0 <= k < 1, got {k}")
+
+
 def ellip_K(k, ctx: PrecisionContext) -> BigReal:
     """K(k) = integral of 1/sqrt(1 - k^2 sin^2(t)) over (0, pi/2), via the AGM."""
     with ctx.workprec():
         k = mpf(k)
-        if not (0 <= k < 1):
-            raise DomainError(f"ellip_K requires 0 <= k < 1, got {k}")
+        _check_modulus(k, "ellip_K")
         return mp.pi / (2 * _agm(mpf(1), _complement(k)))
 
 
@@ -75,23 +79,23 @@ def ellip_E(k, ctx: PrecisionContext) -> BigReal:
 
 
 def ellip_K_quadrature(k, ctx: PrecisionContext) -> BigReal:
-    """Defining-integral route for K(k) (independent oracle)."""
+    """Defining-integral route for K(k) (independent oracle), by the periodic
+    trapezoid rule (the integrand is even with period pi)."""
     with ctx.workprec():
         k = mpf(k)
-        half_pi = mp.pi / 2
-        res = quadrature.integrate(lambda t: 1 / mp.sqrt(1 - (k * mp.sin(t)) ** 2),
-                                   mpf(0), half_pi, ctx)
-        return res.value
+        _check_modulus(k, "ellip_K_quadrature")
+        return quadrature.integrate_even_periodic(
+            lambda t: 1 / mp.sqrt(1 - (k * mp.sin(t)) ** 2), mp.pi / 2, ctx).value
 
 
 def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
-    """Defining-integral route for E(k) (independent oracle)."""
+    """Defining-integral route for E(k) (independent oracle), by the periodic
+    trapezoid rule."""
     with ctx.workprec():
         k = mpf(k)
-        half_pi = mp.pi / 2
-        res = quadrature.integrate(lambda t: mp.sqrt(1 - (k * mp.sin(t)) ** 2),
-                                   mpf(0), half_pi, ctx)
-        return res.value
+        _check_modulus(k, "ellip_E_quadrature")
+        return quadrature.integrate_even_periodic(
+            lambda t: mp.sqrt(1 - (k * mp.sin(t)) ** 2), mp.pi / 2, ctx).value
 
 
 def ellip_K_imag(ctx: PrecisionContext) -> BigReal:

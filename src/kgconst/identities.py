@@ -72,25 +72,33 @@ def _arcsinh_csch(x):
 
 @lru_cache(maxsize=None)
 def _integral(ctx: PrecisionContext, tail: bool) -> BigReal:
-    """int_L^inf (tail) or int_0^L of arcsinh(csch x).
+    """int_L^inf (tail) or int_0^L of arcsinh(csch x), each by Fejer's
+    second rule on an integrand analytic on the closed interval.
 
     The tail is taken through x = L - ln(1-u) as the integral over u in
-    (0, 1) of arcsinh(csch x)/(1-u), which is analytic on [0, 1] (its
-    nearest singularity is at u = 1 - (sqrt(2)+1)), by Fejer's second rule.
-    The integrand is written in v = 1 - u, so the rule's points near u = 1
-    give 1 - u as r(1 - cos theta), not by a subtraction.  The integral over
-    (0, L) is log-singular at 0 and runs through tanh-sinh.
+    (0, 1) of arcsinh(csch x)/(1-u), whose nearest singularity is at
+    u = 1 - (sqrt(2)+1).  The integrand is written in v = 1 - u, so the
+    rule's points near u = 1 give 1 - u as r(1 - cos theta), not by a
+    subtraction.  Over (0, L) the only singularity is -ln(x/2) at 0, since
+    arcsinh(csch x) = -ln tanh(x/2): the rule integrates
+    arcsinh(csch x) + ln(x/2), whose nearest singularities are at +-i pi,
+    and int_0^L -ln(x/2) dx = L - L ln(L/2) is added in closed form.  L and
+    that closed form are taken at the rule's precision, working_dps + 10.
 
     Shared by APPENDIX_A1 and APPENDIX_A2_CORRECTED and their K_G
     fixed-point forms, whose limit pi/(2 K_G) is L by definition.  Pass
     ``tail`` positionally at every call site: lru_cache keys on how the
     arguments are spelled.
     """
-    L = const_L(ctx)
     if tail:
+        L = const_L(ctx)
         return quadrature.integrate_analytic(
             lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx).value
-    return quadrature.integrate(_arcsinh_csch, mpf(0), L, ctx).value
+    with mp.workdps(ctx.working_dps + 10):
+        L = mp.log(1 + mp.sqrt(2))
+        regular = quadrature.integrate_analytic(
+            lambda x: _arcsinh_csch(x) + mp.log(x / 2), 0, L, ctx).value
+        return regular + L - L * mp.log(L / 2)
 
 
 def _quadrature(tail):

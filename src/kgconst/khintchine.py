@@ -18,15 +18,14 @@ from mpmath import mp, mpf
 
 from .core import BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence
-from . import quadrature
 
 MAX_TARGET_DIGITS = 8
 # the fixed tolerance of the desk-scale Khintchine checks, whatever the digits
 STABILITY_TOLERANCE = mpf("1e-6")
 ACCEL_BASE_TERMS = 20_000
 # the Euler-Maclaurin tail is needed to TAIL_TOLERANCE only, far beyond the
-# module's eight digits, so its quadrature and derivative run at the 30
-# working digits of TAIL_CTX at every caller precision
+# module's eight digits, so its integral (mpmath's quad) and derivative run
+# at the 30 working digits of TAIL_CTX at every caller precision
 TAIL_TOLERANCE = mpf("1e-14")
 TAIL_CTX = PrecisionContext(digits=20)
 _LN2 = math.log(2)
@@ -78,15 +77,22 @@ def _log_term(x):
 
 def _em_log_tail(N: int) -> BigReal:
     """Euler-Maclaurin correction for the log-space tail beyond N, to
-    TAIL_TOLERANCE, computed in TAIL_CTX whatever the caller's precision."""
+    TAIL_TOLERANCE, computed in TAIL_CTX whatever the caller's precision.
+
+    The integral is log-singular at u = 0, which mp.quad's default
+    double-exponential rule handles; NoConvergence is raised unless its
+    error estimate is below TAIL_TOLERANCE.
+    """
     with TAIL_CTX.workprec():
         a = mpf(N + 1)
 
         def integrand(u):
             return _log_term(1 / u) / u ** 2
 
-        integral = quadrature.integrate(integrand, mpf(0), 1 / a, TAIL_CTX,
-                                        tolerance=TAIL_TOLERANCE).value
+        integral, error = mp.quad(integrand, [0, 1 / a], error=True)
+        if not error < TAIL_TOLERANCE:
+            raise NoConvergence(
+                f"Khintchine tail integral error estimate {error} exceeds {TAIL_TOLERANCE}")
         return integral + _log_term(a) / 2 - mp.diff(_log_term, a) / 12
 
 

@@ -1,27 +1,20 @@
-"""Quadrature at arbitrary precision, by three rules:
+"""Quadrature at arbitrary precision, by two rules:
 
-- tanh-sinh (double-exponential) for integrands with endpoint
-  singularities.  The rule never evaluates the integrand exactly at an
-  endpoint, so logarithmic endpoint singularities (e.g. arcsinh(csch x)
-  near 0) are handled without special-casing.  Semi-infinite integrals of
-  exponentially decaying integrands are mapped to (0, 1) with
-  x = a - ln(1 - u).  Nodes and weights are generated once per (working
-  precision, level) and cached; the cache is read-only after construction.
 - Fejer's second rule on the interior Chebyshev points for integrands
   analytic on the closed interval (integrate_analytic).  Its weights are
-  cached per (intervals, precision) the same way.
+  built once per (intervals, precision) and cached; the cache is read-only
+  after construction.
 - the trapezoid rule for even periodic integrands (integrate_even_periodic).
 
-Every rule halves its step until the error estimate of the last three
-estimates falls below the target.  Each halving about doubles the correct
-digits, so the error of the last estimate is far below its difference from
-the one before: the estimate is 10^max(D1^2/D2, 2 D1), with D1 and D2 the
-log10 distances of the last estimate from the two before it (Borwein, Bailey
-& Girgensohn, Experimentation in Mathematics, 2004; mpmath's
-QuadratureRule.estimate_error uses the same formula), times
+Both rules double their intervals until the error estimate of the last
+three estimates falls below the target.  Each doubling about doubles the
+correct digits, so the error of the last estimate is far below its
+difference from the one before: the estimate is 10^max(D1^2/D2, 2 D1), with
+D1 and D2 the log10 distances of the last estimate from the two before it
+(Borwein, Bailey & Girgensohn, Experimentation in Mathematics, 2004;
+mpmath's QuadratureRule.estimate_error uses the same formula), times
 ERROR_SAFETY_FACTOR.  The target is the working precision,
-ctx.working_tolerance = ctx.tolerance 10^-guard_digits, unless an explicit
-tolerance is given.
+ctx.working_tolerance = ctx.tolerance 10^-guard_digits.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from mpmath import mp, mpf
 from .core import GUARD_BITS, BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence, NonFiniteEvaluation
 
-DEFAULT_MAX_LEVEL = 12
 ERROR_SAFETY_FACTOR = 10
 # trapezoid intervals on the half period beyond which integrate_even_periodic
 # gives up
@@ -53,50 +45,10 @@ class QuadratureResult:
     levels: int
 
 
-# (dps, level) -> list of (one_minus_x, weight) for the nodes new at that
-# level, t > 0 side only.  Entry [0] of level 0 is the center node t = 0.
-_node_cache: dict = {}
 # (intervals, prec) -> (distances, weights) of Fejer's second rule, see
 # _fejer_rule
 _fejer_cache: dict = {}
 _cache_lock = threading.Lock()
-
-
-def _level_nodes(dps: int, level: int):
-    key = (dps, level)
-    nodes = _node_cache.get(key)
-    if nodes is not None:
-        return nodes
-    with _cache_lock:
-        nodes = _node_cache.get(key)
-        if nodes is not None:
-            return nodes
-        # one exponential per node: e^t is stepped by e^(step h) and gives
-        # sinh t and cosh t; E = e^(2z) gives 1 - tanh z = 2/(E+1) and
-        # cosh^-2 z = 4E/(E+1)^2 (Bailey, Jeyabalan & Li 2005).  The 15 extra
-        # digits cover the stepping and the growth of z.
-        with mp.workdps(dps + 15):
-            h = mpf(2) ** (-level)
-            cutoff = mpf(10) ** (-(dps + 10))
-            built = []
-            j = 0 if level == 0 else 1
-            step = 1 if level == 0 else 2
-            et = mp.exp(j * h)
-            growth = mp.exp(step * h)
-            while True:
-                inv = 1 / et
-                E = mp.exp(mp.pi * (et - inv) / 2)  # e^(2z), z = (pi/2) sinh t
-                d = 2 / (E + 1)
-                w = mp.pi * (et + inv) * E / (E + 1) ** 2
-                built.append((d, w))
-                if j > 0 and w < cutoff:
-                    break
-                j += step
-                et *= growth
-        with mp.workdps(dps):
-            built = [(+d, +w) for d, w in built]
-        _node_cache[key] = built
-        return built
 
 
 def _fejer_rule(n: int, prec: int):
@@ -173,58 +125,6 @@ def _checked(f, x):
     return v
 
 
-def integrate(f, a, b, ctx: PrecisionContext, *, max_level: int = DEFAULT_MAX_LEVEL,
-              tolerance=None) -> QuadratureResult:
-    """Integrate f over (a, b) with the tanh-sinh rule.
-
-    Levels are doubled (step halved) from level 0; from level 3 on, the rule
-    stops at the first level whose error estimate (see the module docstring)
-    falls below ``tolerance``, or below ctx.working_tolerance when no
-    tolerance is given.
-    Raises NoConvergence at the level cap and NonFiniteEvaluation if f
-    returns a non-finite value at an interior node.
-    """
-    wp = ctx.working_dps + 10
-    with mp.workdps(wp):
-        a = mpf(a)
-        b = mpf(b)
-        if not a < b:
-            raise DomainError(f"integrate requires a < b, got a={a}, b={b}")
-        tol = mpf(ctx.working_tolerance if tolerance is None else tolerance)
-        r = (b - a) / 2
-        mid = (a + b) / 2
-        evals = 0
-        raw_sum = mpf(0)
-        estimates = []
-        err = mp.inf
-        for level in range(max_level + 1):
-            h = mpf(2) ** (-level)
-            new_sum = mpf(0)
-            for d, w in _level_nodes(wp, level):
-                if d == 1:  # center node
-                    points = (mid,)
-                else:
-                    lo = a + r * d
-                    hi = b - r * d
-                    points = tuple(p for p in (lo, hi) if a < p < b)
-                for p in points:
-                    new_sum += w * _checked(f, p)
-                    evals += 1
-            # the raw node sum carries over: halving h re-weights the old
-            # nodes while the new odd-index nodes fill the gaps
-            raw_sum = raw_sum + new_sum
-            estimates.append(r * h * raw_sum)
-            if level >= 3:
-                err = _error_estimate(estimates)
-                if err < tol:
-                    return QuadratureResult(value=estimates[-1], error_estimate=err,
-                                            evaluations=evals, levels=level + 1)
-        raise NoConvergence(
-            f"tanh-sinh did not reach tolerance {tol} within {max_level} levels "
-            f"(error estimate {err})"
-        )
-
-
 def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
     """Integrate f over (a, b), for f analytic on the closed interval [a, b].
 
@@ -233,7 +133,7 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
     Bernstein ellipse about [a, b] the error falls geometrically in n
     (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
     Review 50, 2008), so each doubling about doubles the correct digits and
-    the rule stops, as the others do, when the error estimate of the module
+    the rule stops, as the periodic one does, when the error estimate of the module
     docstring falls below ctx.working_tolerance.  The points are the
     interior Chebyshev points a + r d_j and b - r d_j, r = (b - a)/2, with
     d_j from the rule: no endpoint is evaluated, and a point near an
@@ -288,13 +188,15 @@ def integrate_even_periodic(f, half_period, ctx: PrecisionContext) -> Quadrature
     "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014):
     doubling the points doubles the correct digits.  The number of intervals
     doubles from 4, reusing every point, until the error estimate of the
-    module docstring falls below ctx.working_tolerance.  Raises
-    NoConvergence beyond PERIODIC_MAX_INTERVALS intervals and
-    NonFiniteEvaluation if f returns a non-finite value.
+    module docstring falls below ctx.working_tolerance.  Raises DomainError
+    unless half_period > 0, NoConvergence beyond PERIODIC_MAX_INTERVALS
+    intervals and NonFiniteEvaluation if f returns a non-finite value.
     """
     wp = ctx.working_dps + 10
     with mp.workdps(wp):
         T = mpf(half_period)
+        if not T > 0:
+            raise DomainError(f"integrate_even_periodic requires half_period > 0, got {T}")
         tol = ctx.working_tolerance
         n = 4
         raw_sum = (_checked(f, mpf(0)) + _checked(f, T)) / 2 + mp.fsum(
@@ -315,19 +217,3 @@ def integrate_even_periodic(f, half_period, ctx: PrecisionContext) -> Quadrature
             raw_sum += mp.fsum(_checked(f, j * T / n) for j in range(1, n, 2))
             estimates.append(T / n * raw_sum)
 
-
-def integrate_to_infinity(f, a, ctx: PrecisionContext, *, max_level: int = DEFAULT_MAX_LEVEL,
-                          tolerance=None) -> QuadratureResult:
-    """Integrate f over (a, inf) for integrands with eventual exponential decay.
-
-    Uses the transform x = a - ln(1 - u), u in (0, 1), which turns exponential
-    decay of f into a regular endpoint at u = 1.
-    """
-    wp = ctx.working_dps + 10
-    with mp.workdps(wp):
-        a = mpf(a)
-
-        def g(u):
-            return f(a - mp.log(1 - u)) / (1 - u)
-
-        return integrate(g, mpf(0), mpf(1), ctx, max_level=max_level, tolerance=tolerance)

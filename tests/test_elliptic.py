@@ -45,6 +45,15 @@ class TestSpecialValues:
         with pytest.raises(DomainError):
             ellip_E(1.5, ctx30)
 
+    @pytest.mark.parametrize("k", [1, 1.5, -0.5])
+    def test_oracle_domain_errors(self, k, ctx30):
+        # raised before any quadrature: at k = 1 the K integrand is infinite
+        # at pi/2 and the E integrand |cos t| is not analytic there
+        with pytest.raises(DomainError):
+            ellip_K_quadrature(k, ctx30)
+        with pytest.raises(DomainError):
+            ellip_E_quadrature(k, ctx30)
+
 
 class TestAgmVsReferences:
     @pytest.mark.parametrize("k", K_GRID)

@@ -16,7 +16,7 @@ SHARED_INTEGRALS = [
     (IdentityId.APPENDIX_A3, IdentityId.FIXED_POINT_3),
     (IdentityId.APPENDIX_A4, IdentityId.FIXED_POINT_4),
 ]
-# the rows that take the chi_2 series make no tanh-sinh call
+# the rows that take the chi_2 series make no quadrature call
 CHI2_ROWS = {IdentityId.APPENDIX_A3, IdentityId.APPENDIX_A4}
 
 SPELLINGS = {
@@ -48,17 +48,17 @@ def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """Record (rule, result) for each quadrature.integrate (tanh-sinh) and
-    quadrature.integrate_analytic (Fejer) call, starting from an empty
-    integral cache."""
+    """Record the result of each quadrature.integrate_analytic (Fejer) call,
+    starting from an empty integral cache."""
     calls = []
-    for rule in ("integrate", "integrate_analytic"):
-        def counting(*args, rule=rule, fn=getattr(quadrature, rule), **kwargs):
-            res = fn(*args, **kwargs)
-            calls.append((rule, res))
-            return res
+    fejer = quadrature.integrate_analytic
 
-        monkeypatch.setattr(quadrature, rule, counting)
+    def counting(*args, **kwargs):
+        res = fejer(*args, **kwargs)
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate_analytic", counting)
     identities._integral.cache_clear()
     return calls
 
@@ -81,38 +81,27 @@ def test_fixed_point_alone_computes_its_integral(integrate_calls):
     assert len(integrate_calls) == 1
 
 
-def test_tanh_sinh_levels_at_200_digits(integrate_calls):
-    # digit doubling: the stop rule accepts the first level that reaches
-    # the working precision, not the one after it
-    reports = identities.verify_all(PrecisionContext(digits=200))
-    assert all(r.passed for r in reports)
-    levels = [res.levels for rule, res in integrate_calls if rule == "integrate"]
-    assert levels
-    assert max(levels) <= 8
-
-
 def test_tanh_sinh_calls_at_200_digits(integrate_calls):
-    # tanh-sinh: the arcsinh(csch x) integral over (0, L) and Khintchine's
-    # two tail integrals; Fejer: a_3 for COEFF_VS_QUADRATURE and the
-    # arcsinh(csch x) tail over (L, inf)
+    # Fejer's second rule: a_3 for COEFF_VS_QUADRATURE and the
+    # arcsinh(csch x) integrals over (L, inf) and (0, L); no tanh-sinh rule
+    # is left in the package
     reports = identities.verify_all(PrecisionContext(digits=200))
     assert all(r.passed for r in reports)
-    rules = [rule for rule, res in integrate_calls]
-    assert rules.count("integrate") == 3
-    assert rules.count("integrate_analytic") == 2
+    assert len(integrate_calls) == 3
 
 
 @pytest.mark.parametrize("ident, max_evaluations", [
     (IdentityId.COEFF_VS_QUADRATURE, 511),
     (IdentityId.APPENDIX_A1, 255),
+    (IdentityId.APPENDIX_A2_CORRECTED, 255),
 ])
 def test_analytic_evaluations_at_200_digits(ident, max_evaluations, integrate_calls):
-    # Fejer's second rule at n = 512 (a_3) and n = 256 (the tail), where
-    # tanh-sinh took 1,495 evaluations for each
+    # Fejer's second rule at n = 512 (a_3) and n = 256 (the tail and the
+    # head), where tanh-sinh took 1,495 evaluations for each
     r = verify(ident, PrecisionContext(digits=200))
     assert r.passed, r.params
-    assert [rule for rule, res in integrate_calls] == ["integrate_analytic"]
-    assert integrate_calls[0][1].evaluations <= max_evaluations
+    assert len(integrate_calls) == 1
+    assert integrate_calls[0].evaluations <= max_evaluations
 
 
 @given(x=st.floats(min_value=0.01, max_value=300), digits=st.integers(12, 500))

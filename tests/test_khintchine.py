@@ -3,11 +3,11 @@ from mpmath import mp, mpf
 
 from kgconst import (
     DomainError,
+    NoConvergence,
     PrecisionContext,
     khintchine,
     khintchine_accelerated,
     khintchine_partial,
-    quadrature,
 )
 from kgconst.khintchine import log_tail_bound
 
@@ -77,18 +77,26 @@ class TestAccelerated:
             khintchine_accelerated(ctx15, target_digits=0)
 
     def test_tail_runs_at_fixed_precision(self, monkeypatch):
-        # the tail integrals run in TAIL_CTX at every caller precision, so
-        # the product does not move with the requested digits beyond it
-        contexts = []
-        integrate = quadrature.integrate
+        # the tail integrals run at the 30 working digits of TAIL_CTX at
+        # every caller precision, so the product does not move with the
+        # requested digits beyond it
+        precisions = []
+        quad = mp.quad
 
-        def recording(f, a, b, ctx, **kwargs):
-            contexts.append(ctx)
-            return integrate(f, a, b, ctx, **kwargs)
+        def recording(*args, **kwargs):
+            precisions.append(mp.dps)
+            return quad(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "integrate", recording)
+        monkeypatch.setattr(mp, "quad", recording)
         low = khintchine_accelerated(PrecisionContext(digits=20), target_digits=6)
         high = khintchine_accelerated(PrecisionContext(digits=300), target_digits=6)
-        assert contexts == [khintchine.TAIL_CTX] * 4
+        assert precisions == [30] * 4
         with mp.workdps(40):
             assert abs(high.value - low.value) < mpf("1e-28")
+
+    def test_tail_error_estimate_gates(self, monkeypatch):
+        # mp.quad's error estimate (about 1e-32 here) must be below
+        # TAIL_TOLERANCE, or the product is not returned
+        monkeypatch.setattr(khintchine, "TAIL_TOLERANCE", mpf("1e-40"))
+        with pytest.raises(NoConvergence):
+            khintchine_accelerated(PrecisionContext(digits=20), target_digits=6)

@@ -324,13 +324,13 @@ class TestDoubleSeries:
 
     def test_miss_makes_no_quadrature_call(self, monkeypatch):
         calls = []
-        integrate = quadrature.integrate
+        integrate = quadrature.integrate_analytic
 
         def counting(*args, **kwargs):
             calls.append(args)
             return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "integrate", counting)
+        monkeypatch.setattr(quadrature, "integrate_analytic", counting)
         double_series.cache_clear()
         assert double_series(PrecisionContext(digits=45)).converged
         assert calls == []
