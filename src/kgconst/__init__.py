@@ -4,7 +4,7 @@ root equation, Haagerup's bound, the Khintchine product, and the related
 integral identities.
 """
 
-from .core import BigReal, PrecisionContext, const_KG, const_L, const_pi, const_sqrt2
+from .core import BigReal, PrecisionContext, const_KG, const_L, const_pi
 from .errors import (
     BracketFailure,
     DomainError,
@@ -30,7 +30,6 @@ from .series import (
     parseval_closure,
     partial_sum_S,
     partial_sums,
-    recurrence_check,
 )
 from .elliptic import (
     RootResult,
@@ -53,7 +52,6 @@ __all__ = [
     "const_pi",
     "const_L",
     "const_KG",
-    "const_sqrt2",
     "KgconstError",
     "InvalidPrecision",
     "DomainError",
@@ -70,7 +68,6 @@ __all__ = [
     "inner_tail",
     "fourier_a",
     "fourier_a_quadrature",
-    "recurrence_check",
     "double_series",
     "double_series_partial",
     "parseval_closure",

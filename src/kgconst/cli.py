@@ -7,9 +7,10 @@ Grammar::
             [--digits N] [--max-terms N] [--format text|json|csv] [--out PATH]
             [--timings]
 
-Exit codes: 0 success/verified, 2 not converged or --out not writable, 3
-identity failed beyond tolerance, 64 usage error (--digits outside
-10..MAX_DIGITS, --max-terms below 1).
+Exit codes: 0 success/verified, 2 not converged, a series trace needing
+more than --max-terms terms, or --out not writable, 3 identity failed beyond
+tolerance, 64 usage error (--digits outside 10..MAX_DIGITS, --max-terms
+below 1).
 
 Numbers are serialized as decimal strings carrying exactly ``digits``
 significant digits, never as binary floats.  Output is byte-deterministic
@@ -24,8 +25,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mp
 
@@ -39,17 +38,6 @@ EXIT_IDENTITY_FAILED = 3
 EXIT_USAGE = 64
 # the highest --digits accepted; verify all is tested up to it
 MAX_DIGITS = 500
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    target: str
-    digits: int = 20
-    max_terms: int = series.MAX_OUTER_TERMS
-    format: str = "text"
-    trace_path: Optional[str] = None
-    timings: bool = False
 
 
 def _fourier_a0(ctx):
@@ -93,14 +81,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compute", help="compute one named constant")
     p.add_argument("target")
     add_common(p)
+    p.set_defaults(handler=_run_compute)
     p = sub.add_parser("verify", help="verify one identity, or 'all'")
     p.add_argument("target")
     add_common(p)
+    p.set_defaults(handler=_run_verify)
     p = sub.add_parser("list", help="list constants and identities")
     add_common(p)
+    p.set_defaults(handler=_run_list)
     p = sub.add_parser("trace", help="emit a convergence trace as CSV")
     p.add_argument("target")
     add_common(p)
+    p.set_defaults(handler=_run_trace)
     return parser
 
 
@@ -119,78 +111,78 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _report_record(report, cfg):
+def _report_record(report, ns):
     return {
         "target": report.id.value,
-        "lhs": _nstr(report.lhs, cfg.digits),
-        "rhs": _nstr(report.rhs, cfg.digits),
-        "residual": _nstr(report.residual, cfg.digits),
+        "lhs": _nstr(report.lhs, ns.digits),
+        "rhs": _nstr(report.rhs, ns.digits),
+        "residual": _nstr(report.residual, ns.digits),
         "digits_agreed": report.digits_agreed,
         "passed": report.passed,
-        "runtime_ms": report.runtime_ms if cfg.timings else 0.0,
+        "runtime_ms": report.runtime_ms if ns.timings else 0.0,
         "paper_anchor": identities.anchor(report.id),
     }
 
 
-def _run_compute(cfg: RunConfig) -> int:
-    if cfg.target not in _CONSTANTS:
-        print(f"error: unknown constant {cfg.target!r}; valid targets: "
+def _run_compute(ns) -> int:
+    if ns.target not in _CONSTANTS:
+        print(f"error: unknown constant {ns.target!r}; valid targets: "
               f"{', '.join(_CONSTANTS)}", file=sys.stderr)
         return EXIT_USAGE
-    ctx = PrecisionContext(digits=cfg.digits)
-    fn, description = _CONSTANTS[cfg.target]
+    ctx = PrecisionContext(digits=ns.digits)
+    fn, description = _CONSTANTS[ns.target]
     try:
         value = fn(ctx)
     except (NoConvergence, MaxTermsExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     record = {
-        "target": cfg.target,
-        "value": _nstr(value, cfg.digits),
+        "target": ns.target,
+        "value": _nstr(value, ns.digits),
         "runtime_ms": 0.0,
         "paper_anchor": description,
     }
-    if cfg.format == "json":
-        _emit(json.dumps(record, indent=2) + "\n", cfg.trace_path)
-    elif cfg.format == "csv":
+    if ns.format == "json":
+        _emit(json.dumps(record, indent=2) + "\n", ns.out)
+    elif ns.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(record), lineterminator="\n")
         writer.writeheader()
         writer.writerow(record)
-        _emit(buf.getvalue(), cfg.trace_path)
+        _emit(buf.getvalue(), ns.out)
     else:
-        _emit(f"{cfg.target} = {record['value']}\n", cfg.trace_path)
+        _emit(f"{ns.target} = {record['value']}\n", ns.out)
     return EXIT_OK
 
 
-def _run_verify(cfg: RunConfig) -> int:
+def _run_verify(ns) -> int:
     valid = [i.value for i in identities.REGISTRY_ORDER]
-    ctx = PrecisionContext(digits=cfg.digits)
-    if cfg.target == "all":
+    ctx = PrecisionContext(digits=ns.digits)
+    if ns.target == "all":
         reports = identities.verify_all(ctx)
-    elif cfg.target in valid:
-        reports = [identities.verify(cfg.target, ctx)]
+    elif ns.target in valid:
+        reports = [identities.verify(ns.target, ctx)]
     else:
-        print(f"error: unknown identity {cfg.target!r}; valid targets: "
+        print(f"error: unknown identity {ns.target!r}; valid targets: "
               f"all, {', '.join(valid)}", file=sys.stderr)
         return EXIT_USAGE
-    records = [_report_record(r, cfg) for r in reports]
-    if cfg.format == "json":
-        payload = records[0] if len(records) == 1 and cfg.target != "all" else records
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.trace_path)
-    elif cfg.format == "csv":
+    records = [_report_record(r, ns) for r in reports]
+    if ns.format == "json":
+        payload = records[0] if len(records) == 1 and ns.target != "all" else records
+        _emit(json.dumps(payload, indent=2) + "\n", ns.out)
+    elif ns.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
-        _emit(buf.getvalue(), cfg.trace_path)
+        _emit(buf.getvalue(), ns.out)
     else:
         lines = []
         for rec in records:
             status = "PASS" if rec["passed"] else "FAIL"
             lines.append(f"{status} {rec['target']}: residual={rec['residual']} "
                          f"digits_agreed={rec['digits_agreed']}")
-        _emit("\n".join(lines) + "\n", cfg.trace_path)
+        _emit("\n".join(lines) + "\n", ns.out)
     not_converged = any("error" in r.params and "NoConvergence" in r.params["error"]
                         for r in reports)
     if not all(r.passed for r in reports):
@@ -198,7 +190,7 @@ def _run_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_list(cfg: RunConfig) -> int:
+def _run_list(ns) -> int:
     lines = ["constants:"]
     for name, (_, description) in _CONSTANTS.items():
         lines.append(f"  {name:12s} {description}")
@@ -208,7 +200,7 @@ def _run_list(cfg: RunConfig) -> int:
     lines.append("trace targets:")
     for name in _TRACE_TARGETS:
         lines.append(f"  {name}")
-    _emit("\n".join(lines) + "\n", cfg.trace_path)
+    _emit("\n".join(lines) + "\n", ns.out)
     return EXIT_OK
 
 
@@ -225,9 +217,11 @@ def _checkpoints(final_n):
 def _trace_rows(target, ctx, max_terms):
     """(index, partial value, residual vs final value) rows.
 
-    The Khintchine rows end with the accelerated value when max_terms
-    covers its factor count, and their residuals are taken against mpmath's
-    zeta-series value of the constant.
+    A series target sums up to the closed-form term count that meets
+    ctx.tolerance, and raises MaxTermsExceeded before summing when that
+    count exceeds max_terms.  The Khintchine rows end with the accelerated
+    value when max_terms covers its factor count, and their residuals are
+    taken against mpmath's zeta-series value of the constant.
     """
     if target == "khintchine_partial":
         with ctx.workprec():
@@ -239,27 +233,28 @@ def _trace_rows(target, ctx, max_terms):
             values.append(khintchine.khintchine_accelerated(ctx, 6).value)
     else:
         squared = target == "double_series"
-        if squared:
-            final = series.double_series(ctx, max_terms=max_terms).value
-            with ctx.workprec():
-                needed = series._pure_truncation_N(ctx.tolerance)
-        else:
-            final = series.limit_S(ctx)
-            needed = series._inner_truncation_N(ctx.tolerance, ctx)
-        marks = _checkpoints(min(needed, max_terms))
+        with ctx.workprec():
+            needed = (series._pure_truncation_N(ctx.tolerance) if squared
+                      else series._inner_truncation_N(ctx.tolerance, ctx))
+        if needed > max_terms:
+            raise MaxTermsExceeded(
+                f"trace {target} needs N = {needed} terms to reach tolerance "
+                f"{ctx.tolerance}, more than --max-terms {max_terms}")
+        final = series.double_series(ctx).value if squared else series.limit_S(ctx)
+        marks = _checkpoints(needed)
         values = series.partial_sums(marks, ctx, squared=squared)
     with ctx.workprec():
         return [(n, value, abs(value - final)) for n, value in zip(marks, values)]
 
 
-def _run_trace(cfg: RunConfig) -> int:
-    if cfg.target not in _TRACE_TARGETS:
-        print(f"error: unknown trace target {cfg.target!r}; valid targets: "
+def _run_trace(ns) -> int:
+    if ns.target not in _TRACE_TARGETS:
+        print(f"error: unknown trace target {ns.target!r}; valid targets: "
               f"{', '.join(_TRACE_TARGETS)}", file=sys.stderr)
         return EXIT_USAGE
-    ctx = PrecisionContext(digits=cfg.digits)
+    ctx = PrecisionContext(digits=ns.digits)
     try:
-        rows = _trace_rows(cfg.target, ctx, cfg.max_terms)
+        rows = _trace_rows(ns.target, ctx, ns.max_terms)
     except (NoConvergence, MaxTermsExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -267,10 +262,10 @@ def _run_trace(cfg: RunConfig) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "value", "residual"])
     for index, value, residual in rows:
-        writer.writerow([index, _nstr(value, cfg.digits), _nstr(residual, cfg.digits)])
-    _emit(buf.getvalue(), cfg.trace_path)
+        writer.writerow([index, _nstr(value, ns.digits), _nstr(residual, ns.digits)])
+    _emit(buf.getvalue(), ns.out)
     final_residual = rows[-1][2]
-    tol = (khintchine.STABILITY_TOLERANCE if cfg.target == "khintchine_partial"
+    tol = (khintchine.STABILITY_TOLERANCE if ns.target == "khintchine_partial"
            else ctx.tolerance)
     with ctx.workprec():
         return EXIT_OK if final_residual < tol else EXIT_NOT_CONVERGED
@@ -287,29 +282,18 @@ def run(argv) -> int:
             parser.error(f"argument --digits: must be <= {MAX_DIGITS}, got {ns.digits}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    cfg = RunConfig(command=ns.command, target=getattr(ns, "target", ""),
-                    digits=ns.digits, max_terms=ns.max_terms, format=ns.format,
-                    trace_path=ns.out, timings=ns.timings)
     try:
-        if cfg.command == "compute":
-            return _run_compute(cfg)
-        if cfg.command == "verify":
-            return _run_verify(cfg)
-        if cfg.command == "list":
-            return _run_list(cfg)
-        if cfg.command == "trace":
-            return _run_trace(cfg)
+        return ns.handler(ns)
     except InvalidPrecision as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: cannot write {cfg.trace_path or 'stdout'}: {exc}",
+        print(f"error: cannot write {ns.out or 'stdout'}: {exc}",
               file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except KgconstError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    return EXIT_USAGE
 
 
 def main() -> None:

@@ -77,12 +77,6 @@ def const_pi(ctx: PrecisionContext) -> BigReal:
         return +mp.pi
 
 
-def const_sqrt2(ctx: PrecisionContext) -> BigReal:
-    """sqrt(2) at working precision."""
-    with ctx.workprec():
-        return mp.sqrt(2)
-
-
 def const_L(ctx: PrecisionContext) -> BigReal:
     """L = ln(1 + sqrt(2)), the value of the a0 coefficient integral up to 8/pi.
 

@@ -5,9 +5,12 @@ Krivine equation
 
     pi (x+1) / 8 = (1/x) [ E(x) - (1 - x^2) K(x) ].
 
-All operations use the modulus k (not the parameter m = k^2).  The defining
+All operations use the modulus k (not the parameter m = k^2).  One AGM run
+of 1 and k' gives both K(k) and E(k), through Legendre's companion sum
+E = K (1 - sum 2^(n-1) c_n^2) (DLMF 19.8(i)), so the root equation and
+Legendre's relation take K and E from one run per modulus.  The defining
 integrals, evaluated with the quadrature module, serve as independent
-cross-checks of every AGM-based value.
+cross-checks of the AGM values.
 """
 
 from __future__ import annotations
@@ -31,12 +34,6 @@ class RootResult:
     bracket: tuple
 
 
-def _agm(a, b):
-    while abs(a - b) > abs(a) * mpf(10) ** (-(mp.dps - 2)):
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-    return (a + b) / 2
-
-
 def _complement(k):
     # k' = sqrt(1 - k^2), factored so that no digits cancel as k -> 1
     return mp.sqrt((1 - k) * (1 + k))
@@ -47,35 +44,39 @@ def _check_modulus(k, name):
         raise DomainError(f"{name} requires 0 <= k < 1, got {k}")
 
 
+def _agm_KE(k):
+    """(K(k), E(k)) from one AGM run of 1 and k' = sqrt(1 - k^2), with
+    E = K (1 - sum 2^(n-1) c_n^2); call at working precision with 0 <= k < 1."""
+    a, b, c = mpf(1), _complement(k), k
+    csum = c * c / 2
+    power = mpf(1)
+    eps = mpf(10) ** (-(mp.dps - 2))
+    while abs(c) > eps:
+        a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
+        csum += power * c * c
+        power *= 2
+    K = mp.pi / (2 * a)
+    return K, K * (1 - csum)
+
+
 def ellip_K(k, ctx: PrecisionContext) -> BigReal:
     """K(k) = integral of 1/sqrt(1 - k^2 sin^2(t)) over (0, pi/2), via the AGM."""
     with ctx.workprec():
         k = mpf(k)
         _check_modulus(k, "ellip_K")
-        return mp.pi / (2 * _agm(mpf(1), _complement(k)))
+        return _agm_KE(k)[0]
 
 
 def ellip_E(k, ctx: PrecisionContext) -> BigReal:
-    """E(k) = integral of sqrt(1 - k^2 sin^2(t)) over (0, pi/2).
-
-    AGM companion iteration E = K (1 - sum 2^{n-1} c_n^2); E(1) = 1 exactly.
-    """
+    """E(k) = integral of sqrt(1 - k^2 sin^2(t)) over (0, pi/2), via the AGM;
+    E(1) = 1 exactly."""
     with ctx.workprec():
         k = mpf(k)
         if not (0 <= k <= 1):
             raise DomainError(f"ellip_E requires 0 <= k <= 1, got {k}")
         if k == 1:
             return mpf(1)
-        a, b, c = mpf(1), _complement(k), k
-        csum = c * c / 2
-        power = mpf(1)
-        eps = mpf(10) ** (-(mp.dps - 2))
-        while abs(c) > eps:
-            a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
-            csum += power * c * c
-            power *= 2
-        K = mp.pi / (2 * a)
-        return K * (1 - csum)
+        return _agm_KE(k)[1]
 
 
 def ellip_K_quadrature(k, ctx: PrecisionContext) -> BigReal:
@@ -113,29 +114,17 @@ def ellip_E_imag(ctx: PrecisionContext) -> BigReal:
         return mp.sqrt(2) * ellip_E(1 / mp.sqrt(2), ctx)
 
 
-def ellip_K_imag_quadrature(ctx: PrecisionContext) -> BigReal:
-    """Defining-integral route for K(i), by the periodic trapezoid rule (the
-    integrand is even with period pi)."""
-    with ctx.workprec():
-        return quadrature.integrate_even_periodic(
-            lambda t: 1 / mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
-
-
-def ellip_E_imag_quadrature(ctx: PrecisionContext) -> BigReal:
-    """Defining-integral route for E(i), by the periodic trapezoid rule."""
-    with ctx.workprec():
-        return quadrature.integrate_even_periodic(
-            lambda t: mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
-
-
 def legendre_lhs(k, ctx: PrecisionContext) -> BigReal:
     """E(k)K(k') + E(k')K(k) - K(k)K(k') with k' = sqrt((1-k)(1+k)); Legendre's
     relation makes it pi/2."""
     with ctx.workprec():
         k = mpf(k)
+        _check_modulus(k, "legendre_lhs")
         kp = _complement(k)
-        K, Kp = ellip_K(k, ctx), ellip_K(kp, ctx)
-        E, Ep = ellip_E(k, ctx), ellip_E(kp, ctx)
+        # k = 0, or k so small that k' rounds to 1, leaves K(k') infinite
+        _check_modulus(kp, "legendre_lhs at the complement")
+        K, E = _agm_KE(k)
+        Kp, Ep = _agm_KE(kp)
         return E * Kp + Ep * K - K * Kp
 
 
@@ -171,7 +160,8 @@ def krivine_complex_f(x, ctx: PrecisionContext) -> BigReal:
         x = mpf(x)
         if not (0 < x < 1):
             raise DomainError(f"krivine_complex_f requires 0 < x < 1, got {x}")
-        return (ellip_E(x, ctx) - (1 - x * x) * ellip_K(x, ctx)) / x - mp.pi * (x + 1) / 8
+        K, E = _agm_KE(x)
+        return (E - (1 - x * x) * K) / x - mp.pi * (x + 1) / 8
 
 
 def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:

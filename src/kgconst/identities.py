@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 from mpmath import mp, mpf
 
 from .core import BigReal, PrecisionContext, const_KG, const_L
+from .errors import DomainError
 from . import elliptic, khintchine, quadrature, series
 
 
@@ -154,6 +155,9 @@ def _kg_from_series(ctx, params):
 
 def _recurrence(ctx, params):
     n = params.get("n", 7)
+    if n < 1:
+        # fourier_a(n - 1) would name index n - 1 in its error, not n
+        raise DomainError(f"recurrence index must be >= 1, got {n}")
     sign = 1 if n % 2 == 0 else -1
     lhs = series.fourier_a(n, ctx).value - series.fourier_a(n - 1, ctx).value
     rhs = 8 * mp.sqrt(2) / mp.pi * sign * (mpf(1) / (4 * n - 3) - mpf(1) / (4 * n - 1))

@@ -16,9 +16,9 @@ Outer-tail evaluation
 ---------------------
 |T_n| <= |t_{n+1}| = 2/((4n+1)(4n+3)), so T_n^2 <= 4/(4n+1)^4 and the outer
 tail beyond N is bounded by 1/(3 (4N+1)^3) (integral comparison).  Pure
-truncation therefore needs
-~10^9 terms for 30-digit tolerances; by default the tail beyond a fixed
-explicit range is summed by Euler-Maclaurin on the exact digamma
+truncation therefore needs ~10^9 terms for 30-digit tolerances (the CLI
+trace counts them with _pure_truncation_N); double_series instead sums the
+tail beyond a fixed explicit range by Euler-Maclaurin on the exact digamma
 representation
 
     |T_n| = I(n) = (1/8) [ psi((n+5/4)/2) - psi((n+1/4)/2)
@@ -27,8 +27,6 @@ representation
 which extends T_n^2 = I(n)^2 to a smooth, completely monotone function of n.
 The integral and the derivatives it needs come in closed form from the
 asymptotic expansion of I(n) in powers of 2/(n+1).
-Set ``accelerate=False`` to force pure truncation (raises MaxTermsExceeded
-when the required N exceeds the cap).
 
 Explicit summation
 ------------------
@@ -232,26 +230,6 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> FourierCoefficient:
         return FourierCoefficient(n=n, value=8 / mp.pi * res.value)
 
 
-def recurrence_check(n: int, ctx: PrecisionContext) -> BigReal:
-    """|a_n - a_{n-1} - (8 sqrt(2)/pi)(-1)^n (1/(4n-3) - 1/(4n-1))|.
-
-    The relation is algebraically exact, so the residual must stay below
-    ctx.tolerance for every n >= 1.
-    """
-    if n < 1:
-        raise DomainError(f"recurrence index must be >= 1, got {n}")
-    with ctx.workprec():
-        sign = 1 if n % 2 == 0 else -1
-        expected = 8 * mp.sqrt(2) / mp.pi * sign * (mpf(1) / (4 * n - 3) - mpf(1) / (4 * n - 1))
-        return abs(fourier_a(n, ctx).value - fourier_a(n - 1, ctx).value - expected)
-
-
-def outer_tail_bound(N: int, ctx: PrecisionContext) -> BigReal:
-    """Rigorous truncation bound sum_{n>N} T_n^2 <= 1/(3 (4N+1)^3)."""
-    with ctx.workprec():
-        return mpf(1) / (3 * (4 * N + 1) ** 3)
-
-
 def _pure_truncation_N(tol: mpf) -> int:
     """Smallest N with 1/(3 (4N+1)^3) < tol."""
     N = int(mp.ceil(((1 / (3 * tol)) ** (mpf(1) / 3) - 1) / 4))
@@ -377,28 +355,14 @@ def _euler_maclaurin_tail(start: int, tol: mpf, ctx: PrecisionContext):
 
 
 @lru_cache(maxsize=None)
-def double_series(ctx: PrecisionContext, *, max_terms: int = MAX_OUTER_TERMS,
-                  accelerate: bool = True) -> SeriesResult:
+def double_series(ctx: PrecisionContext) -> SeriesResult:
     """V = sum_{n>=1} T_n^2, the double-series value (= pi/16 - L^2/4).
 
-    The accelerated route sums EM_EXPLICIT_TERMS terms plus the
-    Euler-Maclaurin tail to ctx.working_tolerance, so that scaled forms such
-    as parseval_closure still meet ctx.tolerance; accelerate=False truncates
-    at ctx.tolerance.
+    Sums EM_EXPLICIT_TERMS terms plus the Euler-Maclaurin tail to
+    ctx.working_tolerance, so that scaled forms such as parseval_closure
+    still meet ctx.tolerance.
     """
     with ctx.workprec():
-        if not accelerate:
-            tol = ctx.tolerance
-            N_pure = _pure_truncation_N(tol)
-            if N_pure > max_terms:
-                raise MaxTermsExceeded(
-                    f"pure truncation needs {N_pure} outer terms for tolerance "
-                    f"{tol}, cap is {max_terms}"
-                )
-            value = double_series_partial(N_pure, ctx)
-            bound = outer_tail_bound(N_pure, ctx)
-            return SeriesResult(value=value, terms_used=N_pure,
-                                tail_bound=bound, converged=bool(bound < tol))
         tol = ctx.working_tolerance
         N0 = EM_EXPLICIT_TERMS
         explicit = double_series_partial(N0, ctx)

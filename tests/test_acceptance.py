@@ -25,7 +25,6 @@ from kgconst import (
     khintchine_partial,
     krivine_complex_f,
     parseval_closure,
-    recurrence_check,
     solve_x0,
     verify,
 )
@@ -78,7 +77,8 @@ def test_criterion_3_coefficient_oracle_and_recurrence():
         worst_coeff = max(
             abs(fourier_a(n, ctx30).value - fourier_a_quadrature(n, ctx30).value)
             for n in range(0, 9))
-        worst_rec = max(recurrence_check(n, ctx40) for n in range(1, 101))
+        worst_rec = max(verify(IdentityId.RECURRENCE, ctx40, n=n).residual
+                        for n in range(1, 101))
         ok = worst_coeff < mpf("1e-25") and worst_rec < mpf("1e-30")
         _report(3, ok,
                 f"max coeff-vs-quadrature gap n=0..8: {mp.nstr(worst_coeff, 3)} "

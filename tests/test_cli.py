@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 from mpmath import mp, mpf
 
+from kgconst import PrecisionContext, series
 from kgconst.cli import (
     EXIT_IDENTITY_FAILED,
     EXIT_NOT_CONVERGED,
@@ -167,6 +169,17 @@ class TestTrace:
         code, out, _ = invoke(capsys, "trace", "double_series", "--digits", "12",
                               "--max-terms", "50")
         assert code == EXIT_NOT_CONVERGED
+
+    def test_capped_series_trace_fails_fast(self, capsys):
+        # 20 digits need about 3.5e9 terms, far above the default cap
+        ctx = PrecisionContext(digits=20)
+        needed = series._inner_truncation_N(ctx.tolerance, ctx)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "trace", "partial_sum_S")
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_NOT_CONVERGED
+        assert out == ""
+        assert f"N = {needed} " in err
 
 
 class TestUsage:

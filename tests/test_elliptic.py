@@ -13,18 +13,32 @@ from kgconst import (
     krivine_complex_f,
     solve_x0,
 )
-from kgconst import elliptic
+from kgconst import elliptic, integrate_even_periodic
 from kgconst.elliptic import (
-    ellip_E_imag_quadrature,
     ellip_E_quadrature,
-    ellip_K_imag_quadrature,
     ellip_K_quadrature,
     haagerup_bound_quadrature,
     krivine_complex_middle,
+    legendre_lhs,
     legendre_residual,
 )
 
 K_GRID = ["0.05", "0.3", "0.5", "0.7", "0.9", "0.99"]
+
+
+# Defining integrals of K(i) and E(i), whose integrands are even with period
+# pi, by the periodic trapezoid rule: a route that shares nothing with the
+# AGM (mpmath's ellipk and ellipe run the AGM too).
+def ellip_K_imag_quadrature(ctx):
+    with ctx.workprec():
+        return integrate_even_periodic(
+            lambda t: 1 / mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
+
+
+def ellip_E_imag_quadrature(ctx):
+    with ctx.workprec():
+        return integrate_even_periodic(
+            lambda t: mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
 
 
 class TestSpecialValues:
@@ -44,6 +58,10 @@ class TestSpecialValues:
             ellip_K(-0.1, ctx30)
         with pytest.raises(DomainError):
             ellip_E(1.5, ctx30)
+        # k = 0 leaves K(k') infinite at the complement k' = 1
+        for k in (1, -0.1, 0):
+            with pytest.raises(DomainError):
+                legendre_lhs(k, ctx30)
 
     @pytest.mark.parametrize("k", [1, 1.5, -0.5])
     def test_oracle_domain_errors(self, k, ctx30):
@@ -184,6 +202,15 @@ def test_solve_computes_bracket_ends_once(monkeypatch):
     assert points.count(hi) == 1
     # every evaluation computed, except the residual gate's at x0
     assert root.iterations == len(points) - 1
+
+
+def test_solve_runs_one_agm_per_evaluation(monkeypatch):
+    runs = []
+    agm = elliptic._agm_KE
+    monkeypatch.setattr(elliptic, "_agm_KE", lambda k: (runs.append(k), agm(k))[1])
+    root = solve_x0(PrecisionContext(digits=50))
+    # K and E from one run per evaluation of f, plus the residual gate's at x0
+    assert len(runs) == root.iterations + 1
 
 
 @pytest.mark.parametrize("digits", [20, 50])

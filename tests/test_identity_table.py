@@ -29,6 +29,8 @@ SPELLINGS = {
 @pytest.mark.parametrize("ident, params, error", [
     (IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY, {"x": "0"}, "ZeroDivisionError: "),
     (IdentityId.COEFF_VS_QUADRATURE, {"n": "x"}, "TypeError: "),
+    (IdentityId.RECURRENCE, {"n": 0},
+     "DomainError: recurrence index must be >= 1, got 0"),
 ])
 def test_bad_params_become_failed_reports(ident, params, error):
     r = verify(ident, PrecisionContext(digits=20), **params)
@@ -131,11 +133,10 @@ def test_periodic_integrands_make_no_tanh_sinh_call(ident, integrate_calls):
 
 def test_legendre_relation_computes_each_value_once(monkeypatch):
     calls = []
-    for name in ("ellip_K", "ellip_E"):
-        fn = getattr(elliptic, name)
-        monkeypatch.setattr(elliptic, name,
-                            lambda k, ctx, fn=fn: (calls.append(k), fn(k, ctx))[1])
+    agm = elliptic._agm_KE
+    monkeypatch.setattr(elliptic, "_agm_KE", lambda k: (calls.append(k), agm(k))[1])
     r = verify(IdentityId.LEGENDRE_RELATION, PrecisionContext(digits=30))
     assert r.passed, r.params
-    # K and E at each grid modulus and its complement, nothing at the worst one again
-    assert len(calls) == 4 * r.params["grid_size"]
+    # one AGM run for K and E at each grid modulus and one at its complement,
+    # nothing at the worst one again
+    assert len(calls) == 2 * r.params["grid_size"]

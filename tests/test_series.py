@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 
 from kgconst import (
     DomainError,
+    IdentityId,
     MaxTermsExceeded,
     PrecisionContext,
     const_L,
@@ -21,12 +22,13 @@ from kgconst import (
     parseval_closure,
     partial_sum_S,
     partial_sums,
-    recurrence_check,
+    verify,
 )
 from kgconst import quadrature, series
 from kgconst.series import (
     _euler_maclaurin_tail,
     _inner_truncation_N,
+    _pure_truncation_N,
     _tail_coefficient,
     inner_term_magnitude,
     smooth_tail_magnitude,
@@ -259,7 +261,7 @@ class TestFourierCoefficients:
             raise AssertionError("partial sums used")
 
         monkeypatch.setattr(series, "_fixed_point_sums", forbidden)
-        assert recurrence_check(7, ctx30) < ctx30.tolerance
+        assert verify(IdentityId.RECURRENCE, ctx30, n=7).residual < ctx30.tolerance
 
     def test_large_index_is_fast(self, ctx30):
         start = time.perf_counter()
@@ -272,7 +274,7 @@ class TestFourierCoefficients:
 class TestRecurrence:
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 100])
     def test_residual_below_tolerance(self, n, ctx40):
-        assert recurrence_check(n, ctx40) < mpf("1e-30")
+        assert verify(IdentityId.RECURRENCE, ctx40, n=n).residual < mpf("1e-30")
 
 
 class TestDoubleSeries:
@@ -297,15 +299,13 @@ class TestDoubleSeries:
         brute = double_series_partial(10 ** 5, ctx30)
         assert abs(double_series(ctx30).value - brute) < mpf("1e-15")
 
-    def test_pure_truncation_cap(self, ctx30):
-        with pytest.raises(MaxTermsExceeded):
-            double_series(ctx30, accelerate=False, max_terms=1000)
-
     def test_pure_and_accelerated_routes_agree(self):
+        # the partial sum up to the bound-driven N that the CLI trace uses
         ctx = PrecisionContext(digits=14)
-        pure = double_series(ctx, accelerate=False)
+        with ctx.workprec():
+            pure = double_series_partial(_pure_truncation_N(ctx.tolerance), ctx)
         accel = double_series(PrecisionContext(digits=30))
-        assert abs(pure.value - accel.value) < ctx.tolerance
+        assert abs(pure - accel.value) < ctx.tolerance
 
     def test_euler_maclaurin_stops_when_corrections_grow(self):
         # from n = 2 the asymptotic corrections start growing after a few
