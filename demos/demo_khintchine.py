@@ -25,7 +25,7 @@ for N in (1000, 100_000):
     print(f"  N={N:8d}: {mp.nstr(log_tail_bound(N, ctx), 3)}")
 print()
 
-res = khintchine_accelerated(ctx, target_digits=8)
+res = khintchine_accelerated(ctx)
 print("accelerated value:", mp.nstr(res.value, 10))
 print(f"  explicit terms: {res.terms_used}")
 print(f"  spread across range doubling: {mp.nstr(res.tail_estimate, 3)}")

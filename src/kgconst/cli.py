@@ -1,16 +1,18 @@
 """Command-line interface: constant computation, identity verification, and
 convergence-trace emission.
 
-Grammar::
+Grammar (each subcommand takes only the options listed for it)::
 
-    kgconst (compute <CONST> | verify <IDENTITY|all> | list | trace <TARGET>)
-            [--digits N] [--max-terms N] [--format text|json|csv] [--out PATH]
-            [--timings]
+    kgconst compute <CONST> [--digits N] [--format text|json|csv] [--out PATH]
+    kgconst verify <IDENTITY|all> [--digits N] [--format text|json|csv]
+                   [--out PATH] [--timings]
+    kgconst list [--out PATH]
+    kgconst trace <TARGET> [--digits N] [--max-terms N] [--out PATH]
 
 Exit codes: 0 success/verified, 2 not converged, a series trace needing
 more than --max-terms terms, or --out not writable, 3 identity failed beyond
 tolerance, 64 usage error (--digits outside 10..MAX_DIGITS, --max-terms
-below 1).
+below 1, or an option the subcommand does not take).
 
 Numbers are serialized as decimal strings carrying exactly ``digits``
 significant digits, never as binary floats.  Output is byte-deterministic
@@ -29,8 +31,8 @@ import sys
 from mpmath import mp
 
 from . import elliptic, identities, khintchine, series
-from .core import MIN_GUARD_DIGITS, PrecisionContext, const_KG, const_L, const_pi
-from .errors import InvalidPrecision, KgconstError, MaxTermsExceeded, NoConvergence
+from .core import GUARD_DIGITS, MIN_DIGITS, PrecisionContext, const_KG, const_L, const_pi
+from .errors import KgconstError, MaxTermsExceeded, NoConvergence
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -53,7 +55,7 @@ _CONSTANTS = {
     "HAAGERUP": (elliptic.haagerup_bound, "Haagerup's complex bound 1/(2K(i)-E(i))"),
     "X0": (lambda ctx: elliptic.solve_x0(ctx).x0, "root of the complex-case equation"),
     "KC_UPPER": (elliptic.kc_upper, "Krivine complex upper limit 8/(pi(x0+1))"),
-    "KHINTCHINE": (lambda ctx: khintchine.khintchine_accelerated(ctx, 6).value,
+    "KHINTCHINE": (lambda ctx: khintchine.khintchine_accelerated(ctx).value,
                    "Khintchine product (accurate to ~6-8 digits by construction)"),
 }
 
@@ -67,39 +69,48 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_in(low, high=None):
+    """argparse type: an integer >= low and, unless high is None, <= high."""
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if value < low else f"<= {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kgconst", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--digits", type=int, default=20)
-        p.add_argument("--max-terms", type=int, default=series.MAX_OUTER_TERMS)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", default=None)
-        p.add_argument("--timings", action="store_true")
-
-    p = sub.add_parser("compute", help="compute one named constant")
-    p.add_argument("target")
-    add_common(p)
-    p.set_defaults(handler=_run_compute)
-    p = sub.add_parser("verify", help="verify one identity, or 'all'")
-    p.add_argument("target")
-    add_common(p)
-    p.set_defaults(handler=_run_verify)
-    p = sub.add_parser("list", help="list constants and identities")
-    add_common(p)
-    p.set_defaults(handler=_run_list)
-    p = sub.add_parser("trace", help="emit a convergence trace as CSV")
-    p.add_argument("target")
-    add_common(p)
-    p.set_defaults(handler=_run_trace)
+    options = {
+        "target": {},
+        "--digits": {"type": _int_in(MIN_DIGITS, MAX_DIGITS), "default": 20},
+        "--max-terms": {"type": _int_in(1), "default": series.MAX_OUTER_TERMS},
+        "--format": {"choices": ("text", "json", "csv"), "default": "text"},
+        "--out": {},
+        "--timings": {"action": "store_true"},
+    }
+    for name, help_text, handler, names in (
+        ("compute", "compute one named constant", _run_compute,
+         "target --digits --format --out"),
+        ("verify", "verify one identity, or 'all'", _run_verify,
+         "target --digits --format --out --timings"),
+        ("list", "list constants and identities", _run_list, "--out"),
+        ("trace", "emit a convergence trace as CSV", _run_trace,
+         "target --digits --max-terms --out"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for option in names.split():
+            p.add_argument(option, **options[option])
+        p.set_defaults(handler=handler)
     return parser
 
 
 def _nstr(value, digits):
     # format the value's own binary digits; converting it at mpmath's default
     # 53-bit precision would keep only about 16 of them
-    with mp.workdps(digits + MIN_GUARD_DIGITS):
+    with mp.workdps(digits + GUARD_DIGITS):
         return mp.nstr(mp.convert(value), digits, strip_zeros=False)
 
 
@@ -109,6 +120,22 @@ def _emit(text, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write(ns, records, lines):
+    """Emit records as JSON (one object, or a list for 'all'), as CSV, or as
+    the text lines."""
+    if ns.format == "json":
+        text = json.dumps(records if ns.target == "all" else records[0], indent=2) + "\n"
+    elif ns.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    _emit(text, ns.out)
 
 
 def _report_record(report, ns):
@@ -142,16 +169,7 @@ def _run_compute(ns) -> int:
         "runtime_ms": 0.0,
         "paper_anchor": description,
     }
-    if ns.format == "json":
-        _emit(json.dumps(record, indent=2) + "\n", ns.out)
-    elif ns.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(record), lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(record)
-        _emit(buf.getvalue(), ns.out)
-    else:
-        _emit(f"{ns.target} = {record['value']}\n", ns.out)
+    _write(ns, [record], [f"{ns.target} = {record['value']}"])
     return EXIT_OK
 
 
@@ -167,22 +185,9 @@ def _run_verify(ns) -> int:
               f"all, {', '.join(valid)}", file=sys.stderr)
         return EXIT_USAGE
     records = [_report_record(r, ns) for r in reports]
-    if ns.format == "json":
-        payload = records[0] if len(records) == 1 and ns.target != "all" else records
-        _emit(json.dumps(payload, indent=2) + "\n", ns.out)
-    elif ns.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
-        _emit(buf.getvalue(), ns.out)
-    else:
-        lines = []
-        for rec in records:
-            status = "PASS" if rec["passed"] else "FAIL"
-            lines.append(f"{status} {rec['target']}: residual={rec['residual']} "
-                         f"digits_agreed={rec['digits_agreed']}")
-        _emit("\n".join(lines) + "\n", ns.out)
+    _write(ns, records, [f"{'PASS' if rec['passed'] else 'FAIL'} {rec['target']}: "
+                         f"residual={rec['residual']} digits_agreed={rec['digits_agreed']}"
+                         for rec in records])
     not_converged = any("error" in r.params and "NoConvergence" in r.params["error"]
                         for r in reports)
     if not all(r.passed for r in reports):
@@ -221,16 +226,15 @@ def _trace_rows(target, ctx, max_terms):
     ctx.tolerance, and raises MaxTermsExceeded before summing when that
     count exceeds max_terms.  The Khintchine rows end with the accelerated
     value when max_terms covers its factor count, and their residuals are
-    taken against mpmath's zeta-series value of the constant.
+    taken against khintchine.zeta_series_value, mpmath's zeta series.
     """
     if target == "khintchine_partial":
-        with ctx.workprec():
-            final = +mp.khinchin
+        final = khintchine.zeta_series_value()
         marks = _checkpoints(min(10 ** 6, max_terms))
         values = [khintchine.khintchine_partial(n, ctx).value for n in marks]
         if max_terms >= 2 * khintchine.ACCEL_BASE_TERMS:
             marks.append("accelerated")
-            values.append(khintchine.khintchine_accelerated(ctx, 6).value)
+            values.append(khintchine.khintchine_accelerated(ctx).value)
     else:
         squared = target == "double_series"
         with ctx.workprec():
@@ -273,20 +277,12 @@ def _run_trace(ns) -> int:
 
 def run(argv) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if ns.max_terms < 1:
-            parser.error(f"argument --max-terms: must be >= 1, got {ns.max_terms}")
-        if ns.digits > MAX_DIGITS:
-            parser.error(f"argument --digits: must be <= {MAX_DIGITS}, got {ns.digits}")
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return ns.handler(ns)
-    except InvalidPrecision as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"error: cannot write {ns.out or 'stdout'}: {exc}",
               file=sys.stderr)

@@ -2,7 +2,7 @@
 and the Grothendieck-Krivine constant K_G = pi / (2 L).
 
 Every operation in the package takes a :class:`PrecisionContext` and performs
-all intermediate arithmetic at ``digits + guard_digits`` decimal digits.  The
+all intermediate arithmetic at ``digits + GUARD_DIGITS`` decimal digits.  The
 returned values are plain ``mpmath.mpf`` instances (aliased ``BigReal``) and
 are immutable, so they are safe to share between tasks.
 """
@@ -19,7 +19,8 @@ from .errors import InvalidPrecision
 BigReal = mpf
 
 MIN_DIGITS = 10
-MIN_GUARD_DIGITS = 10
+# decimal digits of working precision beyond the requested ones
+GUARD_DIGITS = 10
 # fraction bits of the integer fixed-point loops (series sums, quadrature
 # weights) beyond working precision and the bits their term counts cost
 GUARD_BITS = 8
@@ -27,23 +28,18 @@ GUARD_BITS = 8
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Requested output precision plus the guard-digit and tolerance policy.
+    """Requested output precision plus the tolerance policy.
 
     ``tolerance`` defaults to 10**(-digits) and is the residual threshold
     used by every identity check and convergence test.
     """
 
     digits: int = 30
-    guard_digits: int = MIN_GUARD_DIGITS
     tolerance: BigReal = None  # type: ignore[assignment]  # filled in __post_init__
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or self.digits < MIN_DIGITS:
             raise InvalidPrecision(f"digits must be an integer >= {MIN_DIGITS}, got {self.digits}")
-        if not isinstance(self.guard_digits, int) or self.guard_digits < MIN_GUARD_DIGITS:
-            raise InvalidPrecision(
-                f"guard_digits must be an integer >= {MIN_GUARD_DIGITS}, got {self.guard_digits}"
-            )
         if self.tolerance is None:
             with mp.workdps(self.working_dps):
                 object.__setattr__(self, "tolerance", mpf(10) ** (-self.digits))
@@ -56,15 +52,15 @@ class PrecisionContext:
     @property
     def working_dps(self) -> int:
         """Decimal digits used for all intermediate arithmetic."""
-        return self.digits + self.guard_digits
+        return self.digits + GUARD_DIGITS
 
     @property
     def working_tolerance(self) -> BigReal:
-        """tolerance 10^-guard_digits: the error target of the quadratures and
+        """tolerance 10^-GUARD_DIGITS: the error target of the quadratures and
         the accelerated double series, whose results are rescaled or compared
         at working precision."""
         with mp.workdps(self.working_dps):
-            return self.tolerance * mpf(10) ** (-self.guard_digits)
+            return self.tolerance * mpf(10) ** (-GUARD_DIGITS)
 
     def workprec(self):
         """Context manager switching mpmath to this context's working precision."""

@@ -7,10 +7,9 @@ Krivine equation
 
 All operations use the modulus k (not the parameter m = k^2).  One AGM run
 of 1 and k' gives both K(k) and E(k), through Legendre's companion sum
-E = K (1 - sum 2^(n-1) c_n^2) (DLMF 19.8(i)), so the root equation and
-Legendre's relation take K and E from one run per modulus.  The defining
-integrals, evaluated with the quadrature module, serve as independent
-cross-checks of the AGM values.
+E = K (1 - sum 2^(n-1) c_n^2) (DLMF 19.8(i)), so K and E at one modulus
+always come from one run.  The defining integrals, evaluated with the
+quadrature module, serve as independent cross-checks of the AGM values.
 """
 
 from __future__ import annotations
@@ -99,19 +98,22 @@ def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
             lambda t: mp.sqrt(1 - (k * mp.sin(t)) ** 2), mp.pi / 2, ctx).value
 
 
-def ellip_K_imag(ctx: PrecisionContext) -> BigReal:
-    """K(i) = integral of 1/sqrt(1 + sin^2(t)) over (0, pi/2).
+def _imag_KE():
+    """(K(i), E(i)) = (K(k)/sqrt(2), sqrt(2) E(k)), k = 1/sqrt(2), from one AGM run."""
+    K, E = _agm_KE(1 / mp.sqrt(2))
+    return K / mp.sqrt(2), mp.sqrt(2) * E
 
-    Computed by the reciprocal-modulus reduction K(i) = K(1/sqrt(2))/sqrt(2).
-    """
+
+def ellip_K_imag(ctx: PrecisionContext) -> BigReal:
+    """K(i) = integral of 1/sqrt(1 + sin^2(t)) over (0, pi/2)."""
     with ctx.workprec():
-        return ellip_K(1 / mp.sqrt(2), ctx) / mp.sqrt(2)
+        return _imag_KE()[0]
 
 
 def ellip_E_imag(ctx: PrecisionContext) -> BigReal:
-    """E(i) = integral of sqrt(1 + sin^2(t)) over (0, pi/2) = sqrt(2) E(1/sqrt(2))."""
+    """E(i) = integral of sqrt(1 + sin^2(t)) over (0, pi/2)."""
     with ctx.workprec():
-        return mp.sqrt(2) * ellip_E(1 / mp.sqrt(2), ctx)
+        return _imag_KE()[1]
 
 
 def legendre_lhs(k, ctx: PrecisionContext) -> BigReal:
@@ -141,7 +143,8 @@ def legendre_residual(k, ctx: PrecisionContext) -> BigReal:
 def haagerup_bound(ctx: PrecisionContext) -> BigReal:
     """Haagerup's suggested complex upper limit 1/(2K(i) - E(i))."""
     with ctx.workprec():
-        return 1 / (2 * ellip_K_imag(ctx) - ellip_E_imag(ctx))
+        K, E = _imag_KE()
+        return 1 / (2 * K - E)
 
 
 def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:
@@ -154,14 +157,20 @@ def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:
         return 1 / integral
 
 
-def krivine_complex_f(x, ctx: PrecisionContext) -> BigReal:
-    """f(x) = (1/x)[E(x) - (1-x^2)K(x)] - pi(x+1)/8, whose root is x0."""
+def krivine_complex_lhs(x, ctx: PrecisionContext) -> BigReal:
+    """(1/x)[E(x) - (1-x^2)K(x)], the elliptic side of x0's equation."""
     with ctx.workprec():
         x = mpf(x)
         if not (0 < x < 1):
-            raise DomainError(f"krivine_complex_f requires 0 < x < 1, got {x}")
+            raise DomainError(f"the complex-case equation requires 0 < x < 1, got {x}")
         K, E = _agm_KE(x)
-        return (E - (1 - x * x) * K) / x - mp.pi * (x + 1) / 8
+        return (E - (1 - x * x) * K) / x
+
+
+def krivine_complex_f(x, ctx: PrecisionContext) -> BigReal:
+    """f(x) = (1/x)[E(x) - (1-x^2)K(x)] - pi(x+1)/8, whose root is x0."""
+    with ctx.workprec():
+        return krivine_complex_lhs(x, ctx) - mp.pi * (mpf(x) + 1) / 8
 
 
 def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:

@@ -5,7 +5,7 @@ callable returning ``(lhs, rhs, extra)`` from independent routes through the
 owning modules.  ``verify`` reports the absolute residual, the number of
 digits of agreement, and a pass flag against the context tolerance (with
 per-identity overrides where a check is intrinsically desk-scale, e.g. the
-Khintchine stability test).
+eight-digit Khintchine product).
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ def _coeff_vs_quadrature(ctx, params):
 
 def _krivine_middle(ctx, params):
     x = mpf(params.get("x", "0.5"))
-    lhs = (elliptic.ellip_E(x, ctx) - (1 - x * x) * elliptic.ellip_K(x, ctx)) / x
-    return lhs, elliptic.krivine_complex_middle(x, ctx), {"x": x}
+    return (elliptic.krivine_complex_lhs(x, ctx),
+            elliptic.krivine_complex_middle(x, ctx), {"x": x})
 
 
 def _legendre(ctx, params):
@@ -185,11 +185,8 @@ def _legendre(ctx, params):
 
 
 def _khintchine_stability(ctx, params):
-    target = params.get("target_digits", 6)
-    res = khintchine.khintchine_accelerated(ctx, target)
-    # rhs: the value at the un-doubled range
-    return (res.value, res.value - res.tail_estimate,
-            {"terms_used": res.terms_used, "target_digits": target})
+    res = khintchine.khintchine_accelerated(ctx)
+    return res.value, khintchine.zeta_series_value(), {"terms_used": res.terms_used}
 
 
 _TABLE = {
@@ -235,7 +232,8 @@ _TABLE = {
         "x int cos^2/sqrt(1-x^2 sin^2) = (1/x)[E(x)-(1-x^2)K(x)]", _krivine_middle),
     IdentityId.LEGENDRE_RELATION: _Row("E K' + E' K - K K' = pi/2", _legendre),
     IdentityId.KHINTCHINE_STABILITY: _Row(
-        "Gauss-Kuz'min product stable across N doubling", _khintchine_stability),
+        "Gauss-Kuz'min product (Euler-Maclaurin tail) = zeta-series value (mpmath)",
+        _khintchine_stability),
 }
 
 # desk-scale checks keep a fixed tolerance regardless of ctx.digits

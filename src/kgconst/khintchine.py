@@ -19,9 +19,9 @@ from mpmath import mp, mpf
 from .core import BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence
 
-MAX_TARGET_DIGITS = 8
-# the fixed tolerance of the desk-scale Khintchine checks, whatever the digits
-STABILITY_TOLERANCE = mpf("1e-6")
+# the fixed tolerance of the desk-scale Khintchine checks, whatever the
+# digits: the module's eight-digit cap
+STABILITY_TOLERANCE = mpf("1e-8")
 ACCEL_BASE_TERMS = 20_000
 # the Euler-Maclaurin tail is needed to TAIL_TOLERANCE only, far beyond the
 # module's eight digits, so its integral (mpmath's quad) and derivative run
@@ -96,24 +96,24 @@ def _em_log_tail(N: int) -> BigReal:
         return integral + _log_term(a) / 2 - mp.diff(_log_term, a) / 12
 
 
-def khintchine_accelerated(ctx: PrecisionContext, target_digits: int,
-                           base_terms: int = ACCEL_BASE_TERMS) -> ProductResult:
-    """Product with tail correction, stable to target_digits across N doubling."""
-    if not (1 <= target_digits <= MAX_TARGET_DIGITS):
-        raise DomainError(
-            f"target_digits must be in 1..{MAX_TARGET_DIGITS}, got {target_digits}"
-        )
-    if base_terms < 2:
-        raise DomainError(f"base_terms must be >= 2, got {base_terms}")
+def khintchine_accelerated(ctx: PrecisionContext) -> ProductResult:
+    """Product with tail correction over 2 ACCEL_BASE_TERMS factors, stable
+    to STABILITY_TOLERANCE against the one over ACCEL_BASE_TERMS."""
     with ctx.workprec():
-        values = []
-        for N in (base_terms, 2 * base_terms):
-            values.append(mp.exp(mpf(_log_sum(N)) + _em_log_tail(N)))
+        values = [mp.exp(mpf(_log_sum(N)) + _em_log_tail(N))
+                  for N in (ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS)]
         spread = abs(values[1] - values[0])
-        if spread > mpf(10) ** (-target_digits):
+        if spread > STABILITY_TOLERANCE:
             raise NoConvergence(
                 f"accelerated product unstable across doubling: spread {spread} "
-                f"exceeds 10^-{target_digits}"
+                f"exceeds {STABILITY_TOLERANCE}"
             )
-        return ProductResult(value=values[1], terms_used=2 * base_terms,
+        return ProductResult(value=values[1], terms_used=2 * ACCEL_BASE_TERMS,
                              tail_estimate=spread, accelerated=True)
+
+
+def zeta_series_value() -> BigReal:
+    """Khintchine's constant by mpmath's zeta series (Bailey, Borwein & Crandall,
+    Math. Comp. 66, 1997) at TAIL_CTX's 30 working digits: the product's check."""
+    with TAIL_CTX.workprec():
+        return +mp.khinchin

@@ -14,7 +14,7 @@ D1 and D2 the log10 distances of the last estimate from the two before it
 (Borwein, Bailey & Girgensohn, Experimentation in Mathematics, 2004;
 mpmath's QuadratureRule.estimate_error uses the same formula), times
 ERROR_SAFETY_FACTOR.  The target is the working precision,
-ctx.working_tolerance = ctx.tolerance 10^-guard_digits.
+ctx.working_tolerance = ctx.tolerance 10^-GUARD_DIGITS.
 """
 
 from __future__ import annotations

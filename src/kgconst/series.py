@@ -151,14 +151,14 @@ def limit_S(ctx: PrecisionContext) -> BigReal:
         return mp.sqrt(2) / 2 * mp.log(1 + mp.sqrt(2))
 
 
-def inner_tail(n: int, ctx: PrecisionContext, *, method: str = "closed",
-               max_terms: int = MAX_OUTER_TERMS) -> SeriesResult:
+def inner_tail(n: int, ctx: PrecisionContext, *, method: str = "closed") -> SeriesResult:
     """T_n = sum_{k>n} t_k = S - S_n.
 
     method="closed" evaluates the difference of the closed-form limit and the
     partial sum (tail bound 0 at working precision).  method="direct" sums
     t_{n+1} .. t_m, where m >= n+1 is the first index whose alternating
-    remainder bound |t_{m+1}| drops below ctx.tolerance; it exists as an
+    remainder bound |t_{m+1}| drops below ctx.tolerance, and raises
+    MaxTermsExceeded beyond MAX_OUTER_TERMS terms; it exists as an
     independent cross-check route.
     """
     if n < 0:
@@ -171,9 +171,9 @@ def inner_tail(n: int, ctx: PrecisionContext, *, method: str = "closed",
         if method == "direct":
             tol = ctx.tolerance
             last = max(_inner_truncation_N(tol, ctx), n + 1)
-            if last - n > max_terms:
+            if last - n > MAX_OUTER_TERMS:
                 raise MaxTermsExceeded(
-                    f"direct tail for n={n} needs more than {max_terms} terms "
+                    f"direct tail for n={n} needs more than {MAX_OUTER_TERMS} terms "
                     f"to reach tolerance {tol}"
                 )
             value = _fixed_point_sums([last], first=n + 1)[0]

@@ -205,6 +205,19 @@ class TestUsage:
         assert "--digits" in err
 
     @pytest.mark.parametrize("argv", [
+        ("list", "--digits", "30"),
+        ("list", "--format", "json"),
+        ("verify", "all", "--max-terms", "5"),
+        ("trace", "double_series", "--format", "json"),
+        ("compute", "PI", "--timings"),
+    ])
+    def test_option_not_taken_by_subcommand(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
         ("compute", "PI"),
         ("verify", "KG_DEFINITION"),
         ("list",),

@@ -37,8 +37,6 @@ def test_invalid_precision_rejected():
     with pytest.raises(InvalidPrecision):
         PrecisionContext(digits=9)
     with pytest.raises(InvalidPrecision):
-        PrecisionContext(digits=20, guard_digits=5)
-    with pytest.raises(InvalidPrecision):
         PrecisionContext(digits=20, tolerance=mpf(0))
 
 

@@ -1,7 +1,16 @@
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import IdentityId, PrecisionContext, verify, verify_all
+from kgconst import (
+    IdentityId,
+    PrecisionContext,
+    identities,
+    quadrature,
+    series,
+    verify,
+    verify_all,
+)
+from kgconst.cli import MAX_DIGITS
 from kgconst.identities import REGISTRY_ORDER, _TOLERANCE_OVERRIDES, anchor
 
 ALL_IDS = list(IdentityId)
@@ -24,11 +33,31 @@ def reports():
 
 class TestVerifyAll:
 
-    @pytest.mark.parametrize("digits", [100, 200, 500])
-    def test_everything_passes_at_high_precision(self, digits):
+    @pytest.mark.parametrize("digits", [100, 200, MAX_DIGITS])
+    def test_everything_passes_at_high_precision(self, digits, monkeypatch):
+        # every Fejer (n - 1 evaluations) and trapezoid (n + 1) call stops at
+        # least one doubling below its cap, so raising the ceiling without the
+        # caps fails here; empty caches let every call be seen
+        intervals = []
+
+        def recording(rule, offset, cap):
+            def wrapped(*args, **kwargs):
+                res = rule(*args, **kwargs)
+                intervals.append((res.evaluations + offset, cap))
+                return res
+            return wrapped
+
+        monkeypatch.setattr(quadrature, "integrate_analytic", recording(
+            quadrature.integrate_analytic, 1, quadrature.FEJER_MAX_INTERVALS))
+        monkeypatch.setattr(quadrature, "integrate_even_periodic", recording(
+            quadrature.integrate_even_periodic, -1, quadrature.PERIODIC_MAX_INTERVALS))
+        identities._integral.cache_clear()
+        series.double_series.cache_clear()
         reports = verify_all(PrecisionContext(digits=digits))
         failures = [(r.id.value, r.params.get("error")) for r in reports if not r.passed]
         assert failures == []
+        assert len(intervals) == 5
+        assert all(n <= cap // 2 for n, cap in intervals), intervals
 
     @pytest.mark.parametrize("digits", [10, 12, 15])
     def test_everything_passes_at_low_precision(self, digits):
@@ -95,11 +124,11 @@ class TestSingleVerify:
         assert r.passed  # sanity: normally fine at 30 digits
 
     def test_khintchine_uses_fixed_tolerance(self):
-        # the stability check is desk-scale: it passes at high ctx digits
-        # because its tolerance stays pinned at 1e-6
+        # the product is desk-scale: it passes at high ctx digits because its
+        # tolerance stays pinned at the module's eight-digit cap
         r = verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=30))
         assert r.passed
-        assert r.residual < mpf("1e-6")
+        assert r.residual < mpf("1e-8")
 
 
 class TestSelectedIdentitiesAtThirtyDigits:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from kgconst import IdentityId, PrecisionContext, elliptic, identities, quadrature, verify
+from kgconst import (
+    IdentityId,
+    PrecisionContext,
+    elliptic,
+    identities,
+    khintchine,
+    quadrature,
+    verify,
+)
 
 # each fixed-point form reads the integral of the appendix identity before it
 SHARED_INTEGRALS = [
@@ -27,7 +35,7 @@ SPELLINGS = {
 
 
 @pytest.mark.parametrize("ident, params, error", [
-    (IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY, {"x": "0"}, "ZeroDivisionError: "),
+    (IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY, {"x": "0"}, "DomainError: "),
     (IdentityId.COEFF_VS_QUADRATURE, {"n": "x"}, "TypeError: "),
     (IdentityId.RECURRENCE, {"n": 0},
      "DomainError: recurrence index must be >= 1, got 0"),
@@ -46,6 +54,16 @@ def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
     r = verify(IdentityId.KG_DEFINITION, PrecisionContext(digits=30))
     assert not r.passed
     assert r.residual > mpf("1e-26")
+
+
+def test_khintchine_fails_when_log_sum_is_wrong(monkeypatch):
+    # the rhs is mpmath's zeta series, so a shifted log-sum moves only the
+    # lhs; the shift leaves the spread across the doubling unchanged
+    log_sum = khintchine._log_sum
+    monkeypatch.setattr(khintchine, "_log_sum", lambda N: log_sum(N) + 1e-5)
+    r = verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=20))
+    assert not r.passed
+    assert r.residual > mpf("1e-5")
 
 
 @pytest.fixture
@@ -140,3 +158,15 @@ def test_legendre_relation_computes_each_value_once(monkeypatch):
     # one AGM run for K and E at each grid modulus and one at its complement,
     # nothing at the worst one again
     assert len(calls) == 2 * r.params["grid_size"]
+
+
+@pytest.mark.parametrize("ident", [IdentityId.HAAGERUP_CONSISTENCY,
+                                   IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY])
+def test_elliptic_side_runs_one_agm(ident, monkeypatch):
+    # K and E at the row's one modulus come from a single AGM run
+    calls = []
+    agm = elliptic._agm_KE
+    monkeypatch.setattr(elliptic, "_agm_KE", lambda k: (calls.append(k), agm(k))[1])
+    r = verify(ident, PrecisionContext(digits=30))
+    assert r.passed, r.params
+    assert len(calls) == 1

@@ -60,21 +60,15 @@ class TestTailBound:
 
 class TestAccelerated:
     def test_eight_digit_value(self, ctx15):
-        res = khintchine_accelerated(ctx15, target_digits=8)
+        res = khintchine_accelerated(ctx15)
         assert res.accelerated
         assert abs(res.value - KNOWN) < mpf("1e-8")
         assert mp.nstr(res.value, 7) == "2.685452"
 
     def test_beats_brute_force(self, ctx15):
-        accel = khintchine_accelerated(ctx15, target_digits=6).value
+        accel = khintchine_accelerated(ctx15).value
         brute = khintchine_partial(1_000_000, ctx15).value
         assert abs(accel - KNOWN) < abs(brute - KNOWN)
-
-    def test_target_digit_cap(self, ctx15):
-        with pytest.raises(DomainError):
-            khintchine_accelerated(ctx15, target_digits=9)
-        with pytest.raises(DomainError):
-            khintchine_accelerated(ctx15, target_digits=0)
 
     def test_tail_runs_at_fixed_precision(self, monkeypatch):
         # the tail integrals run at the 30 working digits of TAIL_CTX at
@@ -88,8 +82,8 @@ class TestAccelerated:
             return quad(*args, **kwargs)
 
         monkeypatch.setattr(mp, "quad", recording)
-        low = khintchine_accelerated(PrecisionContext(digits=20), target_digits=6)
-        high = khintchine_accelerated(PrecisionContext(digits=300), target_digits=6)
+        low = khintchine_accelerated(PrecisionContext(digits=20))
+        high = khintchine_accelerated(PrecisionContext(digits=300))
         assert precisions == [30] * 4
         with mp.workdps(40):
             assert abs(high.value - low.value) < mpf("1e-28")
@@ -99,4 +93,4 @@ class TestAccelerated:
         # TAIL_TOLERANCE, or the product is not returned
         monkeypatch.setattr(khintchine, "TAIL_TOLERANCE", mpf("1e-40"))
         with pytest.raises(NoConvergence):
-            khintchine_accelerated(PrecisionContext(digits=20), target_digits=6)
+            khintchine_accelerated(PrecisionContext(digits=20))
