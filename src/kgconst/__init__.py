@@ -23,7 +23,6 @@ from .series import (
     double_series_partial,
     fourier_a,
     fourier_a_quadrature,
-    inner_tail,
     inner_term,
     legendre_chi2,
     limit_S,
@@ -65,7 +64,6 @@ __all__ = [
     "partial_sum_S",
     "partial_sums",
     "limit_S",
-    "inner_tail",
     "fourier_a",
     "fourier_a_quadrature",
     "double_series",

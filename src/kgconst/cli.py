@@ -40,6 +40,8 @@ EXIT_IDENTITY_FAILED = 3
 EXIT_USAGE = 64
 # the highest --digits accepted; verify all is tested up to it
 MAX_DIGITS = 500
+# the default --max-terms: the most terms a series trace sums
+DEFAULT_MAX_TERMS = 10_000_000
 
 
 def _fourier_a0(ctx):
@@ -86,7 +88,7 @@ def _build_parser() -> _Parser:
     options = {
         "target": {},
         "--digits": {"type": _int_in(MIN_DIGITS, MAX_DIGITS), "default": 20},
-        "--max-terms": {"type": _int_in(1), "default": series.MAX_OUTER_TERMS},
+        "--max-terms": {"type": _int_in(1), "default": DEFAULT_MAX_TERMS},
         "--format": {"choices": ("text", "json", "csv"), "default": "text"},
         "--out": {},
         "--timings": {"action": "store_true"},

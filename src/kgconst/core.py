@@ -28,26 +28,20 @@ GUARD_BITS = 8
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Requested output precision plus the tolerance policy.
-
-    ``tolerance`` defaults to 10**(-digits) and is the residual threshold
-    used by every identity check and convergence test.
-    """
+    """The requested output precision; every other setting derives from it."""
 
     digits: int = 30
-    tolerance: BigReal = None  # type: ignore[assignment]  # filled in __post_init__
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or self.digits < MIN_DIGITS:
             raise InvalidPrecision(f"digits must be an integer >= {MIN_DIGITS}, got {self.digits}")
-        if self.tolerance is None:
-            with mp.workdps(self.working_dps):
-                object.__setattr__(self, "tolerance", mpf(10) ** (-self.digits))
-        else:
-            tol = mpf(self.tolerance)
-            if not (tol > 0):
-                raise InvalidPrecision("tolerance must be positive")
-            object.__setattr__(self, "tolerance", tol)
+
+    @property
+    def tolerance(self) -> BigReal:
+        """10^-digits, the residual threshold used by every identity check and
+        convergence test."""
+        with mp.workdps(self.working_dps):
+            return mpf(10) ** (-self.digits)
 
     @property
     def working_dps(self) -> int:

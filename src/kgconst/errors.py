@@ -6,7 +6,7 @@ class KgconstError(Exception):
 
 
 class InvalidPrecision(KgconstError):
-    """Precision context violates digits/guard-digit requirements."""
+    """The requested digit count is not an integer >= MIN_DIGITS."""
 
 
 class DomainError(KgconstError):

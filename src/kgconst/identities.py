@@ -72,38 +72,36 @@ def _arcsinh_csch(x):
 
 
 @lru_cache(maxsize=None)
-def _integral(ctx: PrecisionContext, tail: bool) -> BigReal:
-    """int_L^inf (tail) or int_0^L of arcsinh(csch x), each by Fejer's
-    second rule on an integrand analytic on the closed interval.
+def _tail_integral(ctx: PrecisionContext) -> BigReal:
+    """int_L^inf arcsinh(csch x) dx by Fejer's second rule, taken through
+    x = L - ln(1-u) as the integral over u in (0, 1) of arcsinh(csch x)/(1-u),
+    whose nearest singularity is at u = 1 - (sqrt(2)+1).
 
-    The tail is taken through x = L - ln(1-u) as the integral over u in
-    (0, 1) of arcsinh(csch x)/(1-u), whose nearest singularity is at
-    u = 1 - (sqrt(2)+1).  The integrand is written in v = 1 - u, so the
-    rule's points near u = 1 give 1 - u as r(1 - cos theta), not by a
-    subtraction.  Over (0, L) the only singularity is -ln(x/2) at 0, since
+    The integrand is written in v = 1 - u, so the rule's points near u = 1
+    give 1 - u as r(1 - cos theta), not by a subtraction.  Shared by
+    APPENDIX_A1 and FIXED_POINT_1, whose limit pi/(2 K_G) is L by definition.
+    """
+    L = const_L(ctx)
+    return quadrature.integrate_analytic(
+        lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx).value
+
+
+@lru_cache(maxsize=None)
+def _head_integral(ctx: PrecisionContext) -> BigReal:
+    """int_0^L arcsinh(csch x) dx by Fejer's second rule.
+
+    Over (0, L) the only singularity is -ln(x/2) at 0, since
     arcsinh(csch x) = -ln tanh(x/2): the rule integrates
     arcsinh(csch x) + ln(x/2), whose nearest singularities are at +-i pi,
     and int_0^L -ln(x/2) dx = L - L ln(L/2) is added in closed form.  L and
-    that closed form are taken at the rule's precision, working_dps + 10.
-
-    Shared by APPENDIX_A1 and APPENDIX_A2_CORRECTED and their K_G
-    fixed-point forms, whose limit pi/(2 K_G) is L by definition.  Pass
-    ``tail`` positionally at every call site: lru_cache keys on how the
-    arguments are spelled.
+    that closed form are taken at the rule's precision.  Shared by
+    APPENDIX_A2_CORRECTED and FIXED_POINT_2.
     """
-    if tail:
-        L = const_L(ctx)
-        return quadrature.integrate_analytic(
-            lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx).value
-    with mp.workdps(ctx.working_dps + 10):
+    with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
         L = mp.log(1 + mp.sqrt(2))
         regular = quadrature.integrate_analytic(
             lambda x: _arcsinh_csch(x) + mp.log(x / 2), 0, L, ctx).value
         return regular + L - L * mp.log(L / 2)
-
-
-def _quadrature(tail):
-    return lambda ctx: _integral(ctx, tail)
 
 
 def _chi2_tail(ctx: PrecisionContext) -> BigReal:
@@ -204,20 +202,20 @@ _TABLE = {
         "a_n - a_{n-1} = (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]", _recurrence),
     IdentityId.COEFF_VS_QUADRATURE: _Row(
         "closed-form a_n vs (8/pi) int cos(4nt)/cos(t) dt", _coeff_vs_quadrature),
-    IdentityId.APPENDIX_A1: _appendix("arcsinh(csch x)", _quadrature(True)),
+    IdentityId.APPENDIX_A1: _appendix("arcsinh(csch x)", _tail_integral),
     IdentityId.APPENDIX_A2_CORRECTED: _Row(
         "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)",
         lambda ctx, p: (mp.pi ** 2 + 4 * const_L(ctx) ** 2,
-                        8 * _integral(ctx, False),
+                        8 * _head_integral(ctx),
                         {"as_printed": "ambiguous"})),
     IdentityId.APPENDIX_A3: _appendix("arccosh(coth x)", _chi2_tail, _CHI2_ROUTE),
     IdentityId.APPENDIX_A4: _appendix("arctanh(sech x)", _chi2_tail, _CHI2_ROUTE),
     IdentityId.FIXED_POINT_1: _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arcsinh(csch))",
-        _kg_fixed_point(_quadrature(True), True)),
+        _kg_fixed_point(_tail_integral, True)),
     IdentityId.FIXED_POINT_2: _Row(
         "K_G = 1/sqrt((8/pi^2) int_0^{pi/2K_G} arcsinh(csch) - 1)",
-        _kg_fixed_point(_quadrature(False), False)),
+        _kg_fixed_point(_head_integral, False)),
     IdentityId.FIXED_POINT_3: _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arccosh(coth))" + _CHI2_ROUTE,
         _kg_fixed_point(_chi2_tail, True)),

@@ -28,6 +28,8 @@ from .core import GUARD_BITS, BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence, NonFiniteEvaluation
 
 ERROR_SAFETY_FACTOR = 10
+# decimal digits beyond ctx.working_dps at which both rules evaluate and sum
+RULE_EXTRA_DPS = 10
 # trapezoid intervals on the half period beyond which integrate_even_periodic
 # gives up
 PERIODIC_MAX_INTERVALS = 2 ** 16
@@ -141,8 +143,7 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
     NoConvergence beyond FEJER_MAX_INTERVALS intervals and
     NonFiniteEvaluation if f returns a non-finite value.
     """
-    wp = ctx.working_dps + 10
-    with mp.workdps(wp):
+    with mp.workdps(ctx.working_dps + RULE_EXTRA_DPS):
         a = mpf(a)
         b = mpf(b)
         if not a < b:
@@ -192,8 +193,7 @@ def integrate_even_periodic(f, half_period, ctx: PrecisionContext) -> Quadrature
     unless half_period > 0, NoConvergence beyond PERIODIC_MAX_INTERVALS
     intervals and NonFiniteEvaluation if f returns a non-finite value.
     """
-    wp = ctx.working_dps + 10
-    with mp.workdps(wp):
+    with mp.workdps(ctx.working_dps + RULE_EXTRA_DPS):
         T = mpf(half_period)
         if not T > 0:
             raise DomainError(f"integrate_even_periodic requires half_period > 0, got {T}")

@@ -1,4 +1,4 @@
-"""The alternating quarter-integer series, its inner tails, the Fourier
+"""The alternating quarter-integer series, its partial sums, the Fourier
 coefficients of 1/cos(x/4), Legendre's chi function chi_2, and the double
 series
 
@@ -30,7 +30,7 @@ asymptotic expansion of I(n) in powers of 2/(n+1).
 
 Explicit summation
 ------------------
-Every term-by-term sum (S_n, the direct tails, sum T_n^2 and the CLI trace)
+Every term-by-term sum (S_n, sum T_n^2 and the CLI trace)
 runs through one fixed-point integer loop, ``_fixed_point_sums``: exact
 Python-int accumulation of floor(2^(P+1) / ((4k-3)(4k-1))), in the manner of
 mpmath's own ``libelefun`` (Brent & Zimmermann, Modern Computer Arithmetic,
@@ -46,10 +46,9 @@ from math import comb
 from mpmath import mp, mpf
 
 from .core import GUARD_BITS, BigReal, PrecisionContext
-from .errors import DomainError, MaxTermsExceeded, NoConvergence
+from .errors import DomainError, NoConvergence
 from . import quadrature
 
-MAX_OUTER_TERMS = 10_000_000
 # explicit outer terms ahead of the Euler-Maclaurin tail
 EM_EXPLICIT_TERMS = 10_000
 
@@ -85,13 +84,13 @@ def inner_term_magnitude(k: int, ctx: PrecisionContext) -> BigReal:
         return mpf(2) / ((4 * k - 3) * (4 * k - 1))
 
 
-def _fixed_point_sums(marks, *, first: int = 1, squared: bool = False) -> list:
-    """Partial sums of t_k from k = first, at each index in marks (ascending,
-    each >= first - 1), in one pass; call at the working precision.
+def _fixed_point_sums(marks, *, squared: bool = False) -> list:
+    """Partial sums at each index m in marks (ascending, each >= 0), in one
+    pass; call at the working precision.
 
-    squared=False gives sum_{k=first}^{m} t_k.  squared=True (first = 1)
-    gives sum_{n=1}^{m} T_n^2 with T_n = S - S_n, starting from T_0 = S
-    rounded once to P bits.
+    squared=False gives S_m = sum_{k=1}^{m} t_k.  squared=True gives
+    sum_{n=1}^{m} T_n^2 with T_n = S - S_n, starting from T_0 = S rounded
+    once to P bits.
 
     The loop works on integers scaled by 2^P, P = mp.prec + N.bit_length()
     + GUARD_BITS, N = marks[-1].  Each term floor(2^(P+1) / ((4k-3)(4k-1)))
@@ -111,7 +110,7 @@ def _fixed_point_sums(marks, *, first: int = 1, squared: bool = False) -> list:
             tail = int(mp.nint(mp.ldexp(mp.sqrt(2) / 2 * mp.log(1 + mp.sqrt(2)), P)))
     acc = 0   # sum of tail^2, scaled by 2^(2P)
     out = []
-    start = first
+    start = 1
     for mark in marks:
         for k in range(start, mark + 1):
             term = two // ((4 * k - 3) * (4 * k - 1))
@@ -121,7 +120,7 @@ def _fixed_point_sums(marks, *, first: int = 1, squared: bool = False) -> list:
                 tail += term
             if squared:
                 acc += tail * tail
-        start = max(start, mark + 1)
+        start = mark + 1
         out.append(mp.ldexp(acc, -2 * P) if squared else -mp.ldexp(tail, -P))
     return out
 
@@ -149,38 +148,6 @@ def limit_S(ctx: PrecisionContext) -> BigReal:
     """S = lim S_n = (sqrt(2)/2) ln(1 + sqrt(2))."""
     with ctx.workprec():
         return mp.sqrt(2) / 2 * mp.log(1 + mp.sqrt(2))
-
-
-def inner_tail(n: int, ctx: PrecisionContext, *, method: str = "closed") -> SeriesResult:
-    """T_n = sum_{k>n} t_k = S - S_n.
-
-    method="closed" evaluates the difference of the closed-form limit and the
-    partial sum (tail bound 0 at working precision).  method="direct" sums
-    t_{n+1} .. t_m, where m >= n+1 is the first index whose alternating
-    remainder bound |t_{m+1}| drops below ctx.tolerance, and raises
-    MaxTermsExceeded beyond MAX_OUTER_TERMS terms; it exists as an
-    independent cross-check route.
-    """
-    if n < 0:
-        raise DomainError(f"tail index must be >= 0, got {n}")
-    with ctx.workprec():
-        if method == "closed":
-            value = limit_S(ctx) - partial_sum_S(n, ctx)
-            return SeriesResult(value=value, terms_used=max(n, 1),
-                                tail_bound=mpf(0), converged=True)
-        if method == "direct":
-            tol = ctx.tolerance
-            last = max(_inner_truncation_N(tol, ctx), n + 1)
-            if last - n > MAX_OUTER_TERMS:
-                raise MaxTermsExceeded(
-                    f"direct tail for n={n} needs more than {MAX_OUTER_TERMS} terms "
-                    f"to reach tolerance {tol}"
-                )
-            value = _fixed_point_sums([last], first=n + 1)[0]
-            return SeriesResult(value=value, terms_used=last - n,
-                                tail_bound=inner_term_magnitude(last + 1, ctx),
-                                converged=True)
-        raise DomainError(f"unknown inner_tail method {method!r}")
 
 
 def smooth_tail_magnitude(n, ctx: PrecisionContext) -> BigReal:

@@ -36,8 +36,6 @@ def test_pi_precision_consistency():
 def test_invalid_precision_rejected():
     with pytest.raises(InvalidPrecision):
         PrecisionContext(digits=9)
-    with pytest.raises(InvalidPrecision):
-        PrecisionContext(digits=20, tolerance=mpf(0))
 
 
 def test_L_value_and_defining_property():
@@ -71,5 +69,6 @@ def test_KG_precision_monotone():
 def test_tolerance_default_and_override():
     ctx = PrecisionContext(digits=12)
     assert abs(ctx.tolerance / mpf(10) ** -12 - 1) < mpf("1e-20")
-    custom = PrecisionContext(digits=12, tolerance=mpf("1e-8"))
-    assert custom.tolerance == mpf("1e-8")
+    # the digit count is the only setting: the tolerance derives from it
+    with pytest.raises(TypeError):
+        PrecisionContext(digits=12, tolerance=mpf("1e-8"))

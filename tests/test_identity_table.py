@@ -79,7 +79,8 @@ def integrate_calls(monkeypatch):
         return res
 
     monkeypatch.setattr(quadrature, "integrate_analytic", counting)
-    identities._integral.cache_clear()
+    identities._tail_integral.cache_clear()
+    identities._head_integral.cache_clear()
     return calls
 
 

@@ -69,8 +69,8 @@ class TestEndpointSingularities:
             return fejer(lambda x: (seen.append(x), f(x))[1], a, b, ctx)
 
         monkeypatch.setattr(quadrature, "integrate_analytic", recording)
-        identities._integral.cache_clear()
-        value = identities._integral(ctx30, False)
+        identities._head_integral.cache_clear()
+        value = identities._head_integral(ctx30)
         with ctx30.workprec():
             L = mp.log(1 + mp.sqrt(2))
             assert abs(value - (mp.pi ** 2 / 8 + L ** 2 / 2)) < ctx30.tolerance
@@ -123,7 +123,7 @@ class TestClosedForms:
 
     def test_appendix_tail(self, digits):
         ctx = PrecisionContext(digits=digits)
-        value = identities._integral(ctx, True)
+        value = identities._tail_integral(ctx)
         _assert_relative(value, lambda: mp.pi ** 2 / 8 - _L() ** 2 / 2, ctx)
 
     def test_appendix_tail_analytic(self, digits):
@@ -138,7 +138,7 @@ class TestClosedForms:
         # arcsinh(csch x) + ln(x/2) by Fejer's second rule, plus the closed
         # form of -ln(x/2)
         ctx = PrecisionContext(digits=digits)
-        value = identities._integral(ctx, False)
+        value = identities._head_integral(ctx)
         _assert_relative(value, lambda: mp.pi ** 2 / 8 + _L() ** 2 / 2, ctx)
 
     def test_haagerup_integral(self, digits):

@@ -7,7 +7,6 @@ from mpmath import mp, mpf
 from kgconst import (
     DomainError,
     IdentityId,
-    MaxTermsExceeded,
     PrecisionContext,
     const_L,
     const_pi,
@@ -15,7 +14,6 @@ from kgconst import (
     double_series_partial,
     fourier_a,
     fourier_a_quadrature,
-    inner_tail,
     inner_term,
     legendre_chi2,
     limit_S,
@@ -56,6 +54,12 @@ def _reference_double_partial(N, dps):
             tail -= sign * (mpf(1) / (4 * n - 1) - mpf(1) / (4 * n - 3))
             acc += tail * tail
         return acc
+
+
+def _tail(n, ctx):
+    """T_n = S - S_n, from the closed-form limit and the partial sum."""
+    with ctx.workprec():
+        return limit_S(ctx) - partial_sum_S(n, ctx)
 
 
 def _counting_loop_N(tol, ctx):
@@ -114,22 +118,6 @@ class TestFixedPointKernel:
         ctx = PrecisionContext(digits=digits)
         reference = _reference_double_partial(N, ctx.working_dps + 20)
         assert abs(double_series_partial(N, ctx) - reference) < mpf(10) ** -(ctx.working_dps - 1)
-
-    @given(digits=st.integers(min_value=12, max_value=200),
-           n=st.integers(min_value=0, max_value=2000),
-           tol_exp=st.integers(min_value=3, max_value=8))
-    @settings(max_examples=25, deadline=None)
-    def test_direct_tail_matches_mpf_loop(self, digits, n, tol_exp):
-        ctx = PrecisionContext(digits=digits, tolerance=mpf(10) ** -tol_exp)
-        direct = inner_tail(n, ctx, method="direct")
-        # the term-by-term stopping rule: add t_k until |t_{k+1}| < tolerance
-        last = n + 1
-        while inner_term_magnitude(last + 1, ctx) >= ctx.tolerance:
-            last += 1
-        assert direct.terms_used == last - n
-        assert direct.tail_bound == inner_term_magnitude(last + 1, ctx)
-        reference = _reference_sum(n + 1, last, ctx.working_dps + 20)
-        assert abs(direct.value - reference) < mpf(10) ** -(ctx.working_dps - 1)
 
     def test_many_indices_in_one_pass(self, ctx30):
         # the fixed-point scale depends on the last index, so only the
@@ -198,11 +186,10 @@ class TestLimit:
 
 class TestInnerTail:
     def test_tail_at_zero_is_limit(self, ctx30):
-        t0 = inner_tail(0, ctx30)
-        assert abs(t0.value - limit_S(ctx30)) < mpf("1e-38")
+        assert abs(_tail(0, ctx30) - limit_S(ctx30)) < mpf("1e-38")
 
     def test_t1_negative_pin(self, ctx30):
-        assert inner_tail(1, ctx30).value < 0
+        assert _tail(1, ctx30) < 0
 
     def test_t1_against_accelerated_oracle(self, ctx30):
         # independent tail oracle: mpmath series acceleration of the raw sum
@@ -210,24 +197,29 @@ class TestInnerTail:
             oracle = mp.nsum(
                 lambda k: (-1) ** k * (mpf(1) / (4 * k - 1) - mpf(1) / (4 * k - 3)),
                 [2, mp.inf])
-        assert abs(inner_tail(1, ctx30).value - oracle) < mpf("1e-30")
+        assert abs(_tail(1, ctx30) - oracle) < mpf("1e-30")
 
     def test_closed_vs_direct_routes(self):
-        ctx = PrecisionContext(digits=20, tolerance=mpf("1e-8"))
-        for n in range(0, 201):
-            closed = inner_tail(n, ctx, method="closed")
-            direct = inner_tail(n, ctx, method="direct")
-            assert abs(closed.value - direct.value) <= direct.tail_bound
-            assert direct.converged
-
-    def test_direct_route_respects_cap(self):
-        # 30 digits need about 3.5e14 terms, beyond the cap of 10^7
-        with pytest.raises(MaxTermsExceeded):
-            inner_tail(1, PrecisionContext(digits=30), method="direct")
+        # T_n against sum_{k=n+1}^{m} t_k, m the first index with
+        # |t_{m+1}| < 1e-8, which the alternating remainder bound puts
+        # within |t_{m+1}| of T_n; the reference tails for n = 200 .. 0
+        # come from one cumulative pass of m terms
+        ctx = PrecisionContext(digits=20)
+        m = _counting_loop_N(mpf("1e-8"), ctx)
+        bound = inner_term_magnitude(m + 1, ctx)
+        dps = ctx.working_dps + 20
+        with mp.workdps(dps):
+            reference = [_reference_sum(201, m, dps)]
+            for k in range(200, 0, -1):
+                reference.append(reference[-1] + _reference_sum(k, k, dps))
+        reference.reverse()  # reference[n] = sum_{k=n+1}^{m} t_k
+        with ctx.workprec():
+            for n in range(0, 201):
+                assert abs(_tail(n, ctx) - reference[n]) <= bound, n
 
     def test_smooth_magnitude_matches_closed(self, ctx30):
         for n in (1, 3, 10, 250):
-            closed = abs(inner_tail(n, ctx30).value)
+            closed = abs(_tail(n, ctx30))
             assert abs(closed - smooth_tail_magnitude(n, ctx30)) < mpf("1e-35")
 
 
