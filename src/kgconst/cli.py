@@ -141,11 +141,12 @@ def _write(ns, records, lines):
 
 
 def _report_record(report, ns):
+    digits = identities.printed_digits(report.id, ns.digits)
     return {
         "target": report.id.value,
-        "lhs": _nstr(report.lhs, ns.digits),
-        "rhs": _nstr(report.rhs, ns.digits),
-        "residual": _nstr(report.residual, ns.digits),
+        "lhs": _nstr(report.lhs, digits),
+        "rhs": _nstr(report.rhs, digits),
+        "residual": _nstr(report.residual, digits),
         "digits_agreed": report.digits_agreed,
         "passed": report.passed,
         "runtime_ms": report.runtime_ms if ns.timings else 0.0,

@@ -80,22 +80,24 @@ def ellip_E(k, ctx: PrecisionContext) -> BigReal:
 
 def ellip_K_quadrature(k, ctx: PrecisionContext) -> BigReal:
     """Defining-integral route for K(k) (independent oracle), by the periodic
-    trapezoid rule (the integrand is even with period pi)."""
+    trapezoid rule, with 1 - k^2 sin^2 t = cos^2 t + k'^2 sin^2 t."""
     with ctx.workprec():
         k = mpf(k)
         _check_modulus(k, "ellip_K_quadrature")
+        kp2 = (1 - k) * (1 + k)
         return quadrature.integrate_even_periodic(
-            lambda t: 1 / mp.sqrt(1 - (k * mp.sin(t)) ** 2), mp.pi / 2, ctx).value
+            lambda s2, c2: 1 / mp.sqrt(c2 + kp2 * s2), ctx).value
 
 
 def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
     """Defining-integral route for E(k) (independent oracle), by the periodic
-    trapezoid rule."""
+    trapezoid rule, with 1 - k^2 sin^2 t = cos^2 t + k'^2 sin^2 t."""
     with ctx.workprec():
         k = mpf(k)
         _check_modulus(k, "ellip_E_quadrature")
+        kp2 = (1 - k) * (1 + k)
         return quadrature.integrate_even_periodic(
-            lambda t: mp.sqrt(1 - (k * mp.sin(t)) ** 2), mp.pi / 2, ctx).value
+            lambda s2, c2: mp.sqrt(c2 + kp2 * s2), ctx).value
 
 
 def _imag_KE():
@@ -149,11 +151,10 @@ def haagerup_bound(ctx: PrecisionContext) -> BigReal:
 
 def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:
     """Independent route: reciprocal of the integral of cos^2(t)/sqrt(1+sin^2(t))
-    over (0, pi/2), by the periodic trapezoid rule (the integrand is even with
-    period pi)."""
+    over (0, pi/2), by the periodic trapezoid rule."""
     with ctx.workprec():
         integral = quadrature.integrate_even_periodic(
-            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
+            lambda s2, c2: c2 / mp.sqrt(1 + s2), ctx).value
         return 1 / integral
 
 
@@ -175,14 +176,15 @@ def krivine_complex_f(x, ctx: PrecisionContext) -> BigReal:
 
 def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:
     """Middle expression x * integral of cos^2(t)/sqrt(1-x^2 sin^2(t)) over
-    (0, pi/2) (oracle), by the periodic trapezoid rule (the integrand is even
-    with period pi)."""
+    (0, pi/2) (oracle), by the periodic trapezoid rule, with
+    1 - x^2 sin^2 t = cos^2 t + (1 - x^2) sin^2 t."""
     with ctx.workprec():
         x = mpf(x)
         if not (0 < x < 1):
             raise DomainError(f"middle expression requires 0 < x < 1, got {x}")
+        xp2 = (1 - x) * (1 + x)
         res = quadrature.integrate_even_periodic(
-            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 - (x * mp.sin(t)) ** 2), mp.pi / 2, ctx)
+            lambda s2, c2: c2 / mp.sqrt(c2 + xp2 * s2), ctx)
         return x * res.value
 
 

@@ -234,9 +234,13 @@ _TABLE = {
         _khintchine_stability),
 }
 
-# desk-scale checks keep a fixed tolerance regardless of ctx.digits
+# desk-scale checks keep a fixed tolerance regardless of ctx.digits, and
+# their values carry a fixed number of digits
 _TOLERANCE_OVERRIDES = {
     IdentityId.KHINTCHINE_STABILITY: khintchine.STABILITY_TOLERANCE,
+}
+_CARRIED_DIGITS = {
+    IdentityId.KHINTCHINE_STABILITY: khintchine.CARRIED_DIGITS,
 }
 
 REGISTRY_ORDER = tuple(_TABLE)
@@ -244,6 +248,12 @@ REGISTRY_ORDER = tuple(_TABLE)
 
 def anchor(identity: IdentityId) -> str:
     return _TABLE[identity].anchor
+
+
+def printed_digits(identity: IdentityId, digits: int) -> int:
+    """Significant digits worth printing of an identity's sides and residual
+    at the requested digits: those, or fewer for a desk-scale check."""
+    return min(digits, _CARRIED_DIGITS.get(identity, digits))
 
 
 def _digits_agreed(residual, lhs, rhs, cap):

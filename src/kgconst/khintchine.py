@@ -28,6 +28,9 @@ ACCEL_BASE_TERMS = 20_000
 # at the 30 working digits of TAIL_CTX at every caller precision
 TAIL_TOLERANCE = mpf("1e-14")
 TAIL_CTX = PrecisionContext(digits=20)
+# the digits the module's values carry, so the most worth printing: the
+# zeta-series reference and the tail are computed at TAIL_CTX's working digits
+CARRIED_DIGITS = TAIL_CTX.working_dps
 _LN2 = math.log(2)
 
 
@@ -39,14 +42,17 @@ class ProductResult:
     accelerated: bool
 
 
-def _log_sum(N: int) -> float:
-    """sum_{n=1}^{N} (ln n/ln 2) ln(1 + 1/(n(n+2))), exactly rounded in binary64.
+def _log_sum(marks) -> list:
+    """sum_{n=1}^{N} (ln n/ln 2) ln(1 + 1/(n(n+2))) for each N of the
+    ascending marks, each exactly rounded in binary64.
 
-    Each term is a binary64 value and math.fsum adds them without rounding
-    error; binary64 is ample for the module's eight-digit scope.
+    The terms up to the last mark are computed once, each a binary64 value,
+    and math.fsum adds each prefix without rounding error; binary64 is ample
+    for the module's eight-digit scope.
     """
-    return math.fsum(math.log(n) / _LN2 * math.log1p(1.0 / (n * (n + 2.0)))
-                     for n in range(1, N + 1))
+    terms = [math.log(n) / _LN2 * math.log1p(1.0 / (n * (n + 2.0)))
+             for n in range(1, marks[-1] + 1)]
+    return [math.fsum(terms[:N]) for N in marks]
 
 
 def log_tail_bound(N: int, ctx: PrecisionContext) -> BigReal:
@@ -65,7 +71,7 @@ def khintchine_partial(N: int, ctx: PrecisionContext) -> ProductResult:
         if N <= 1000:  # small ranges at full working precision
             value = mp.exp(mp.fsum(_log_term(mpf(n)) for n in range(1, N + 1)))
         else:
-            value = mp.exp(mpf(_log_sum(N)))
+            value = mp.exp(mpf(_log_sum([N])[0]))
         tail = value * mp.expm1(log_tail_bound(N, ctx))
         return ProductResult(value=value, terms_used=N, tail_estimate=tail,
                              accelerated=False)
@@ -99,9 +105,10 @@ def _em_log_tail(N: int) -> BigReal:
 def khintchine_accelerated(ctx: PrecisionContext) -> ProductResult:
     """Product with tail correction over 2 ACCEL_BASE_TERMS factors, stable
     to STABILITY_TOLERANCE against the one over ACCEL_BASE_TERMS."""
+    marks = [ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS]
     with ctx.workprec():
-        values = [mp.exp(mpf(_log_sum(N)) + _em_log_tail(N))
-                  for N in (ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS)]
+        values = [mp.exp(mpf(log_sum) + _em_log_tail(N))
+                  for N, log_sum in zip(marks, _log_sum(marks))]
         spread = abs(values[1] - values[0])
         if spread > STABILITY_TOLERANCE:
             raise NoConvergence(

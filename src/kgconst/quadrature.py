@@ -4,7 +4,12 @@
   analytic on the closed interval (integrate_analytic).  Its weights are
   built once per (intervals, precision) and cached; the cache is read-only
   after construction.
-- the trapezoid rule for even periodic integrands (integrate_even_periodic).
+- the trapezoid rule for integrands g(sin^2 t, cos^2 t), even and of period
+  pi (integrate_even_periodic).
+
+Both rules read their nodes from one integer table of sin(m pi/(2n)) per
+(intervals, precision), built from the table for half as many intervals
+(_sine_table), so neither evaluates a trigonometric function per node.
 
 Both rules double their intervals until the error estimate of the last
 three estimates falls below the target.  Each doubling about doubles the
@@ -30,13 +35,18 @@ from .errors import DomainError, NoConvergence, NonFiniteEvaluation
 ERROR_SAFETY_FACTOR = 10
 # decimal digits beyond ctx.working_dps at which both rules evaluate and sum
 RULE_EXTRA_DPS = 10
-# trapezoid intervals on the half period beyond which integrate_even_periodic
+# trapezoid intervals on (0, pi/2) beyond which integrate_even_periodic
 # gives up
 PERIODIC_MAX_INTERVALS = 2 ** 16
 # Fejer's second rule starts at FEJER_FIRST_INTERVALS intervals and gives up
-# beyond FEJER_MAX_INTERVALS; its weights cost O(n^2) integer operations
+# beyond FEJER_MAX_INTERVALS
 FEJER_FIRST_INTERVALS = 8
 FEJER_MAX_INTERVALS = 2 ** 11
+# fraction bits of the sine table beyond the rule's precision and GUARD_BITS:
+# 16 for the factor n <= PERIODIC_MAX_INTERVALS by which sin^2 of the first
+# node magnifies an entry's error, 6 for that error (under 2 log2 n <= 32
+# units, doubled by the square) and 2 spare; see _sine_table
+TABLE_EXTRA_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,112 @@ class QuadratureResult:
     levels: int
 
 
-# (intervals, prec) -> (distances, weights) of Fejer's second rule, see
-# _fejer_rule
+# (intervals, prec) -> the sine table of _sine_table, and the (distances,
+# weights) of Fejer's second rule of _fejer_rule; the lock is reentrant
+# because each table is built from the one below it
+_table_cache: dict = {}
 _fejer_cache: dict = {}
-_cache_lock = threading.Lock()
+_cache_lock = threading.RLock()
+
+
+def _table_bits(prec: int) -> int:
+    return prec + GUARD_BITS + TABLE_EXTRA_BITS
+
+
+def _sine_table(n: int, prec: int) -> list:
+    """sin(m pi/(2n)) for m = 0 .. n (n a power of 2), as integers scaled by
+    2^P, P = _table_bits(prec), in the manner of series._fixed_point_sums.
+
+    The table for n is the table for n/2 at its even entries; with
+    phi = pi/(2n), each odd entry is
+    sin((2i+1) phi) = sin(2i phi) cos(phi) + cos(2i phi) sin(phi), where
+    sin(2i phi) and cos(2i phi) = sin((n - 2i) phi) are entries i and
+    n/2 - i of the table for n/2, and cos(phi), sin(phi) come from one
+    cospi/sinpi pair per level.  Rounding cos(phi), sin(phi) and the entry
+    to the nearest unit 2^-P adds under sqrt(2)/2 + 1/2 + 1/64 units to
+    (cos(phi) + sin(phi)) times the error of the table for n/2, so every
+    entry is within 2 log2(n) units of sin(m pi/(2n)) 2^P (by induction
+    from the exact table [0, 2^P] for n = 1).
+    """
+    key = (n, prec)
+    table = _table_cache.get(key)
+    if table is not None:
+        return table
+    with _cache_lock:
+        table = _table_cache.get(key)
+        if table is not None:
+            return table
+        P = _table_bits(prec)
+        if n == 1:
+            table = [0, 1 << P]
+        else:
+            half = _sine_table(n // 2, prec)
+            with mp.workprec(P + 10):
+                c, s = (int(mp.nint(mp.ldexp(trig(mpf(1) / (2 * n)), P)))
+                        for trig in (mp.cospi, mp.sinpi))
+            rounding = 1 << (P - 1)
+            h = n // 2
+            table = [None] * (n + 1)
+            table[::2] = half
+            table[1::2] = [(half[i] * c + half[h - i] * s + rounding) >> P
+                           for i in range(h)]
+        _table_cache[key] = table
+        return table
+
+
+def _fft(x, period, P, stride):
+    """The DFT sum_k x_k e^(2 pi i jk/m), j = 0 .. m-1, of real x (integers
+    scaled by 2^P, m = len(x) a power of 2), as (re, im) lists, by radix-2
+    decimation in time.  period is sin(q pi/(2n)) for q = 0 .. 4n-1 scaled
+    by 2^P, and stride = 4n/m, so the twiddle e^(2 pi i j/m) is
+    period[j stride + n] + i period[j stride].  Each product is rounded to
+    the nearest unit once."""
+    m = len(x)
+    if m == 1:
+        return x, [0]
+    er, ei = _fft(x[::2], period, P, 2 * stride)
+    odd_r, odd_i = _fft(x[1::2], period, P, 2 * stride)
+    quarter = len(period) // 4
+    rounding = 1 << (P - 1)
+    out_r, out_i = er + er, ei + ei
+    h = m // 2
+    for j in range(h):
+        c, s = period[j * stride + quarter], period[j * stride]
+        tr = (c * odd_r[j] - s * odd_i[j] + rounding) >> P
+        ti = (c * odd_i[j] + s * odd_r[j] + rounding) >> P
+        out_r[j] += tr
+        out_i[j] += ti
+        out_r[j + h] -= tr
+        out_i[j + h] -= ti
+    return out_r, out_i
+
+
+def _weight_sums(n: int, prec: int) -> list:
+    """S_j = sum_{k=1}^{n/2} sin((2k-1) theta_j)/(2k-1), theta_j = j pi/n,
+    for j = 0 .. n/2 (entry 0 unused), as integers scaled by 2^P,
+    P = _table_bits(prec).
+
+    S_j = Im[e^(-i theta_j) F_j], F_j = sum_{k=1}^{n/2} e^(2 pi i jk/n)/(2k-1),
+    one length-n DFT of 1/(2k-1) (Waldvogel, "Fast construction of the Fejer
+    and Clenshaw-Curtis quadrature rules", BIT 46, 2006), taken by _fft with
+    twiddles from _sine_table(n, prec): sin theta_j is entry 2j and
+    cos theta_j entry n - 2j.  With table entries off by under
+    e = 2 log2(n) units 2^-P and every partial DFT at most
+    H = sum_{k=1}^{n/2} 1/(2k-1) in size, each of the log2(n) stages at most
+    doubles the error of F_j and adds sqrt(2) e H + 1 units, so S_j is off by
+    under (n + 1)(sqrt(2) e H + 2) units.
+    """
+    P = _table_bits(prec)
+    table = _sine_table(n, prec)
+    # sin(q pi/(2n)) for q = 0 .. 4n-1, one full period
+    period = table + table[n - 1:0:-1]
+    period += [-v for v in period]
+    x = [0] * n
+    x[1:n // 2 + 1] = [(1 << P) // (2 * k - 1) for k in range(1, n // 2 + 1)]
+    F_re, F_im = _fft(x, period, P, 4)
+    rounding = 1 << (P - 1)
+    return [None] + [(table[n - 2 * j] * F_im[j] - table[2 * j] * F_re[j] + rounding) >> P
+                     for j in range(1, n // 2 + 1)]
 
 
 def _fejer_rule(n: int, prec: int):
@@ -58,23 +170,21 @@ def _fejer_rule(n: int, prec: int):
     [-1, 1], rounded to prec bits.
 
     Its nodes are cos(theta_j), theta_j = j pi/n for j = 1 .. n-1, and its
-    weights w_j = (4 sin theta_j / n) sum_{k=1}^{n/2} sin((2k-1) theta_j)/(2k-1)
-    (Waldvogel, "Fast construction of the Fejer and Clenshaw-Curtis
-    quadrature rules", BIT 46, 2006).  Both are symmetric about j = n/2, so
-    the rule is returned as lists indexed by j = 0 .. n/2 (entry 0 unused):
-    the distance d_j = 1 - cos(theta_j) = 2 sin^2(theta_j/2) of the nodes
-    +-cos(theta_j) from the nearer endpoint, which keeps every digit of the
-    nodes close to an endpoint, and the weight w_j of each.
+    weights w_j = (4 sin theta_j / n) S_j, with S_j from _weight_sums.  Both
+    are symmetric about j = n/2, so the rule is returned as lists indexed by
+    j = 0 .. n/2 (entry 0 unused): the distance
+    d_j = 1 - cos(theta_j) = 2 sin^2(theta_j/2) of the nodes +-cos(theta_j)
+    from the nearer endpoint, which keeps every digit of the nodes close to
+    an endpoint, and the weight w_j of each.
 
-    Everything is read from one table of sin(m pi/(2n)), m = 0 .. n, held as
-    integers scaled by 2^P, P = prec + bitlength(n) + GUARD_BITS, in the
-    manner of series._fixed_point_sums.  Each entry is rounded to the
-    nearest unit 2^-P; each of the n/2 terms of the weight sum is floored
-    once more, so the sum (at most 1 in size) is off by under n units, its
-    product with sin(theta_j) by under n + 1, and the weight, after the
-    factor 4/n, by under 5 units.  The n - 1 weights together are then off
-    by under 5n 2^-P < 2^-(prec + GUARD_BITS - 3).  d_j is off by under
-    n 2^-P < 2^-(prec + GUARD_BITS) of itself, since sin(theta_j/2) >= 1/n.
+    sin(theta_j/2) and sin(theta_j) are entries j and 2j of
+    _sine_table(n, prec), integers scaled by 2^P off by under e = 2 log2(n)
+    units 2^-P.  With the error bound of _weight_sums, each weight is off by
+    under (4/n)(e + (n + 1)(sqrt(2) e H + 2)) < 2^10 units for
+    n <= FEJER_MAX_INTERVALS, and the n - 1 weights together by under
+    2^(10+11) 2^-P = 2^-(prec + GUARD_BITS + 3).  d_j is off by under
+    2 e n 2^-P < 2^-(prec + GUARD_BITS + 7) of itself, since
+    sin(theta_j/2) >= 1/n.
     """
     key = (n, prec)
     rule = _fejer_cache.get(key)
@@ -84,22 +194,14 @@ def _fejer_rule(n: int, prec: int):
         rule = _fejer_cache.get(key)
         if rule is not None:
             return rule
-        P = prec + n.bit_length() + GUARD_BITS
-        with mp.workprec(P + 10):
-            quarter = [int(mp.nint(mp.ldexp(mp.sinpi(mpf(m) / (2 * n)), P)))
-                       for m in range(n + 1)]
-        # sin(m pi/(2n)) for m = 0 .. 4n-1, one full period
-        table = quarter + quarter[n - 1:0:-1]
-        table += [-v for v in table]
-        period = 4 * n
-        odd = range(1, n, 2)
+        P = _table_bits(prec)
+        table = _sine_table(n, prec)
+        sums = _weight_sums(n, prec)
         distances, weights = [None], [None]
         with mp.workprec(prec):
             for j in range(1, n // 2 + 1):
-                step = 2 * j  # theta_j = 2j pi/(2n)
-                s = sum(table[step * k % period] // k for k in odd)
-                distances.append(mp.ldexp(2 * quarter[j] ** 2, -2 * P))
-                weights.append(mp.ldexp(4 * table[step] * s, -2 * P) / n)
+                distances.append(mp.ldexp(2 * table[j] ** 2, -2 * P))
+                weights.append(mp.ldexp(4 * table[2 * j] * sums[j], -2 * P) / n)
         rule = (distances, weights)
         _fejer_cache[key] = rule
         return rule
@@ -120,10 +222,10 @@ def _error_estimate(estimates):
     return ERROR_SAFETY_FACTOR * mpf(10) ** exponent
 
 
-def _checked(f, x):
-    v = f(x)
+def _checked(f, *x):
+    v = f(*x)
     if not mp.isfinite(v):
-        raise NonFiniteEvaluation(f"integrand returned {v} at x={x}")
+        raise NonFiniteEvaluation(f"integrand returned {v} at {x}")
     return v
 
 
@@ -180,28 +282,36 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
             values = spread
 
 
-def integrate_even_periodic(f, half_period, ctx: PrecisionContext) -> QuadratureResult:
-    """Integrate f over (0, half_period), for f even and of period 2 half_period.
+def integrate_even_periodic(g, ctx: PrecisionContext) -> QuadratureResult:
+    """Integrate g(sin^2 t, cos^2 t) over (0, pi/2).
 
-    The trapezoid rule on [0, half_period] with halved end weights equals
-    half the trapezoid rule over a full period, which converges
-    geometrically for analytic periodic integrands (Trefethen & Weideman,
-    "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014):
-    doubling the points doubles the correct digits.  The number of intervals
-    doubles from 4, reusing every point, until the error estimate of the
-    module docstring falls below ctx.working_tolerance.  Raises DomainError
-    unless half_period > 0, NoConvergence beyond PERIODIC_MAX_INTERVALS
-    intervals and NonFiniteEvaluation if f returns a non-finite value.
+    The integrand is even and of period pi, so the trapezoid rule on
+    [0, pi/2] with halved end weights equals half the trapezoid rule over a
+    full period, which converges geometrically for analytic periodic
+    integrands (Trefethen & Weideman, "The exponentially convergent
+    trapezoidal rule", SIAM Review 56, 2014): doubling the points doubles
+    the correct digits.  The number of intervals n doubles from 4, reusing
+    every point, until the error estimate of the module docstring falls
+    below ctx.working_tolerance.  At t_j = j pi/(2n), sin t_j and
+    cos t_j = sin((n - j) pi/(2n)) are entries j and n - j of
+    _sine_table(n, prec), so each square is off by under
+    2^-(prec + GUARD_BITS + 2) of itself (see TABLE_EXTRA_BITS) and both
+    are exact at the ends.  Write g so that it cancels no digits: for
+    example 1 - k^2 sin^2 t as cos^2 t + (1 - k)(1 + k) sin^2 t.  Raises
+    NoConvergence beyond PERIODIC_MAX_INTERVALS intervals and
+    NonFiniteEvaluation if g returns a non-finite value.
     """
     with mp.workdps(ctx.working_dps + RULE_EXTRA_DPS):
-        T = mpf(half_period)
-        if not T > 0:
-            raise DomainError(f"integrate_even_periodic requires half_period > 0, got {T}")
         tol = ctx.working_tolerance
+        P2 = 2 * _table_bits(mp.prec)
+
+        def value(j, n):
+            table = _sine_table(n, mp.prec)
+            return _checked(g, mp.ldexp(table[j] ** 2, -P2), mp.ldexp(table[n - j] ** 2, -P2))
+
         n = 4
-        raw_sum = (_checked(f, mpf(0)) + _checked(f, T)) / 2 + mp.fsum(
-            _checked(f, j * T / n) for j in range(1, n))
-        estimates = [T / n * raw_sum]
+        raw_sum = (value(0, n) + value(n, n)) / 2 + mp.fsum(value(j, n) for j in range(1, n))
+        estimates = [mp.pi / (2 * n) * raw_sum]
         while True:
             if len(estimates) >= 3:
                 err = _error_estimate(estimates)
@@ -214,6 +324,5 @@ def integrate_even_periodic(f, half_period, ctx: PrecisionContext) -> Quadrature
                     f"{n} intervals (error estimate {err})"
                 )
             n *= 2
-            raw_sum += mp.fsum(_checked(f, j * T / n) for j in range(1, n, 2))
-            estimates.append(T / n * raw_sum)
-
+            raw_sum += mp.fsum(value(j, n) for j in range(1, n, 2))
+            estimates.append(mp.pi / (2 * n) * raw_sum)

@@ -105,6 +105,19 @@ class TestVerify:
                               "--format", "json")
         assert first == second
 
+    def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
+        # the 30-digit zeta-series reference and the product are not padded
+        # to --digits with the binary expansion of their last bits
+        code, out, _ = invoke(capsys, "verify", "KHINTCHINE_STABILITY",
+                              "--digits", "500", "--format", "json")
+        assert code == EXIT_OK
+        record = json.loads(out)
+        for key in ("lhs", "rhs", "residual"):
+            mantissa = record[key].split("e")[0].lstrip("-0.").replace(".", "")
+            assert len(mantissa) == 30, (key, record[key])
+        with mp.workdps(40):
+            assert abs(mpf(record["rhs"]) - mp.khinchin) < mpf("1e-28")
+
     def test_unknown_identity(self, capsys):
         code, _, err = invoke(capsys, "verify", "MYSTERY")
         assert code == EXIT_USAGE

@@ -26,19 +26,17 @@ from kgconst.elliptic import (
 K_GRID = ["0.05", "0.3", "0.5", "0.7", "0.9", "0.99"]
 
 
-# Defining integrals of K(i) and E(i), whose integrands are even with period
-# pi, by the periodic trapezoid rule: a route that shares nothing with the
-# AGM (mpmath's ellipk and ellipe run the AGM too).
+# Defining integrals of K(i) and E(i), functions of sin^2 t, by the periodic
+# trapezoid rule: a route that shares nothing with the AGM (mpmath's ellipk
+# and ellipe run the AGM too).
 def ellip_K_imag_quadrature(ctx):
     with ctx.workprec():
-        return integrate_even_periodic(
-            lambda t: 1 / mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
+        return integrate_even_periodic(lambda s2, c2: 1 / mp.sqrt(1 + s2), ctx).value
 
 
 def ellip_E_imag_quadrature(ctx):
     with ctx.workprec():
-        return integrate_even_periodic(
-            lambda t: mp.sqrt(1 + mp.sin(t) ** 2), mp.pi / 2, ctx).value
+        return integrate_even_periodic(lambda s2, c2: mp.sqrt(1 + s2), ctx).value
 
 
 class TestSpecialValues:

@@ -4,6 +4,7 @@ from mpmath import mp, mpf
 
 from kgconst import (
     IdentityId,
+    NoConvergence,
     PrecisionContext,
     identities,
     quadrature,
@@ -129,11 +130,17 @@ class TestSingleVerify:
         assert "series_form_residual" in r.params
         assert r.params["series_form_residual"] < mpf("1e-20")
 
-    def test_library_errors_become_failed_reports(self):
-        # a max-terms squeeze surfaces as a failed report, not an exception
-        ctx = PrecisionContext(digits=30)
-        r = verify(IdentityId.PARSEVAL_DOUBLE_SERIES, ctx)
-        assert r.passed  # sanity: normally fine at 30 digits
+    def test_library_errors_become_failed_reports(self, monkeypatch):
+        # a NoConvergence from the series layer surfaces as a failed report,
+        # not an exception
+        def no_convergence(ctx):
+            raise NoConvergence("double series did not converge")
+
+        monkeypatch.setattr(series, "double_series", no_convergence)
+        r = verify(IdentityId.PARSEVAL_DOUBLE_SERIES, PrecisionContext(digits=30))
+        assert not r.passed
+        assert r.residual == mp.inf
+        assert r.params["error"] == "NoConvergence: double series did not converge"
 
     def test_khintchine_uses_fixed_tolerance(self):
         # the product is desk-scale: it passes at high ctx digits because its

@@ -13,7 +13,7 @@ from kgconst import (
     integrate_even_periodic,
 )
 from kgconst import quadrature
-from kgconst.quadrature import _fejer_rule
+from kgconst.quadrature import _fejer_rule, _sine_table, _table_bits, _weight_sums
 
 
 class TestFiniteInterval:
@@ -81,20 +81,21 @@ class TestFailureModes:
     def test_degenerate_interval_rejected(self, ctx30):
         with pytest.raises(DomainError):
             integrate_analytic(lambda x: x, 1, 1, ctx30)
-        with pytest.raises(DomainError):
-            integrate_even_periodic(lambda x: x, 0, ctx30)
 
     def test_nonfinite_integrand(self, ctx30):
         with pytest.raises(NonFiniteEvaluation):
-            integrate_even_periodic(lambda t: mpf("nan"), 1, ctx30)
+            integrate_even_periodic(lambda s2, c2: mpf("nan"), ctx30)
         with pytest.raises(NonFiniteEvaluation):
-            integrate_even_periodic(lambda t: mpf("inf") if t > mpf("0.5") else t, 1, ctx30)
+            integrate_even_periodic(lambda s2, c2: mpf("inf") if s2 > mpf("0.5") else s2, ctx30)
 
 
 class TestDeterminism:
-    def test_identical_reruns(self, ctx30):
-        a = integrate_even_periodic(lambda t: 1 / (2 + mp.cos(2 * t)), mp.pi / 2, ctx30)
-        b = integrate_even_periodic(lambda t: 1 / (2 + mp.cos(2 * t)), mp.pi / 2, ctx30)
+    def test_identical_reruns(self, ctx30, monkeypatch):
+        # 1/(2 + cos 2t); the second run rebuilds the sine tables from an
+        # empty cache
+        a = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30)
+        monkeypatch.setattr(quadrature, "_table_cache", {})
+        b = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30)
         assert a.value == b.value
         assert a.evaluations == b.evaluations
         assert a.levels == b.levels
@@ -143,10 +144,7 @@ class TestClosedForms:
 
     def test_haagerup_integral(self, digits):
         ctx = PrecisionContext(digits=digits)
-        with ctx.workprec():
-            half_pi = mp.pi / 2
-        value = integrate_even_periodic(
-            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 + mp.sin(t) ** 2), half_pi, ctx).value
+        value = integrate_even_periodic(lambda s2, c2: c2 / mp.sqrt(1 + s2), ctx).value
         _assert_relative(value, lambda: 2 * mp.ellipk(-1) - mp.ellipe(-1), ctx)
 
     @pytest.mark.parametrize("x", ["0.25", "0.5", "0.9", "0.999"])
@@ -154,9 +152,9 @@ class TestClosedForms:
         ctx = PrecisionContext(digits=digits)
         with ctx.workprec():
             x = mpf(x)
-            half_pi = mp.pi / 2
+            xp2 = (1 - x) * (1 + x)
         value = integrate_even_periodic(
-            lambda t: mp.cos(t) ** 2 / mp.sqrt(1 - (x * mp.sin(t)) ** 2), half_pi, ctx).value
+            lambda s2, c2: c2 / mp.sqrt(c2 + xp2 * s2), ctx).value
 
         def reference():
             m = x * x
@@ -168,20 +166,30 @@ class TestEvenPeriodic:
     def test_each_point_evaluated_once(self, ctx30):
         seen = []
 
-        def f(t):
-            seen.append(t)
-            return 1 / (2 + mp.cos(2 * t))
+        def g(s2, c2):
+            seen.append((s2, c2))
+            return 1 / (2 + c2 - s2)
 
-        res = integrate_even_periodic(f, mp.pi / 2, ctx30)
+        res = integrate_even_periodic(g, ctx30)
         assert res.evaluations == len(seen) == len(set(seen))
         with ctx30.workprec():
             assert abs(res.value - mp.pi / (2 * mp.sqrt(3))) < ctx30.tolerance
 
+    def test_nodes_are_squared_sines_and_cosines(self, ctx30):
+        # exact at the ends, and sin^2 t + cos^2 t = 1 at every node
+        seen = []
+        res = integrate_even_periodic(lambda s2, c2: (seen.append((s2, c2)), 1)[1], ctx30)
+        with ctx30.workprec():
+            assert abs(res.value - mp.pi / 2) < ctx30.tolerance
+        assert (0, 1) in seen and (1, 0) in seen
+        with mp.workdps(ctx30.working_dps + quadrature.RULE_EXTRA_DPS):
+            assert all(abs(s2 + c2 - 1) < mpf(10) ** -mp.dps for s2, c2 in seen)
+
     def test_point_cap_raises(self, ctx30):
-        # t^2 is even but not periodic: the trapezoid error falls only like
-        # h^2, far above the target at the cap
+        # |sin t| is even and of period pi but has a kink at 0: the
+        # trapezoid error falls only like h^2, far above the target at the cap
         with pytest.raises(NoConvergence):
-            integrate_even_periodic(lambda t: t * t, 1, ctx30)
+            integrate_even_periodic(lambda s2, c2: mp.sqrt(s2), ctx30)
 
 
 def _reference_fejer(n, dps):
@@ -197,6 +205,44 @@ def _reference_fejer(n, dps):
         return distances, weights
 
 
+def _reference_weight_sums(n, prec):
+    """The sums S_j = sum_{k=1}^{n/2} sin((2k-1) j pi/n)/(2k-1), j = 1 .. n/2,
+    by n^2/4 integer divisions on a directly rounded sine table, 2^-P2 with
+    P2 = _table_bits(prec) + 20 so that their own error is 2^-20 of the
+    rule's bound: the O(n^2) construction the FFT replaces."""
+    P2 = _table_bits(prec) + 20
+    with mp.workprec(P2 + 10):
+        quarter = [int(mp.nint(mp.ldexp(mp.sinpi(mpf(m) / (2 * n)), P2)))
+                   for m in range(n + 1)]
+    period = quarter + quarter[n - 1:0:-1]
+    period += [-v for v in period]
+    return [mp.ldexp(sum(period[2 * j * k % (4 * n)] // k for k in range(1, n, 2)), -P2)
+            for j in range(1, n // 2 + 1)]
+
+
+class TestSineTable:
+    @pytest.mark.parametrize("dps", [30, 200, 500])
+    def test_entries_within_stated_bound(self, dps):
+        # every entry of the tables for n = 8 .. 2048 within 2 log2(n) units
+        # 2^-P of sin(m pi/(2n)), so within 2 log2(n) + 1/2 units of the
+        # directly rounded value; each table is the even entries of the next
+        top = 2048
+        with mp.workdps(dps):
+            prec = mp.prec
+        P = _table_bits(prec)
+        with mp.workprec(P + 10):
+            direct = [int(mp.nint(mp.ldexp(mp.sinpi(mpf(m) / (2 * top)), P)))
+                      for m in range(top + 1)]
+        n = 8
+        while n <= top:
+            table = _sine_table(n, prec)
+            assert table == _sine_table(2 * n, prec)[::2]
+            bound = 2 * (n.bit_length() - 1) + mpf(1) / 2
+            step = top // n
+            assert max(abs(t - d) for t, d in zip(table, direct[::step])) <= bound, n
+            n *= 2
+
+
 class TestAnalytic:
     @pytest.mark.parametrize("dps, n", [(36, 8), (36, 64), (220, 256)])
     def test_rule_matches_direct_reference(self, dps, n):
@@ -207,6 +253,27 @@ class TestAnalytic:
             for d, w, rd, rw in zip(distances[1:], weights[1:], ref_d, ref_w):
                 assert abs(d - rd) < rd * mpf(10) ** -dps
                 assert abs(w - rw) < mpf(10) ** -dps
+
+    @pytest.mark.parametrize("dps, n", [(60, 8), (60, 2048), (220, 512), (520, 1024)])
+    def test_fft_weights_within_stated_bound(self, dps, n):
+        # the FFT's S_j within (n + 1)(sqrt(2) e H + 2) units 2^-P of the
+        # O(n^2) reference, e = 2 log2(n), H = sum_{k<=n/2} 1/(2k-1); each
+        # weight within 2^10 units of (4 sin(theta_j)/n) S_j before its
+        # rounding to prec bits
+        with mp.workdps(dps):
+            prec = mp.prec
+            weights = _fejer_rule(n, prec)[1]
+        P = _table_bits(prec)
+        sums = _weight_sums(n, prec)
+        with mp.workprec(3 * P):
+            e = 2 * (n.bit_length() - 1)
+            H = mp.fsum(mpf(1) / (2 * k - 1) for k in range(1, n // 2 + 1))
+            sum_bound = mp.ldexp((n + 1) * (mp.sqrt(2) * e * H + 2), -P)
+            for j, s in enumerate(_reference_weight_sums(n, prec), start=1):
+                assert abs(mp.ldexp(sums[j], -P) - s) <= sum_bound, j
+                reference = 4 * mp.sinpi(mpf(j) / n) * s / n
+                assert abs(weights[j] - reference) <= (
+                    mp.ldexp(2 ** 10, -P) + mp.ldexp(abs(reference), -prec)), j
 
     @pytest.mark.parametrize("digits", [30, 120])
     @pytest.mark.parametrize("n", [1, 3, 7])
