@@ -15,9 +15,10 @@ tolerance, 64 usage error (--digits outside 10..MAX_DIGITS, --max-terms
 below 1, or an option the subcommand does not take).
 
 Numbers are serialized as decimal strings carrying exactly ``digits``
-significant digits, never as binary floats.  Output is byte-deterministic
-for identical argv; measured runtimes are therefore suppressed (reported as
-0.0) unless --timings is given.
+significant digits, or fewer where the value carries fewer
+(identities.printed_digits), never as binary floats.  Output is
+byte-deterministic for identical argv; measured runtimes are therefore
+suppressed (reported as 0.0) unless --timings is given.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from mpmath import mp
 
 from . import elliptic, identities, khintchine, series
 from .core import GUARD_DIGITS, MIN_DIGITS, PrecisionContext, const_KG, const_L, const_pi
-from .errors import KgconstError, MaxTermsExceeded, NoConvergence
+from .errors import KgconstError, MaxTermsExceeded
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -161,14 +162,10 @@ def _run_compute(ns) -> int:
         return EXIT_USAGE
     ctx = PrecisionContext(digits=ns.digits)
     fn, description = _CONSTANTS[ns.target]
-    try:
-        value = fn(ctx)
-    except (NoConvergence, MaxTermsExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    value = fn(ctx)
     record = {
         "target": ns.target,
-        "value": _nstr(value, ns.digits),
+        "value": _nstr(value, identities.printed_digits(ns.target, ns.digits)),
         "runtime_ms": 0.0,
         "paper_anchor": description,
     }
@@ -260,16 +257,13 @@ def _run_trace(ns) -> int:
               f"{', '.join(_TRACE_TARGETS)}", file=sys.stderr)
         return EXIT_USAGE
     ctx = PrecisionContext(digits=ns.digits)
-    try:
-        rows = _trace_rows(ns.target, ctx, ns.max_terms)
-    except (NoConvergence, MaxTermsExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    rows = _trace_rows(ns.target, ctx, ns.max_terms)
+    digits = identities.printed_digits(ns.target, ns.digits)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "value", "residual"])
     for index, value, residual in rows:
-        writer.writerow([index, _nstr(value, ns.digits), _nstr(residual, ns.digits)])
+        writer.writerow([index, _nstr(value, digits), _nstr(residual, digits)])
     _emit(buf.getvalue(), ns.out)
     final_residual = rows[-1][2]
     tol = (khintchine.STABILITY_TOLERANCE if ns.target == "khintchine_partial"

@@ -234,13 +234,16 @@ _TABLE = {
         _khintchine_stability),
 }
 
-# desk-scale checks keep a fixed tolerance regardless of ctx.digits, and
-# their values carry a fixed number of digits
+# desk-scale checks keep a fixed tolerance regardless of ctx.digits
 _TOLERANCE_OVERRIDES = {
     IdentityId.KHINTCHINE_STABILITY: khintchine.STABILITY_TOLERANCE,
 }
+# the printed outputs, by identity, CLI constant or trace target, whose
+# values carry a fixed number of digits
 _CARRIED_DIGITS = {
     IdentityId.KHINTCHINE_STABILITY: khintchine.CARRIED_DIGITS,
+    "KHINTCHINE": khintchine.CARRIED_DIGITS,
+    "khintchine_partial": khintchine.CARRIED_DIGITS,
 }
 
 REGISTRY_ORDER = tuple(_TABLE)
@@ -250,10 +253,11 @@ def anchor(identity: IdentityId) -> str:
     return _TABLE[identity].anchor
 
 
-def printed_digits(identity: IdentityId, digits: int) -> int:
-    """Significant digits worth printing of an identity's sides and residual
-    at the requested digits: those, or fewer for a desk-scale check."""
-    return min(digits, _CARRIED_DIGITS.get(identity, digits))
+def printed_digits(name: str, digits: int) -> int:
+    """Significant digits worth printing of the values of an identity, CLI
+    constant or trace target name at the requested digits: those, or fewer
+    for a desk-scale value."""
+    return min(digits, _CARRIED_DIGITS.get(name, digits))
 
 
 def _digits_agreed(residual, lhs, rhs, cap):

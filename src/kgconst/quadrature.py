@@ -1,18 +1,22 @@
 """Quadrature at arbitrary precision, by two rules:
 
 - Fejer's second rule on the interior Chebyshev points for integrands
-  analytic on the closed interval (integrate_analytic).  Its weights are
-  built once per (intervals, precision) and cached; the cache is read-only
-  after construction.
+  analytic on the closed interval (integrate_analytic).
 - the trapezoid rule for integrands g(sin^2 t, cos^2 t), even and of period
   pi (integrate_even_periodic).
 
 Both rules read their nodes from one integer table of sin(m pi/(2n)) per
 (intervals, precision), built from the table for half as many intervals
 (_sine_table), so neither evaluates a trigonometric function per node.
+The tables and Fejer's weights are cached per (intervals, precision) by
+functools.lru_cache, which keeps its bookkeeping consistent across threads;
+a concurrent miss may build an entry twice, with identical integers.
+mpmath's precision is process-global, so the package is not safe to call
+from two threads at once in any case.
 
-Both rules double their intervals until the error estimate of the last
-three estimates falls below the target.  Each doubling about doubles the
+One loop (_doubling) runs both rules: it doubles their intervals until the
+error estimate of the last three estimates falls below the target, or
+raises NoConvergence beyond the rule's cap.  Each doubling about doubles the
 correct digits, so the error of the last estimate is far below its
 difference from the one before: the estimate is 10^max(D1^2/D2, 2 D1), with
 D1 and D2 the log10 distances of the last estimate from the two before it
@@ -24,8 +28,8 @@ ctx.working_tolerance = ctx.tolerance 10^-GUARD_DIGITS.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -57,18 +61,11 @@ class QuadratureResult:
     levels: int
 
 
-# (intervals, prec) -> the sine table of _sine_table, and the (distances,
-# weights) of Fejer's second rule of _fejer_rule; the lock is reentrant
-# because each table is built from the one below it
-_table_cache: dict = {}
-_fejer_cache: dict = {}
-_cache_lock = threading.RLock()
-
-
 def _table_bits(prec: int) -> int:
     return prec + GUARD_BITS + TABLE_EXTRA_BITS
 
 
+@lru_cache(maxsize=None)
 def _sine_table(n: int, prec: int) -> list:
     """sin(m pi/(2n)) for m = 0 .. n (n a power of 2), as integers scaled by
     2^P, P = _table_bits(prec), in the manner of series._fixed_point_sums.
@@ -84,30 +81,20 @@ def _sine_table(n: int, prec: int) -> list:
     entry is within 2 log2(n) units of sin(m pi/(2n)) 2^P (by induction
     from the exact table [0, 2^P] for n = 1).
     """
-    key = (n, prec)
-    table = _table_cache.get(key)
-    if table is not None:
-        return table
-    with _cache_lock:
-        table = _table_cache.get(key)
-        if table is not None:
-            return table
-        P = _table_bits(prec)
-        if n == 1:
-            table = [0, 1 << P]
-        else:
-            half = _sine_table(n // 2, prec)
-            with mp.workprec(P + 10):
-                c, s = (int(mp.nint(mp.ldexp(trig(mpf(1) / (2 * n)), P)))
-                        for trig in (mp.cospi, mp.sinpi))
-            rounding = 1 << (P - 1)
-            h = n // 2
-            table = [None] * (n + 1)
-            table[::2] = half
-            table[1::2] = [(half[i] * c + half[h - i] * s + rounding) >> P
-                           for i in range(h)]
-        _table_cache[key] = table
-        return table
+    P = _table_bits(prec)
+    if n == 1:
+        return [0, 1 << P]
+    half = _sine_table(n // 2, prec)
+    with mp.workprec(P + 10):
+        c, s = (int(mp.nint(mp.ldexp(trig(mpf(1) / (2 * n)), P)))
+                for trig in (mp.cospi, mp.sinpi))
+    rounding = 1 << (P - 1)
+    h = n // 2
+    table = [None] * (n + 1)
+    table[::2] = half
+    table[1::2] = [(half[i] * c + half[h - i] * s + rounding) >> P
+                   for i in range(h)]
+    return table
 
 
 def _fft(x, period, P, stride):
@@ -165,9 +152,10 @@ def _weight_sums(n: int, prec: int) -> list:
                      for j in range(1, n // 2 + 1)]
 
 
+@lru_cache(maxsize=None)
 def _fejer_rule(n: int, prec: int):
     """Fejer's second rule with n intervals (n a power of 2, n >= 4) on
-    [-1, 1], rounded to prec bits.
+    [-1, 1]: its weights rounded to prec bits, its distances exact.
 
     Its nodes are cos(theta_j), theta_j = j pi/n for j = 1 .. n-1, and its
     weights w_j = (4 sin theta_j / n) S_j, with S_j from _weight_sums.  Both
@@ -184,27 +172,18 @@ def _fejer_rule(n: int, prec: int):
     n <= FEJER_MAX_INTERVALS, and the n - 1 weights together by under
     2^(10+11) 2^-P = 2^-(prec + GUARD_BITS + 3).  d_j is off by under
     2 e n 2^-P < 2^-(prec + GUARD_BITS + 7) of itself, since
-    sin(theta_j/2) >= 1/n.
+    sin(theta_j/2) >= 1/n.  Unlike the weights, each distance is the exact
+    value 2 (entry j)^2 2^-2P, a mantissa up to 2P bits wide.
     """
-    key = (n, prec)
-    rule = _fejer_cache.get(key)
-    if rule is not None:
-        return rule
-    with _cache_lock:
-        rule = _fejer_cache.get(key)
-        if rule is not None:
-            return rule
-        P = _table_bits(prec)
-        table = _sine_table(n, prec)
-        sums = _weight_sums(n, prec)
-        distances, weights = [None], [None]
-        with mp.workprec(prec):
-            for j in range(1, n // 2 + 1):
-                distances.append(mp.ldexp(2 * table[j] ** 2, -2 * P))
-                weights.append(mp.ldexp(4 * table[2 * j] * sums[j], -2 * P) / n)
-        rule = (distances, weights)
-        _fejer_cache[key] = rule
-        return rule
+    P = _table_bits(prec)
+    table = _sine_table(n, prec)
+    sums = _weight_sums(n, prec)
+    distances, weights = [None], [None]
+    with mp.workprec(prec):
+        for j in range(1, n // 2 + 1):
+            distances.append(mp.ldexp(2 * table[j] ** 2, -2 * P))
+            weights.append(mp.ldexp(4 * table[2 * j] * sums[j], -2 * P) / n)
+    return distances, weights
 
 
 def _error_estimate(estimates):
@@ -229,6 +208,31 @@ def _checked(f, *x):
     return v
 
 
+def _doubling(rule, level, n, max_intervals, ends, ctx):
+    """Run level(n), which evaluates the new points of a rule on n intervals
+    and returns its estimate, for n doubled from the given n until the error
+    estimate falls below ctx.working_tolerance.  Called at the rule's
+    working precision; raises NoConvergence naming the rule beyond
+    max_intervals.  The rule evaluates n - 1 interior points and `ends` ends.
+    """
+    tol = ctx.working_tolerance
+    estimates = []
+    err = mp.inf
+    while True:
+        estimates.append(level(n))
+        if len(estimates) >= 3:
+            err = _error_estimate(estimates)
+            if err < tol:
+                return QuadratureResult(value=estimates[-1], error_estimate=err,
+                                        evaluations=n - 1 + ends, levels=len(estimates))
+        if n >= max_intervals:
+            raise NoConvergence(
+                f"{rule} did not reach tolerance {tol} within "
+                f"{n} intervals (error estimate {err})"
+            )
+        n *= 2
+
+
 def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
     """Integrate f over (a, b), for f analytic on the closed interval [a, b].
 
@@ -237,8 +241,8 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
     Bernstein ellipse about [a, b] the error falls geometrically in n
     (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
     Review 50, 2008), so each doubling about doubles the correct digits and
-    the rule stops, as the periodic one does, when the error estimate of the module
-    docstring falls below ctx.working_tolerance.  The points are the
+    _doubling stops the rule when the error estimate of the module docstring
+    falls below ctx.working_tolerance.  The points are the
     interior Chebyshev points a + r d_j and b - r d_j, r = (b - a)/2, with
     d_j from the rule: no endpoint is evaluated, and a point near an
     endpoint keeps every digit of its distance from it.  Raises
@@ -250,36 +254,26 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
         b = mpf(b)
         if not a < b:
             raise DomainError(f"integrate_analytic requires a < b, got a={a}, b={b}")
-        tol = ctx.working_tolerance
         r = (b - a) / 2
-        n = FEJER_FIRST_INTERVALS
         # f at the one or two points of index j, summed; None until evaluated
-        values = [None] * (n // 2 + 1)
-        estimates = []
-        err = mp.inf
-        while True:
+        values = [None] * (FEJER_FIRST_INTERVALS // 4 + 1)
+
+        def level(n):
+            nonlocal values
             distances, weights = _fejer_rule(n, mp.prec)
+            # the points of n/2 intervals are the even-index points of n
+            spread = [None] * (n // 2 + 1)
+            spread[::2] = values
+            values = spread
             for j in range(1, n // 2 + 1):
                 if values[j] is None:
                     values[j] = _checked(f, a + r * distances[j])
                     if j < n // 2:
                         values[j] += _checked(f, b - r * distances[j])
-            estimates.append(r * mp.fdot(weights[1:], values[1:]))
-            if len(estimates) >= 3:
-                err = _error_estimate(estimates)
-                if err < tol:
-                    return QuadratureResult(value=estimates[-1], error_estimate=err,
-                                            evaluations=n - 1, levels=len(estimates))
-            if n >= FEJER_MAX_INTERVALS:
-                raise NoConvergence(
-                    f"Fejer's second rule did not reach tolerance {tol} within "
-                    f"{n} intervals (error estimate {err})"
-                )
-            n *= 2
-            # the points of n intervals are the even-index points of 2n
-            spread = [None] * (n // 2 + 1)
-            spread[::2] = values
-            values = spread
+            return r * mp.fdot(weights[1:], values[1:])
+
+        return _doubling("Fejer's second rule", level, FEJER_FIRST_INTERVALS,
+                         FEJER_MAX_INTERVALS, 0, ctx)
 
 
 def integrate_even_periodic(g, ctx: PrecisionContext) -> QuadratureResult:
@@ -302,27 +296,17 @@ def integrate_even_periodic(g, ctx: PrecisionContext) -> QuadratureResult:
     NonFiniteEvaluation if g returns a non-finite value.
     """
     with mp.workdps(ctx.working_dps + RULE_EXTRA_DPS):
-        tol = ctx.working_tolerance
         P2 = 2 * _table_bits(mp.prec)
+        # the ends t = 0 and pi/2, at half weight
+        raw_sum = (_checked(g, mpf(0), mpf(1)) + _checked(g, mpf(1), mpf(0))) / 2
 
-        def value(j, n):
+        def level(n):
+            nonlocal raw_sum
             table = _sine_table(n, mp.prec)
-            return _checked(g, mp.ldexp(table[j] ** 2, -P2), mp.ldexp(table[n - j] ** 2, -P2))
+            # every interior point on the first level, the new odd ones after
+            raw_sum += mp.fsum(
+                _checked(g, mp.ldexp(table[j] ** 2, -P2), mp.ldexp(table[n - j] ** 2, -P2))
+                for j in range(1, n, 1 if n == 4 else 2))
+            return mp.pi / (2 * n) * raw_sum
 
-        n = 4
-        raw_sum = (value(0, n) + value(n, n)) / 2 + mp.fsum(value(j, n) for j in range(1, n))
-        estimates = [mp.pi / (2 * n) * raw_sum]
-        while True:
-            if len(estimates) >= 3:
-                err = _error_estimate(estimates)
-                if err < tol:
-                    return QuadratureResult(value=estimates[-1], error_estimate=err,
-                                            evaluations=n + 1, levels=len(estimates))
-            if n >= PERIODIC_MAX_INTERVALS:
-                raise NoConvergence(
-                    f"periodic trapezoid did not reach tolerance {tol} within "
-                    f"{n} intervals (error estimate {err})"
-                )
-            n *= 2
-            raw_sum += mp.fsum(value(j, n) for j in range(1, n, 2))
-            estimates.append(mp.pi / (2 * n) * raw_sum)
+        return _doubling("periodic trapezoid", level, 4, PERIODIC_MAX_INTERVALS, 2, ctx)

@@ -4,7 +4,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import PrecisionContext, series
+from kgconst import NoConvergence, PrecisionContext, elliptic, series
 from kgconst.cli import (
     EXIT_IDENTITY_FAILED,
     EXIT_NOT_CONVERGED,
@@ -18,6 +18,11 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def significant_digits(text):
+    """The number of significant digits a printed value carries."""
+    return len(text.split("e")[0].lstrip("-0.").replace(".", ""))
 
 
 class TestCompute:
@@ -61,6 +66,25 @@ class TestCompute:
         code, _, err = invoke(capsys, "compute", "NOPE")
         assert code == EXIT_USAGE
         assert "valid targets" in err
+
+    def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
+        code, out, _ = invoke(capsys, "compute", "KHINTCHINE", "--digits", "60")
+        assert code == EXIT_OK
+        value = out.strip().split(" = ")[1]
+        assert significant_digits(value) == 30
+        with mp.workdps(40):
+            assert abs(mpf(value) - mp.khinchin) < mpf("1e-15")
+
+    def test_not_converged(self, capsys, monkeypatch):
+        def fail(ctx):
+            raise NoConvergence("root solve stalled")
+
+        monkeypatch.setattr(elliptic, "solve_x0", fail)
+        code, out, err = invoke(capsys, "compute", "X0")
+        assert code == EXIT_NOT_CONVERGED
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_invalid_digits(self, capsys):
         code, _, err = invoke(capsys, "compute", "PI", "--digits", "5")
@@ -113,8 +137,7 @@ class TestVerify:
         assert code == EXIT_OK
         record = json.loads(out)
         for key in ("lhs", "rhs", "residual"):
-            mantissa = record[key].split("e")[0].lstrip("-0.").replace(".", "")
-            assert len(mantissa) == 30, (key, record[key])
+            assert significant_digits(record[key]) == 30, (key, record[key])
         with mp.workdps(40):
             assert abs(mpf(record["rhs"]) - mp.khinchin) < mpf("1e-28")
 
@@ -163,6 +186,15 @@ class TestTrace:
         last = out.strip().splitlines()[-1].split(",")
         assert last[0] == "accelerated"
         assert mpf(last[2]) < mpf("1e-6")
+
+    def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
+        # the rows' values and their residuals against the 30-digit
+        # zeta-series value carry at most 30 digits
+        code, out, _ = invoke(capsys, "trace", "khintchine_partial", "--digits", "60")
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert rows[-1][0] == "accelerated"
+        assert all(significant_digits(field) == 30 for row in rows for field in row[1:])
 
     def test_khintchine_max_terms_below_accelerated(self, capsys):
         # the accelerated row sums 2 * ACCEL_BASE_TERMS factors, so a cap of

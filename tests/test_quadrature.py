@@ -90,11 +90,11 @@ class TestFailureModes:
 
 
 class TestDeterminism:
-    def test_identical_reruns(self, ctx30, monkeypatch):
+    def test_identical_reruns(self, ctx30):
         # 1/(2 + cos 2t); the second run rebuilds the sine tables from an
         # empty cache
         a = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30)
-        monkeypatch.setattr(quadrature, "_table_cache", {})
+        _sine_table.cache_clear()
         b = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30)
         assert a.value == b.value
         assert a.evaluations == b.evaluations
@@ -188,7 +188,8 @@ class TestEvenPeriodic:
     def test_point_cap_raises(self, ctx30):
         # |sin t| is even and of period pi but has a kink at 0: the
         # trapezoid error falls only like h^2, far above the target at the cap
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence,
+                           match="^periodic trapezoid did not reach .* within 65536 intervals"):
             integrate_even_periodic(lambda s2, c2: mp.sqrt(s2), ctx30)
 
 
@@ -318,14 +319,26 @@ class TestAnalytic:
     def test_interval_cap_raises(self, ctx30):
         # sqrt is not analytic at 0: the error falls only like n^-3, far
         # above the target at the cap
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence,
+                           match="^Fejer's second rule did not reach .* within 2048 intervals"):
             integrate_analytic(mp.sqrt, 0, 1, ctx30)
 
-    def test_identical_reruns(self, ctx30, monkeypatch):
+    def test_identical_reruns(self, ctx30):
         # the second run rebuilds the weights from an empty cache
         a = integrate_analytic(lambda x: 1 / (1 + x * x), 0, 1, ctx30)
-        monkeypatch.setattr(quadrature, "_fejer_cache", {})
+        _fejer_rule.cache_clear()
         b = integrate_analytic(lambda x: 1 / (1 + x * x), 0, 1, ctx30)
         assert a.value == b.value
         assert a.evaluations == b.evaluations
         assert a.levels == b.levels
+
+    def test_rule_and_tables_built_once_per_precision(self, ctx30):
+        # a second call at the same precision reads every rule and table
+        # from the caches
+        _fejer_rule.cache_clear()
+        _sine_table.cache_clear()
+        integrate_analytic(mp.exp, 0, 1, ctx30)
+        misses = (_fejer_rule.cache_info().misses, _sine_table.cache_info().misses)
+        assert misses[0] > 0 and misses[1] > 0
+        integrate_analytic(mp.exp, 0, 1, ctx30)
+        assert (_fejer_rule.cache_info().misses, _sine_table.cache_info().misses) == misses
