@@ -7,9 +7,9 @@ by K_G = pi/(2L).
 
 For x > 0 the three integrands are one function, 2 atanh(e^-x).  So the
 library integrates arcsinh(csch x) only, by Fejer's second rule: over
-(L, inf), where the integrand is analytic after x = L - ln(1-u), and over
-(0, L), where the log singularity -ln(x/2) at 0 is subtracted and
-integrated in closed form.  It gives the arccosh and arctanh rows the tail
+(L, inf) as int_0^L s/sinh s ds, since arcsinh(csch x) is an involution
+with fixed point L, and over (0, L), where the log singularity -ln(x/2) at
+0 is subtracted and integrated in closed form.  It gives the arccosh and arctanh rows the tail
 in closed form instead:
 integrating the series of 2 atanh(e^-x) term by term,
 int_L^inf = 2 chi_2(sqrt(2)-1), Legendre's chi function, summed as a series.
@@ -21,7 +21,8 @@ from kgconst import IdentityId, PrecisionContext, verify
 
 ctx = PrecisionContext(digits=30)
 
-FEJER_TAIL = "Fejer's second rule on arcsinh(csch x) over (L, inf), x = L - ln(1-u)"
+FEJER_TAIL = ("Fejer's second rule on arcsinh(csch x) over (L, inf), "
+              "as int_0^L s/sinh s ds through x = arcsinh(csch s)")
 FEJER_HEAD = ("Fejer's second rule on arcsinh(csch x) + ln(x/2) over (0, L), "
               "plus int_0^L -ln(x/2) dx = L - L ln(L/2)")
 CHI2_SERIES = "2 chi_2(sqrt(2)-1) series, arccosh(coth x) = arctanh(sech x) = 2 atanh(e^-x)"

@@ -67,23 +67,37 @@ class _Row(NamedTuple):
     sides: Callable  # (ctx, params) -> (lhs, rhs, extra)
 
 
-def _arcsinh_csch(x):
-    return mp.asinh(1 / mp.sinh(x))
-
-
 @lru_cache(maxsize=None)
 def _tail_integral(ctx: PrecisionContext) -> BigReal:
-    """int_L^inf arcsinh(csch x) dx by Fejer's second rule, taken through
-    x = L - ln(1-u) as the integral over u in (0, 1) of arcsinh(csch x)/(1-u),
-    whose nearest singularity is at u = 1 - (sqrt(2)+1).
+    """int_L^inf arcsinh(csch x) dx, as int_0^L s/sinh s ds by Fejer's second
+    rule.
 
-    The integrand is written in v = 1 - u, so the rule's points near u = 1
-    give 1 - u as r(1 - cos theta), not by a subtraction.  Shared by
-    APPENDIX_A1 and FIXED_POINT_1, whose limit pi/(2 K_G) is L by definition.
+    phi(x) = arcsinh(csch x) = -ln tanh(x/2) is an involution, with
+    phi'(x) = -1/sinh x and fixed point L, so x = phi(s) maps s in (0, L) onto
+    x in (L, inf) and turns phi(x) dx into -s/sinh s ds.  s/sinh s is
+    analytic on [0, L], with its nearest poles +-i pi on the Bernstein
+    ellipse of radius about 14 about it; one sinh per node.  L is taken at
+    the rule's precision.  Shared by APPENDIX_A1 and FIXED_POINT_1, whose
+    limit pi/(2 K_G) is L by definition.
     """
-    L = const_L(ctx)
-    return quadrature.integrate_analytic(
-        lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx).value
+    with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
+        L = mp.log(1 + mp.sqrt(2))
+        return quadrature.integrate_analytic(lambda s: s / mp.sinh(s), 0, L, ctx).value
+
+
+def _head_regular(x):
+    """arcsinh(csch x) + ln(x/2) = ln((x/2)(1 + y)/(1 - y)), y = e^-x, for
+    x > 0, since tanh(x/2) = (1 - y)/(1 + y): one exp and one log.
+
+    1 - y cancels about log2(1/x) bits and the log, whose argument is
+    1 + x^2/12 + O(x^4), about 2 log2(1/x) more, so 3 log2(1/x) + 8 extra
+    bits keep the value's relative precision as x -> 0.  That is what
+    expm1(-x) would do for 1 - y, at 1.7 times the cost of exp (mpmath
+    evaluates expm1 as exp(-x) - 1 summed with a cancellation check).
+    """
+    with mp.workprec(mp.prec + max(0, -3 * mp.mag(x)) + 8):
+        y = mp.exp(-x)
+        return mp.log(x / 2 * (1 + y) / (1 - y))
 
 
 @lru_cache(maxsize=None)
@@ -91,16 +105,16 @@ def _head_integral(ctx: PrecisionContext) -> BigReal:
     """int_0^L arcsinh(csch x) dx by Fejer's second rule.
 
     Over (0, L) the only singularity is -ln(x/2) at 0, since
-    arcsinh(csch x) = -ln tanh(x/2): the rule integrates
-    arcsinh(csch x) + ln(x/2), whose nearest singularities are at +-i pi,
-    and int_0^L -ln(x/2) dx = L - L ln(L/2) is added in closed form.  L and
-    that closed form are taken at the rule's precision.  Shared by
+    arcsinh(csch x) = -ln tanh(x/2): the rule integrates _head_regular, the
+    sum arcsinh(csch x) + ln(x/2), whose nearest singularities +-i pi lie on
+    the Bernstein ellipse of radius about 14 about [0, L], and
+    int_0^L -ln(x/2) dx = L - L ln(L/2) is added in closed form.  L and that
+    closed form are taken at the rule's precision.  Shared by
     APPENDIX_A2_CORRECTED and FIXED_POINT_2.
     """
     with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
         L = mp.log(1 + mp.sqrt(2))
-        regular = quadrature.integrate_analytic(
-            lambda x: _arcsinh_csch(x) + mp.log(x / 2), 0, L, ctx).value
+        regular = quadrature.integrate_analytic(_head_regular, 0, L, ctx).value
         return regular + L - L * mp.log(L / 2)
 
 

@@ -24,6 +24,15 @@ D1 and D2 the log10 distances of the last estimate from the two before it
 mpmath's QuadratureRule.estimate_error uses the same formula), times
 ERROR_SAFETY_FACTOR.  The target is the working precision,
 ctx.working_tolerance = ctx.tolerance 10^-GUARD_DIGITS.
+
+ERROR_SAFETY_FACTOR is 1000, not 10, because the digits do not double
+exactly.  The Fejer errors of int_0^L s/sinh s ds at 76 working digits are
+7.3e-11, 4.1e-20, 1.3e-39 and 2.7e-76 on n = 8 .. 64 intervals: the last
+step gains 1.94 times the digits, not 2, and the formula gives 1.6e-78,
+170 times below the error.  With a factor of 10 the rule stopped there,
+above its target of 1e-76, and APPENDIX_A1 kept 8.7 digits to spare at 66
+digits.  With 1000, every Fejer call of verify_all from 10 to 500 digits
+stops at least 1.5 digits below its target, against the closed forms.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from mpmath import mp, mpf
 from .core import GUARD_BITS, BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence, NonFiniteEvaluation
 
-ERROR_SAFETY_FACTOR = 10
+ERROR_SAFETY_FACTOR = 1000
 # decimal digits beyond ctx.working_dps at which both rules evaluate and sum
 RULE_EXTRA_DPS = 10
 # trapezoid intervals on (0, pi/2) beyond which integrate_even_periodic
@@ -155,7 +164,7 @@ def _weight_sums(n: int, prec: int) -> list:
 @lru_cache(maxsize=None)
 def _fejer_rule(n: int, prec: int):
     """Fejer's second rule with n intervals (n a power of 2, n >= 4) on
-    [-1, 1]: its weights rounded to prec bits, its distances exact.
+    [-1, 1]: its weights and distances rounded to prec bits.
 
     Its nodes are cos(theta_j), theta_j = j pi/n for j = 1 .. n-1, and its
     weights w_j = (4 sin theta_j / n) S_j, with S_j from _weight_sums.  Both
@@ -170,10 +179,10 @@ def _fejer_rule(n: int, prec: int):
     units 2^-P.  With the error bound of _weight_sums, each weight is off by
     under (4/n)(e + (n + 1)(sqrt(2) e H + 2)) < 2^10 units for
     n <= FEJER_MAX_INTERVALS, and the n - 1 weights together by under
-    2^(10+11) 2^-P = 2^-(prec + GUARD_BITS + 3).  d_j is off by under
-    2 e n 2^-P < 2^-(prec + GUARD_BITS + 7) of itself, since
-    sin(theta_j/2) >= 1/n.  Unlike the weights, each distance is the exact
-    value 2 (entry j)^2 2^-2P, a mantissa up to 2P bits wide.
+    2^(10+11) 2^-P = 2^-(prec + GUARD_BITS + 3).  2 (entry j)^2 2^-2P is off
+    by under 2 e n 2^-P < 2^-(prec + GUARD_BITS + 7) of d_j, since
+    sin(theta_j/2) >= 1/n, and rounding it to prec bits adds under 2^-prec of
+    d_j, so each node a + r d_j multiplies two prec-bit mantissas.
     """
     P = _table_bits(prec)
     table = _sine_table(n, prec)
@@ -181,7 +190,7 @@ def _fejer_rule(n: int, prec: int):
     distances, weights = [None], [None]
     with mp.workprec(prec):
         for j in range(1, n // 2 + 1):
-            distances.append(mp.ldexp(2 * table[j] ** 2, -2 * P))
+            distances.append(mp.ldexp(mpf(2 * table[j] ** 2), -2 * P))
             weights.append(mp.ldexp(4 * table[2 * j] * sums[j], -2 * P) / n)
     return distances, weights
 

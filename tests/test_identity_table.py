@@ -118,12 +118,51 @@ def test_tanh_sinh_calls_at_200_digits(integrate_calls):
     (IdentityId.APPENDIX_A2_CORRECTED, 255),
 ])
 def test_analytic_evaluations_at_200_digits(ident, max_evaluations, integrate_calls):
-    # Fejer's second rule at n = 256 (a_3, folded about pi/8, and the tail
-    # and the head), where tanh-sinh took 1,495 evaluations for each
+    # Fejer's second rule at n = 256 (a_3, folded about pi/8 and rational in
+    # u = tan(t/2), the tail as int_0^L s/sinh s and the head), where
+    # tanh-sinh took 1,495 evaluations for each
     r = verify(ident, PrecisionContext(digits=200))
     assert r.passed, r.params
     assert len(integrate_calls) == 1
     assert integrate_calls[0].evaluations <= max_evaluations
+
+
+@pytest.mark.parametrize("ident", [IdentityId.COEFF_VS_QUADRATURE,
+                                   IdentityId.APPENDIX_A1,
+                                   IdentityId.APPENDIX_A2_CORRECTED])
+def test_analytic_evaluations_at_500_digits(ident, integrate_calls):
+    # n = 512 for each; a_3 folded in t and the tail in v = 1 - u took
+    # 1,023 each
+    r = verify(ident, PrecisionContext(digits=500))
+    assert r.passed, r.params
+    assert len(integrate_calls) == 1
+    assert integrate_calls[0].evaluations <= 511
+
+
+def test_appendix_tail_margin_at_66_digits():
+    # at 66 digits the tail's Fejer error on 64 intervals, 2.7e-76, lies
+    # 170 times above the doubling formula's estimate; unless
+    # ERROR_SAFETY_FACTOR covers that, the rule stops there, above its
+    # target of 1e-76
+    ctx = PrecisionContext(digits=66)
+    r = verify(IdentityId.APPENDIX_A1, ctx)
+    assert r.passed, r.params
+    with ctx.workprec():
+        assert r.residual < ctx.tolerance * mpf(10) ** -9
+
+
+@given(x=st.floats(min_value=1e-8, max_value=0.88))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_head_regular_keeps_relative_precision(x):
+    # arcsinh(csch x) + ln(x/2) = -ln(tanh(x/2)/(x/2)) is about x^2/12 near
+    # 0; the reference cancels up to 17 of its 40 extra digits
+    ctx = PrecisionContext(digits=30)
+    with ctx.workprec():
+        value = identities._head_regular(mpf(x))
+    with mp.workdps(ctx.working_dps + 40):
+        x = mpf(x)
+        reference = -mp.log(mp.tanh(x / 2)) + mp.log(x / 2)
+        assert abs(value / reference - 1) < mpf(10) ** -(ctx.working_dps - 1)
 
 
 @given(x=st.floats(min_value=0.01, max_value=300), digits=st.integers(12, 500))

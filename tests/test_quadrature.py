@@ -60,8 +60,8 @@ class TestEndpointSingularities:
             integrate_analytic(mp.log, 0, 1, ctx30)
 
     def test_endpoints_never_evaluated(self, ctx30, monkeypatch):
-        # arcsinh(csch x) + ln(x/2) is inf - inf at 0 as spelled, so the
-        # (0, L) integral must not evaluate it there
+        # arcsinh(csch x) + ln(x/2), written through 1 - e^-x, divides by
+        # zero at 0, so the (0, L) integral must not evaluate it there
         seen = []
         fejer = quadrature.integrate_analytic
 
@@ -118,9 +118,9 @@ def _arcsinh_csch(x):
 
 @pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
 class TestClosedForms:
-    """Both rules at their target, the working precision, and the two
-    appendix integrals as the identities take them, against closed forms
-    computed with mpmath."""
+    """Both rules at their target, the working precision, the two appendix
+    integrals as the identities take them and the tail by its former
+    substitution, against closed forms computed with mpmath."""
 
     def test_appendix_tail(self, digits):
         ctx = PrecisionContext(digits=digits)
@@ -128,8 +128,9 @@ class TestClosedForms:
         _assert_relative(value, lambda: mp.pi ** 2 / 8 - _L() ** 2 / 2, ctx)
 
     def test_appendix_tail_analytic(self, digits):
-        # the tail through x = L - ln v, v = 1 - u in (0, 1), as the
-        # appendix identities take it
+        # the tail through x = L - ln v, v = 1 - u in (0, 1), an
+        # independent reference for the appendix identities, which take it
+        # as int_0^L s/sinh s ds
         ctx = PrecisionContext(digits=digits)
         L = const_L(ctx)
         value = integrate_analytic(lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx).value

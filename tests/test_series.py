@@ -31,6 +31,7 @@ from kgconst.series import (
     inner_term_magnitude,
     smooth_tail_magnitude,
 )
+from kgconst.core import GUARD_BITS
 from kgconst.errors import NoConvergence
 
 
@@ -243,6 +244,28 @@ class TestFourierCoefficients:
                 closed = fourier_a(n, ctx).value
                 quad = fourier_a_quadrature(n, ctx).value
                 assert abs(closed - quad) < ctx.tolerance, (ctx.digits, n)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 12, 255, 800])
+    def test_chebyshev_doubling_within_stated_bound(self, m):
+        # T_m(c) = cos(m arccos c), off by under 2^-(prec + GUARD_BITS)
+        with mp.workdps(60):
+            prec = mp.prec
+            cs = [mpf(c) for c in ("-1", "-0.3", "0.5", "0.98", "0.9999", "1")]
+            values = [series._chebyshev_t(m, c) for c in cs]
+        with mp.workdps(120):
+            for c, v in zip(cs, values):
+                assert abs(v - mp.cos(m * mp.acos(c))) < mp.ldexp(1, -(prec + GUARD_BITS)), c
+
+    @pytest.mark.parametrize("digits", [30, 120])
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_quadrature_at_large_index(self, digits, n):
+        # T_4n(c) by doubling, over the 9 and 10 bits of 4n; near u = 0 the
+        # rounding of c costs up to 2 log10(4n) of the rule's 10 extra digits
+        ctx = PrecisionContext(digits=digits)
+        closed = fourier_a(n, ctx).value
+        quad = fourier_a_quadrature(n, ctx).value
+        with ctx.workprec():
+            assert abs(closed - quad) < ctx.tolerance
 
     def test_decay_envelope(self, ctx30):
         for n in range(1, 60):
