@@ -32,7 +32,7 @@ for N in (10, 100, 1000):
     print(f"  N={N:5d}: {mp.nstr(double_series_partial(N, ctx), 20)}")
 
 ds = double_series(ctx)
-print(f"accelerated value ({ds.terms_used} explicit terms + smooth tail):")
+print(f"accelerated value ({ds.terms_used} partial sums, Richardson):")
 print("  ", mp.nstr(ds.value, 30))
 with ctx.workprec():
     closed = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4

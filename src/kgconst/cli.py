@@ -147,7 +147,8 @@ def _report_record(report, ns):
         "target": report.id.value,
         "lhs": _nstr(report.lhs, digits),
         "rhs": _nstr(report.rhs, digits),
-        "residual": _nstr(report.residual, digits),
+        "residual": _nstr(report.residual, identities.residual_digits(
+            report.id, ns.digits, report.residual, max(abs(report.lhs), abs(report.rhs)))),
         "digits_agreed": report.digits_agreed,
         "passed": report.passed,
         "runtime_ms": report.runtime_ms if ns.timings else 0.0,
@@ -220,7 +221,8 @@ def _checkpoints(final_n):
 
 
 def _trace_rows(target, ctx, max_terms):
-    """(index, partial value, residual vs final value) rows.
+    """The final value and the (index, partial value, residual vs final
+    value) rows.
 
     A series target sums up to the closed-form term count that meets
     ctx.tolerance, and raises MaxTermsExceeded before summing when that
@@ -248,7 +250,7 @@ def _trace_rows(target, ctx, max_terms):
         marks = _checkpoints(needed)
         values = series.partial_sums(marks, ctx, squared=squared)
     with ctx.workprec():
-        return [(n, value, abs(value - final)) for n, value in zip(marks, values)]
+        return final, [(n, value, abs(value - final)) for n, value in zip(marks, values)]
 
 
 def _run_trace(ns) -> int:
@@ -257,13 +259,15 @@ def _run_trace(ns) -> int:
               f"{', '.join(_TRACE_TARGETS)}", file=sys.stderr)
         return EXIT_USAGE
     ctx = PrecisionContext(digits=ns.digits)
-    rows = _trace_rows(ns.target, ctx, ns.max_terms)
+    final, rows = _trace_rows(ns.target, ctx, ns.max_terms)
     digits = identities.printed_digits(ns.target, ns.digits)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "value", "residual"])
     for index, value, residual in rows:
-        writer.writerow([index, _nstr(value, digits), _nstr(residual, digits)])
+        residual_digits = identities.residual_digits(
+            ns.target, ns.digits, residual, max(abs(value), abs(final)))
+        writer.writerow([index, _nstr(value, digits), _nstr(residual, residual_digits)])
     _emit(buf.getvalue(), ns.out)
     final_residual = rows[-1][2]
     tol = (khintchine.STABILITY_TOLERANCE if ns.target == "khintchine_partial"

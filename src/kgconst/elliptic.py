@@ -44,18 +44,28 @@ def _check_modulus(k, name):
 
 
 def _agm_KE(k):
-    """(K(k), E(k)) from one AGM run of 1 and k' = sqrt(1 - k^2), with
-    E = K (1 - sum 2^(n-1) c_n^2); call at working precision with 0 <= k < 1."""
+    """(K(k), E(k), E(k) - k'^2 K(k)) from one AGM run of 1 and
+    k' = sqrt(1 - k^2); call at working precision with 0 <= k < 1.
+
+    E = K (1 - k^2/2 - s) and E - k'^2 K = K (k^2/2 - s), with
+    s = sum_{n>=1} 2^(n-1) c_n^2.  As k -> 0, c_1 = (1 - k')/2 is about
+    k^2/4, so s is about k^4/16 and the difference keeps its relative
+    precision, where E - (1 - k^2) K would cancel.  The two sums are kept
+    apart so that E is formed as before.
+    """
     a, b, c = mpf(1), _complement(k), k
     csum = c * c / 2
+    s = mpf(0)
     power = mpf(1)
     eps = mpf(10) ** (-(mp.dps - 2))
     while abs(c) > eps:
         a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
-        csum += power * c * c
+        term = power * c * c
+        csum += term
+        s += term
         power *= 2
     K = mp.pi / (2 * a)
-    return K, K * (1 - csum)
+    return K, K * (1 - csum), K * (k * k / 2 - s)
 
 
 def ellip_K(k, ctx: PrecisionContext) -> BigReal:
@@ -102,7 +112,7 @@ def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
 
 def _imag_KE():
     """(K(i), E(i)) = (K(k)/sqrt(2), sqrt(2) E(k)), k = 1/sqrt(2), from one AGM run."""
-    K, E = _agm_KE(1 / mp.sqrt(2))
+    K, E, _ = _agm_KE(1 / mp.sqrt(2))
     return K / mp.sqrt(2), mp.sqrt(2) * E
 
 
@@ -127,8 +137,8 @@ def legendre_lhs(k, ctx: PrecisionContext) -> BigReal:
         kp = _complement(k)
         # k = 0, or k so small that k' rounds to 1, leaves K(k') infinite
         _check_modulus(kp, "legendre_lhs at the complement")
-        K, E = _agm_KE(k)
-        Kp, Ep = _agm_KE(kp)
+        K, E, _ = _agm_KE(k)
+        Kp, Ep, _ = _agm_KE(kp)
         return E * Kp + Ep * K - K * Kp
 
 
@@ -159,13 +169,14 @@ def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:
 
 
 def krivine_complex_lhs(x, ctx: PrecisionContext) -> BigReal:
-    """(1/x)[E(x) - (1-x^2)K(x)], the elliptic side of x0's equation."""
+    """(1/x)[E(x) - (1-x^2)K(x)], the elliptic side of x0's equation, with
+    the difference taken from the AGM sums (see _agm_KE), so that it keeps
+    its relative precision as x -> 0."""
     with ctx.workprec():
         x = mpf(x)
         if not (0 < x < 1):
             raise DomainError(f"the complex-case equation requires 0 < x < 1, got {x}")
-        K, E = _agm_KE(x)
-        return (E - (1 - x * x) * K) / x
+        return _agm_KE(x)[2] / x
 
 
 def krivine_complex_f(x, ctx: PrecisionContext) -> BigReal:

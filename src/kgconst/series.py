@@ -12,21 +12,22 @@ S_n = sum_{k<=n} t_k and T_n = S - S_n = sum_{k>n} t_k, so T_1 < 0 and
 sign(T_n) = sign(t_{n+1}).  The Fourier coefficients are
 a_0 = (8/pi) L and a_n = (8 sqrt(2)/pi) T_n for n >= 1.
 
-Outer-tail evaluation
----------------------
+Outer sum
+---------
 |T_n| <= |t_{n+1}| = 2/((4n+1)(4n+3)), so T_n^2 <= 4/(4n+1)^4 and the outer
-tail beyond N is bounded by 1/(3 (4N+1)^3) (integral comparison).  Pure
-truncation therefore needs ~10^9 terms for 30-digit tolerances (the CLI
-trace counts them with _pure_truncation_N); double_series instead sums the
-tail beyond a fixed explicit range by Euler-Maclaurin on the exact digamma
-representation
+tail beyond N is bounded by 1/(3 (4N+1)^3) (integral comparison): pure
+truncation needs ~10^9 terms for 30-digit tolerances (the CLI trace counts
+them with _pure_truncation_N).  |T_n| is the smooth function
 
-    |T_n| = I(n) = (1/8) [ psi((n+5/4)/2) - psi((n+1/4)/2)
-                         - psi((n+7/4)/2) + psi((n+3/4)/2) ],
+    I(n) = (1/8) [ psi((n+5/4)/2) - psi((n+1/4)/2)
+                 - psi((n+7/4)/2) + psi((n+3/4)/2) ],
 
-which extends T_n^2 = I(n)^2 to a smooth, completely monotone function of n.
-The integral and the derivatives it needs come in closed form from the
-asymptotic expansion of I(n) in powers of 2/(n+1).
+so V - V_n = sum_{m>n} I(m)^2 has an asymptotic expansion in powers of 1/n,
+and double_series extrapolates the partial sums V_n by Richardson's method
+(Bender & Orszag, Advanced Mathematical Methods for Scientists and
+Engineers, 1978, section 8.1; mp.richardson).  The extrapolate of order N,
+from V_N ... V_2N, is off by about 10^(-1.14 N) (measured from N = 100 to
+300 against the closed form).
 
 Explicit summation
 ------------------
@@ -41,16 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from mpmath import mp, mpf
 
 from .core import GUARD_BITS, BigReal, PrecisionContext
-from .errors import DomainError, NoConvergence
+from .errors import DomainError
 from . import quadrature
-
-# explicit outer terms ahead of the Euler-Maclaurin tail
-EM_EXPLICIT_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -277,109 +274,28 @@ def double_series_partial(N: int, ctx: PrecisionContext) -> BigReal:
     return partial_sums([N], ctx, squared=True)[0]
 
 
-def _tail_coefficient(k: int) -> mpf:
-    """c_k of the asymptotic expansion I(n) ~ sum_{k>=2} c_k x^-k, x = (n+1)/2.
-
-    The digamma arguments of I(n) are x + h for h = 1/8, -3/8, 3/8, -1/8
-    with signs +, -, -, +, and psi(x+h) ~ ln x + sum_k (-1)^(k+1) B_k(h)/(k x^k)
-    (DLMF 5.11).  The signed sum of the B_k(h) has the generating function
-    t (2 cosh(t/8) - 2 cosh(3t/8)) / (e^t - 1), which gives
-    sum_{i even >= 2} C(k, i) B_{k-i} 2 (1 - 3^i) / 8^i.
-    """
-    s = mpf(0)
-    for i in range(2, k + 1, 2):
-        b = mp.bernoulli(k - i)
-        if b:
-            s += b * (comb(k, i) * 2 * (1 - 3 ** i)) / mpf(8 ** i)
-    return (-1) ** (k + 1) * s / (8 * k)
-
-
-def _euler_maclaurin_tail(start: int, tol: mpf, ctx: PrecisionContext):
-    """sum_{n>=start} I(n)^2 via Euler-Maclaurin, with an error bound.
-
-    With x = (n+1)/2 and I(n)^2 = sum_m e_m x^-m (the square of the expansion
-    of _tail_coefficient), the integral over (start, inf), f(start)/2 and
-    every odd derivative f^(p)(start) = sum_m e_m (-1)^p (m)_p 2^-p x^-(m+p)
-    are closed-form sums: no quadrature and no digamma call.  The expansion
-    is asymptotic, so it is taken until a term of the integral-plus-f/2 sum
-    falls below tol/1000 and NoConvergence is raised as soon as one stops
-    shrinking; the derivatives use the same orders.
-
-    I^2 is completely monotone, so the remainder after each Bernoulli
-    correction is bounded by the first omitted correction term.  The
-    corrections form an asymptotic series too, so NoConvergence is raised as
-    soon as one fails to shrink before reaching tol/1000.  The bound is ten
-    times the last correction plus ten times the largest last term of any of
-    the expansion sums.
-    Returns (tail_value, tail_bound).
-    """
-    with ctx.workprec():
-        threshold = tol / 1000
-        y = mpf(2) / (start + 1)  # 1/x at n = start
-        c = [mpf(0), mpf(0)]
-        g = []  # e_m y^m for m = 4, 5, ...
-        power = y ** 3
-        tail = mpf(0)
-        previous = mp.inf
-        m = 3
-        while True:
-            m += 1
-            c.append(_tail_coefficient(m - 2))
-            power *= y
-            g.append(mp.fsum(c[k] * c[m - k] for k in range(2, m - 1)) * power)
-            # integral of x^-m over n in (start, inf), plus f(start)/2
-            term = g[-1] * (2 / ((m - 1) * y) + mpf(1) / 2)
-            if abs(term) >= previous:
-                raise NoConvergence(
-                    f"expansion of I(n)^2 at n={start} stopped shrinking at "
-                    f"order {m} before reaching {threshold}"
-                )
-            tail += term
-            if abs(term) < threshold:
-                break
-            previous = abs(term)
-        orders = range(4, m + 1)
-        expansion_bound = abs(term)
-
-        rising = list(orders)  # (m)_p
-        factor = -y / 4        # -(y/2)^p / (p+1)!
-        previous = mp.inf
-        j = 0
-        while True:
-            j += 1
-            p = 2 * j - 1
-            if j > 1:
-                rising = [r * (o + p - 2) * (o + p - 1) for r, o in zip(rising, orders)]
-                factor *= (y / 2) ** 2 / (p * (p + 1))
-            scale = mp.bernoulli(2 * j) * factor
-            expansion_bound = max(expansion_bound, abs(scale * g[-1] * rising[-1]))
-            term = scale * mp.fsum(gm * r for gm, r in zip(g, rising))
-            if abs(term) >= previous:
-                raise NoConvergence(
-                    f"Euler-Maclaurin corrections from n={start} stopped shrinking at "
-                    f"order {j} before reaching {threshold}"
-                )
-            tail -= term
-            if abs(term) < threshold:
-                return tail, 10 * abs(term) + 10 * expansion_bound
-            previous = abs(term)
-
-
 @lru_cache(maxsize=None)
 def double_series(ctx: PrecisionContext) -> SeriesResult:
     """V = sum_{n>=1} T_n^2, the double-series value (= pi/16 - L^2/4).
 
-    Sums EM_EXPLICIT_TERMS terms plus the Euler-Maclaurin tail to
+    Richardson's extrapolate of order N = working_dps + 10 from the partial
+    sums V_1 ... V_{2N+1}, off by about 10^(-1.14 N): below
     ctx.working_tolerance, so that scaled forms such as parseval_closure
-    still meet ctx.tolerance.
+    still meet ctx.tolerance.  Its weights grow to about 10^(0.93 N), so the
+    sums are taken N digits deeper and the result is rounded once.
+    tail_bound is its distance from the extrapolate of order N - 10 taken
+    from the same sums.
     """
     with ctx.workprec():
-        tol = ctx.working_tolerance
-        N0 = EM_EXPLICIT_TERMS
-        explicit = double_series_partial(N0, ctx)
-        tail, bound = _euler_maclaurin_tail(N0 + 1, tol, ctx)
-        return SeriesResult(value=explicit + tail, terms_used=N0,
-                            tail_bound=bound, converged=bool(bound < tol))
+        N = ctx.working_dps + 10
+        with mp.extradps(N):
+            # sums[n] = V_n, with V_0 = 0 in front
+            sums = [0] + _fixed_point_sums(range(1, 2 * N + 2), squared=True)
+            value = mp.richardson(sums)[0]
+            bound = abs(value - mp.richardson(sums[:2 * N - 18])[0])
+        value, bound = +value, +bound
+        return SeriesResult(value=value, terms_used=2 * N + 1, tail_bound=bound,
+                            converged=bool(bound < ctx.working_tolerance))
 
 
 def parseval_closure(ctx: PrecisionContext) -> SeriesResult:

@@ -4,7 +4,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import NoConvergence, PrecisionContext, elliptic, series
+from kgconst import NoConvergence, PrecisionContext, elliptic, khintchine, series
 from kgconst.cli import (
     EXIT_IDENTITY_FAILED,
     EXIT_NOT_CONVERGED,
@@ -23,6 +23,13 @@ def invoke(capsys, *argv):
 def significant_digits(text):
     """The number of significant digits a printed value carries."""
     return len(text.split("e")[0].lstrip("-0.").replace(".", ""))
+
+
+def residual_digits_of(residual, *operands):
+    """The significant digits of a residual between values that carry 30:
+    those above the operands' last digit."""
+    top = max(mp.floor(mp.log10(abs(mpf(x)))) for x in operands)
+    return 30 - int(top - mp.floor(mp.log10(mpf(residual))))
 
 
 class TestCompute:
@@ -131,15 +138,34 @@ class TestVerify:
 
     def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
         # the 30-digit zeta-series reference and the product are not padded
-        # to --digits with the binary expansion of their last bits
-        code, out, _ = invoke(capsys, "verify", "KHINTCHINE_STABILITY",
-                              "--digits", "500", "--format", "json")
-        assert code == EXIT_OK
-        record = json.loads(out)
-        for key in ("lhs", "rhs", "residual"):
+        # to --digits with the binary expansion of their last bits, and
+        # their residual, near 1e-16, carries only the digits above their
+        # last one, the same at every --digits
+        residuals = []
+        for digits in ("20", "50", "500"):
+            code, out, _ = invoke(capsys, "verify", "KHINTCHINE_STABILITY",
+                                  "--digits", digits, "--format", "json")
+            assert code == EXIT_OK
+            record = json.loads(out)
+            residuals.append(record["residual"])
+        for key in ("lhs", "rhs"):
             assert significant_digits(record[key]) == 30, (key, record[key])
+        expected = residual_digits_of(record["residual"], record["lhs"], record["rhs"])
+        assert expected == 13
+        assert significant_digits(record["residual"]) == expected
+        assert residuals == [residuals[0]] * 3
         with mp.workdps(40):
             assert abs(mpf(record["rhs"]) - mp.khinchin) < mpf("1e-28")
+
+    def test_khintchine_failure_prints_infinite_residual(self, capsys, monkeypatch):
+        def fail(ctx):
+            raise NoConvergence("accelerated product unstable")
+
+        monkeypatch.setattr(khintchine, "khintchine_accelerated", fail)
+        code, out, err = invoke(capsys, "verify", "KHINTCHINE_STABILITY", "--format", "json")
+        assert code == EXIT_NOT_CONVERGED
+        assert json.loads(out)["residual"] == "+inf"
+        assert err == ""
 
     def test_unknown_identity(self, capsys):
         code, _, err = invoke(capsys, "verify", "MYSTERY")
@@ -188,13 +214,23 @@ class TestTrace:
         assert mpf(last[2]) < mpf("1e-6")
 
     def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
-        # the rows' values and their residuals against the 30-digit
-        # zeta-series value carry at most 30 digits
-        code, out, _ = invoke(capsys, "trace", "khintchine_partial", "--digits", "60")
-        assert code == EXIT_OK
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert rows[-1][0] == "accelerated"
-        assert all(significant_digits(field) == 30 for row in rows for field in row[1:])
+        # the rows' values carry at most 30 digits, and their residuals
+        # against the 30-digit zeta-series value only the digits above the
+        # operands' last one, so the accelerated row's residual is the same
+        # at every --digits
+        accelerated = []
+        for digits in ("20", "50", "500"):
+            code, out, _ = invoke(capsys, "trace", "khintchine_partial", "--digits", digits)
+            assert code == EXIT_OK
+            rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+            assert rows[-1][0] == "accelerated"
+            accelerated.append(rows[-1][2])
+        final = khintchine.zeta_series_value()
+        for _, value, residual in rows:
+            assert significant_digits(value) == 30
+            assert significant_digits(residual) == residual_digits_of(residual, value, final)
+        assert significant_digits(accelerated[0]) == 13
+        assert accelerated == [accelerated[0]] * 3
 
     def test_khintchine_max_terms_below_accelerated(self, capsys):
         # the accelerated row sums 2 * ACCEL_BASE_TERMS factors, so a cap of

@@ -153,6 +153,22 @@ class TestRootSolve:
         hi = solve_x0(PrecisionContext(digits=40)).x0
         assert abs(lo - hi) < mpf("1e-20")
 
+    @pytest.mark.parametrize("digits", [60, 200])
+    def test_small_x_keeps_its_digits(self, digits):
+        # E - (1 - x^2) K is about pi x^2 / 4: formed from E and K it would
+        # lose 2 log10(1/x) digits; x is built at working precision, since a
+        # 53-bit 1e-20 would hide the loss
+        ctx = PrecisionContext(digits=digits)
+        with ctx.workprec():
+            x = mpf(10) ** -20
+        f = krivine_complex_f(x, ctx)
+        lhs = elliptic.krivine_complex_lhs(x, ctx)
+        with mp.workdps(2 * digits + 60):
+            m = x * x
+            closed = (mp.ellipe(m) - (1 - m) * mp.ellipk(m)) / x
+            assert abs(f - (closed - mp.pi * (x + 1) / 8)) < ctx.tolerance
+            assert abs(lhs - closed) < ctx.tolerance * closed
+
     def test_domain_guard(self, ctx30):
         with pytest.raises(DomainError):
             krivine_complex_f(0, ctx30)

@@ -24,15 +24,12 @@ from kgconst import (
 )
 from kgconst import quadrature, series
 from kgconst.series import (
-    _euler_maclaurin_tail,
     _inner_truncation_N,
     _pure_truncation_N,
-    _tail_coefficient,
     inner_term_magnitude,
     smooth_tail_magnitude,
 )
 from kgconst.core import GUARD_BITS
-from kgconst.errors import NoConvergence
 
 
 def _reference_sum(first, last, dps):
@@ -325,13 +322,6 @@ class TestDoubleSeries:
         accel = double_series(PrecisionContext(digits=30))
         assert abs(pure - accel.value) < ctx.tolerance
 
-    def test_euler_maclaurin_stops_when_corrections_grow(self):
-        # from n = 2 the asymptotic corrections start growing after a few
-        # orders, long before they reach 1e-60
-        ctx = PrecisionContext(digits=60)
-        with ctx.workprec(), pytest.raises(NoConvergence):
-            _euler_maclaurin_tail(2, ctx.tolerance, ctx)
-
     def test_300_digits(self):
         ctx = PrecisionContext(digits=300)
         ds = double_series(ctx)
@@ -353,28 +343,52 @@ class TestDoubleSeries:
         assert double_series(PrecisionContext(digits=45)).converged
         assert calls == []
 
-    @pytest.mark.parametrize("digits", [30, 100, 200])
-    def test_tail_after_explicit_terms(self, digits):
+    @pytest.mark.parametrize("digits", [10, 20, 50, 200, 500, 1000])
+    def test_digit_ladder(self, digits):
         ctx = PrecisionContext(digits=digits)
-        tail, bound = _euler_maclaurin_tail(10 ** 4 + 1, ctx.tolerance, ctx)
-        with ctx.workprec():
-            value = double_series_partial(10 ** 4, ctx) + tail
+        ds = double_series(ctx)
+        with mp.workdps(ctx.working_dps + 40):
             closed = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
-        assert bound < ctx.tolerance
-        assert abs(value - closed) < ctx.tolerance
+            assert ds.converged
+            assert ds.tail_bound < ctx.working_tolerance
+            assert abs(ds.value - closed) < ctx.working_tolerance
 
-    def test_expansion_coefficients(self):
-        # odd orders have the closed form (3^(k-1) - 1) / 8^k
-        with mp.workdps(60):
-            assert _tail_coefficient(2) == mpf(1) / 64
-            assert _tail_coefficient(4) == mpf(37) / 4096
-            for k in range(3, 40, 2):
-                assert abs(_tail_coefficient(k) - mpf(3 ** (k - 1) - 1) / 8 ** k) < mpf(10) ** -58
-            # and the expansion reproduces the digamma form far out
-            ctx = PrecisionContext(digits=50)
-            x = mpf(10 ** 4 + 1) / 2
-            expansion = mp.fsum(_tail_coefficient(k) / x ** k for k in range(2, 20))
-            assert abs(expansion - smooth_tail_magnitude(10 ** 4, ctx)) < mpf(10) ** -58
+    @pytest.mark.parametrize("digits", [10, 50, 200])
+    def test_richardson_weights_below_extra_digits(self, digits, monkeypatch):
+        # the largest weight multiplies the rounding errors of the sums, so it
+        # must stay below the digits the sums carry beyond working precision
+        ctx = PrecisionContext(digits=digits)
+        calls = []
+        richardson = mp.richardson
+
+        def recording(seq):
+            value, weight = richardson(seq)
+            calls.append((weight, mp.dps - ctx.working_dps))
+            return value, weight
+
+        monkeypatch.setattr(mp, "richardson", recording)
+        double_series.cache_clear()
+        assert double_series(ctx).converged
+        assert calls
+        for weight, extra in calls:
+            assert 1 < weight < mpf(10) ** extra
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    def test_perturbed_sums_not_converged(self, digits, monkeypatch):
+        # a (-1)^n/n^5 component has no expansion in powers of 1/n, so the
+        # extrapolates of two orders disagree
+        kernel = series._fixed_point_sums
+
+        def perturbed(marks, *, squared=False):
+            sums = kernel(marks, squared=squared)
+            return [v + (-1) ** n / mpf(n) ** 5 for n, v in zip(marks, sums)]
+
+        monkeypatch.setattr(series, "_fixed_point_sums", perturbed)
+        double_series.cache_clear()
+        ds = double_series(PrecisionContext(digits=digits))
+        double_series.cache_clear()
+        assert not ds.converged
+        assert ds.tail_bound >= PrecisionContext(digits=digits).working_tolerance
 
     def test_determinism(self, ctx30):
         a = double_series(ctx30)
