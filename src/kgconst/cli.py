@@ -239,9 +239,7 @@ def _trace_rows(target, ctx, max_terms):
             values.append(khintchine.khintchine_accelerated(ctx).value)
     else:
         squared = target == "double_series"
-        with ctx.workprec():
-            needed = (series._pure_truncation_N(ctx.tolerance) if squared
-                      else series._inner_truncation_N(ctx.tolerance, ctx))
+        needed = series._terms_to_tolerance(ctx.digits, squared=squared)
         if needed > max_terms:
             raise MaxTermsExceeded(
                 f"trace {target} needs N = {needed} terms to reach tolerance "

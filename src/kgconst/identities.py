@@ -1,11 +1,12 @@
 """Registry of every verifiable identity, with residual reports.
 
-Each identity is one row of ``_TABLE``: its paper anchor and a ``sides``
-callable returning ``(lhs, rhs, extra)`` from independent routes through the
-owning modules.  ``verify`` reports the absolute residual, the number of
-digits of agreement, and a pass flag against the context tolerance (with
-per-identity overrides where a check is intrinsically desk-scale, e.g. the
-eight-digit Khintchine product).
+Each identity is one row of ``_TABLE``, keyed by its name: its paper anchor,
+a ``sides`` callable returning ``(lhs, rhs, extra)`` from independent routes
+through the owning modules, and a fixed tolerance where the check is
+intrinsically desk-scale (the eight-digit Khintchine product).  The table is
+the registry: ``IdentityId`` is built from its keys.  ``verify`` reports the
+absolute residual, the number of digits of agreement, and a pass flag against
+the row's tolerance, or else the context tolerance.
 """
 
 from __future__ import annotations
@@ -21,27 +22,6 @@ from mpmath import mp, mpf
 from .core import BigReal, PrecisionContext, const_KG, const_L
 from .errors import DomainError
 from . import elliptic, khintchine, quadrature, series
-
-
-class IdentityId(str, Enum):
-    PARSEVAL_DOUBLE_SERIES = "PARSEVAL_DOUBLE_SERIES"
-    PARSEVAL_CLOSURE = "PARSEVAL_CLOSURE"
-    KG_DEFINITION = "KG_DEFINITION"
-    KG_FROM_SERIES = "KG_FROM_SERIES"
-    RECURRENCE = "RECURRENCE"
-    COEFF_VS_QUADRATURE = "COEFF_VS_QUADRATURE"
-    APPENDIX_A1 = "APPENDIX_A1"
-    APPENDIX_A2_CORRECTED = "APPENDIX_A2_CORRECTED"
-    APPENDIX_A3 = "APPENDIX_A3"
-    APPENDIX_A4 = "APPENDIX_A4"
-    FIXED_POINT_1 = "FIXED_POINT_1"
-    FIXED_POINT_2 = "FIXED_POINT_2"
-    FIXED_POINT_3 = "FIXED_POINT_3"
-    FIXED_POINT_4 = "FIXED_POINT_4"
-    HAAGERUP_CONSISTENCY = "HAAGERUP_CONSISTENCY"
-    KRIVINE_COMPLEX_MIDDLE_EQUALITY = "KRIVINE_COMPLEX_MIDDLE_EQUALITY"
-    LEGENDRE_RELATION = "LEGENDRE_RELATION"
-    KHINTCHINE_STABILITY = "KHINTCHINE_STABILITY"
 
 
 @dataclass(frozen=True)
@@ -65,6 +45,7 @@ LEGENDRE_GRID = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8",
 class _Row(NamedTuple):
     anchor: str
     sides: Callable  # (ctx, params) -> (lhs, rhs, extra)
+    tolerance: BigReal | None = None  # None: ctx.tolerance
 
 
 @lru_cache(maxsize=None)
@@ -156,15 +137,6 @@ def _kg_definition(ctx, params):
     return const_KG(ctx), mp.pi / (2 * L), {}
 
 
-def _kg_from_series(ctx, params):
-    V = series.double_series(ctx).value
-    KG = const_KG(ctx)
-    # first boxed form: V = (pi/16)(1 - pi/KG^2)
-    resid_a = abs(V - mp.pi / 16 * (1 - mp.pi / KG ** 2))
-    # second boxed form: KG = pi / sqrt(pi - 16 V)
-    return KG, mp.pi / mp.sqrt(mp.pi - 16 * V), {"series_form_residual": resid_a}
-
-
 def _recurrence(ctx, params):
     n = params.get("n", 7)
     if n < 1:
@@ -202,65 +174,66 @@ def _khintchine_stability(ctx, params):
 
 
 _TABLE = {
-    IdentityId.PARSEVAL_DOUBLE_SERIES: _Row(
+    "PARSEVAL_DOUBLE_SERIES": _Row(
         "boxed double series = pi/16 - ln^2(1+sqrt(2))/4",
         lambda ctx, p: (series.double_series(ctx).value,
                         mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4, {})),
-    IdentityId.PARSEVAL_CLOSURE: _Row(
+    "PARSEVAL_CLOSURE": _Row(
         "a0^2/2 + sum a_n^2 = 8/pi (Parseval for 1/cos(x/4))",
         lambda ctx, p: (series.parseval_closure(ctx).value, 8 / mp.pi, {})),
-    IdentityId.KG_DEFINITION: _Row("K_G = pi/(2 ln(1+sqrt(2)))", _kg_definition),
-    IdentityId.KG_FROM_SERIES: _Row("K_G = pi/sqrt(pi - 16 * double series)",
-                                    _kg_from_series),
-    IdentityId.RECURRENCE: _Row(
+    "KG_DEFINITION": _Row("K_G = pi/(2 ln(1+sqrt(2)))", _kg_definition),
+    # the paper's other boxed form, V = (pi/16)(1 - pi/K_G^2), is this
+    # equation solved for V: its residual is this one's times about pi^2/(8 K_G^3)
+    "KG_FROM_SERIES": _Row(
+        "K_G = pi/sqrt(pi - 16 * double series)",
+        lambda ctx, p: (const_KG(ctx),
+                        mp.pi / mp.sqrt(mp.pi - 16 * series.double_series(ctx).value), {})),
+    "RECURRENCE": _Row(
         "a_n - a_{n-1} = (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]", _recurrence),
-    IdentityId.COEFF_VS_QUADRATURE: _Row(
+    "COEFF_VS_QUADRATURE": _Row(
         "closed-form a_n vs (8/pi) int cos(4nt)/cos(t) dt", _coeff_vs_quadrature),
-    IdentityId.APPENDIX_A1: _appendix("arcsinh(csch x)", _tail_integral),
-    IdentityId.APPENDIX_A2_CORRECTED: _Row(
+    "APPENDIX_A1": _appendix("arcsinh(csch x)", _tail_integral),
+    "APPENDIX_A2_CORRECTED": _Row(
         "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)",
         lambda ctx, p: (mp.pi ** 2 + 4 * const_L(ctx) ** 2,
                         8 * _head_integral(ctx),
                         {"as_printed": "ambiguous"})),
-    IdentityId.APPENDIX_A3: _appendix("arccosh(coth x)", _chi2_tail, _CHI2_ROUTE),
-    IdentityId.APPENDIX_A4: _appendix("arctanh(sech x)", _chi2_tail, _CHI2_ROUTE),
-    IdentityId.FIXED_POINT_1: _Row(
+    "APPENDIX_A3": _appendix("arccosh(coth x)", _chi2_tail, _CHI2_ROUTE),
+    "APPENDIX_A4": _appendix("arctanh(sech x)", _chi2_tail, _CHI2_ROUTE),
+    "FIXED_POINT_1": _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arcsinh(csch))",
         _kg_fixed_point(_tail_integral, True)),
-    IdentityId.FIXED_POINT_2: _Row(
+    "FIXED_POINT_2": _Row(
         "K_G = 1/sqrt((8/pi^2) int_0^{pi/2K_G} arcsinh(csch) - 1)",
         _kg_fixed_point(_head_integral, False)),
-    IdentityId.FIXED_POINT_3: _Row(
+    "FIXED_POINT_3": _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arccosh(coth))" + _CHI2_ROUTE,
         _kg_fixed_point(_chi2_tail, True)),
-    IdentityId.FIXED_POINT_4: _Row(
+    "FIXED_POINT_4": _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arctanh(sech))" + _CHI2_ROUTE,
         _kg_fixed_point(_chi2_tail, True)),
-    IdentityId.HAAGERUP_CONSISTENCY: _Row(
+    "HAAGERUP_CONSISTENCY": _Row(
         "1/(2K(i)-E(i)) vs 1/int cos^2/sqrt(1+sin^2)",
         lambda ctx, p: (elliptic.haagerup_bound(ctx),
                         elliptic.haagerup_bound_quadrature(ctx), {})),
-    IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY: _Row(
+    "KRIVINE_COMPLEX_MIDDLE_EQUALITY": _Row(
         "x int cos^2/sqrt(1-x^2 sin^2) = (1/x)[E(x)-(1-x^2)K(x)]", _krivine_middle),
-    IdentityId.LEGENDRE_RELATION: _Row("E K' + E' K - K K' = pi/2", _legendre),
-    IdentityId.KHINTCHINE_STABILITY: _Row(
+    "LEGENDRE_RELATION": _Row("E K' + E' K - K K' = pi/2", _legendre),
+    "KHINTCHINE_STABILITY": _Row(
         "Gauss-Kuz'min product (Euler-Maclaurin tail) = zeta-series value (mpmath)",
-        _khintchine_stability),
+        _khintchine_stability, khintchine.STABILITY_TOLERANCE),
 }
 
-# desk-scale checks keep a fixed tolerance regardless of ctx.digits
-_TOLERANCE_OVERRIDES = {
-    IdentityId.KHINTCHINE_STABILITY: khintchine.STABILITY_TOLERANCE,
-}
+IdentityId = Enum("IdentityId", [(name, name) for name in _TABLE], type=str)
+REGISTRY_ORDER = tuple(IdentityId)
+
 # the printed outputs, by identity, CLI constant or trace target, whose
 # values carry a fixed number of digits
 _CARRIED_DIGITS = {
-    IdentityId.KHINTCHINE_STABILITY: khintchine.CARRIED_DIGITS,
+    "KHINTCHINE_STABILITY": khintchine.CARRIED_DIGITS,
     "KHINTCHINE": khintchine.CARRIED_DIGITS,
     "khintchine_partial": khintchine.CARRIED_DIGITS,
 }
-
-REGISTRY_ORDER = tuple(_TABLE)
 
 
 def anchor(identity: IdentityId) -> str:
@@ -306,37 +279,28 @@ def verify(identity, ctx: PrecisionContext, **params) -> IdentityReport:
     identity (a library error or a bad parameter) becomes a failed report.
     """
     identity = IdentityId(identity)
-    tol = _TOLERANCE_OVERRIDES.get(identity, ctx.tolerance)
+    row = _TABLE[identity]
+    tol = ctx.tolerance if row.tolerance is None else row.tolerance
     start = time.perf_counter()
     with ctx.workprec():
         try:
-            lhs, rhs, extra = _TABLE[identity].sides(ctx, params)
+            lhs, rhs, extra = row.sides(ctx, params)
             residual = abs(lhs - rhs)
             passed = bool(residual < tol)
-            if "series_form_residual" in extra:
-                passed = passed and bool(extra["series_form_residual"] < tol)
             digits = _digits_agreed(residual, lhs, rhs, ctx.digits)
         except Exception as exc:
-            elapsed = (time.perf_counter() - start) * 1000
-            return IdentityReport(id=identity, lhs=mpf(0), rhs=mpf(0),
-                                  residual=mp.inf, digits_agreed=0, passed=False,
-                                  params={"error": f"{type(exc).__name__}: {exc}"},
-                                  runtime_ms=elapsed)
-    elapsed = (time.perf_counter() - start) * 1000
+            lhs = rhs = mpf(0)
+            residual, digits, passed = mp.inf, 0, False
+            extra = {"error": f"{type(exc).__name__}: {exc}"}
     return IdentityReport(id=identity, lhs=lhs, rhs=rhs, residual=residual,
-                          digits_agreed=digits, passed=passed,
-                          params=dict(extra), runtime_ms=elapsed)
+                          digits_agreed=digits, passed=passed, params=dict(extra),
+                          runtime_ms=(time.perf_counter() - start) * 1000)
 
 
-def verify_all(ctx: PrecisionContext, ids=None) -> list:
-    """Run every registered identity (or the given subset) in registry order.
+def verify_all(ctx: PrecisionContext) -> list:
+    """Run every registered identity in registry order.
 
     A failing identity never aborts the suite; failures are recorded in the
     corresponding report.
     """
-    if ids is None:
-        selected = REGISTRY_ORDER
-    else:
-        wanted = {IdentityId(i) for i in ids}
-        selected = tuple(i for i in REGISTRY_ORDER if i in wanted)
-    return [verify(identity, ctx) for identity in selected]
+    return [verify(identity, ctx) for identity in IdentityId]

@@ -17,7 +17,7 @@ Outer sum
 |T_n| <= |t_{n+1}| = 2/((4n+1)(4n+3)), so T_n^2 <= 4/(4n+1)^4 and the outer
 tail beyond N is bounded by 1/(3 (4N+1)^3) (integral comparison): pure
 truncation needs ~10^9 terms for 30-digit tolerances (the CLI trace counts
-them with _pure_truncation_N).  |T_n| is the smooth function
+them with _terms_to_tolerance).  |T_n| is the smooth function
 
     I(n) = (1/8) [ psi((n+5/4)/2) - psi((n+1/4)/2)
                  - psi((n+7/4)/2) + psi((n+3/4)/2) ],
@@ -238,32 +238,27 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> FourierCoefficient:
         return FourierCoefficient(n=n, value=8 / mp.pi * res.value)
 
 
-def _pure_truncation_N(tol: mpf) -> int:
-    """Smallest N with 1/(3 (4N+1)^3) < tol."""
-    N = int(mp.ceil(((1 / (3 * tol)) ** (mpf(1) / 3) - 1) / 4))
-    N = max(N, 1)
-    while mpf(1) / (3 * (4 * N + 1) ** 3) >= tol:
-        N += 1
-    while N > 1 and mpf(1) / (3 * (4 * (N - 1) + 1) ** 3) < tol:
-        N -= 1
-    return N
+def _terms_to_tolerance(digits: int, *, squared: bool = False) -> int:
+    """Smallest N >= 1 whose truncation bound is below 10^-digits: the outer
+    tail bound 1/(3 (4N+1)^3) with squared=True, else the first omitted
+    inner term |t_{N+1}| = 2/((4N+1)(4N+3)), which bounds |S - S_N|.
 
-
-def _inner_truncation_N(tol: mpf, ctx: PrecisionContext) -> int:
-    """Smallest n >= 1 with |t_{n+1}| = 2/((4n+1)(4n+3)) < tol, so that
-    |S - S_n| < tol.
-
-    (4n+1)(4n+3) = (4n+2)^2 - 1 gives n > (sqrt(2/tol + 1) - 2)/4; the
-    rounding of that estimate is settled by inner_term_magnitude, the
-    comparison a term-by-term count would make.
+    The bounds are compared in integers; N is found by doubling, then by
+    bisection.
     """
-    with ctx.workprec():
-        n = max(int(mp.floor((mp.sqrt(2 / tol + 1) - 2) / 4)) + 1, 1)
-    while n > 1 and inner_term_magnitude(n, ctx) < tol:
-        n -= 1
-    while inner_term_magnitude(n + 1, ctx) >= tol:
-        n += 1
-    return n
+    def meets(N):
+        if squared:
+            return 3 * (4 * N + 1) ** 3 > 10 ** digits
+        return (4 * N + 1) * (4 * N + 3) > 2 * 10 ** digits
+
+    high = 1
+    while not meets(high):
+        high *= 2
+    low = high // 2  # 0, or a count that misses
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if meets(mid) else (mid, high)
+    return high
 
 
 def double_series_partial(N: int, ctx: PrecisionContext) -> BigReal:

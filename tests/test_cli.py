@@ -4,7 +4,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import NoConvergence, PrecisionContext, elliptic, khintchine, series
+from kgconst import NoConvergence, elliptic, khintchine, series
 from kgconst.cli import (
     EXIT_IDENTITY_FAILED,
     EXIT_NOT_CONVERGED,
@@ -253,8 +253,7 @@ class TestTrace:
 
     def test_capped_series_trace_fails_fast(self, capsys):
         # 20 digits need about 3.5e9 terms, far above the default cap
-        ctx = PrecisionContext(digits=20)
-        needed = series._inner_truncation_N(ctx.tolerance, ctx)
+        needed = series._terms_to_tolerance(20)
         start = time.perf_counter()
         code, out, err = invoke(capsys, "trace", "partial_sum_S")
         assert time.perf_counter() - start < 0.5

@@ -24,8 +24,7 @@ from kgconst import (
 )
 from kgconst import quadrature, series
 from kgconst.series import (
-    _inner_truncation_N,
-    _pure_truncation_N,
+    _terms_to_tolerance,
     inner_term_magnitude,
     smooth_tail_magnitude,
 )
@@ -137,25 +136,18 @@ class TestFixedPointKernel:
             partial_sums([0, 1], ctx30, squared=True)
 
     def test_closed_form_count_is_minimal(self):
-        # what the counting loop returns, for tolerances it would need up to
-        # 10^19 steps to reach
-        for tol_exp in range(10, 41):
-            ctx = PrecisionContext(digits=tol_exp)
-            n = _inner_truncation_N(ctx.tolerance, ctx)
-            assert inner_term_magnitude(n + 1, ctx) < ctx.tolerance <= inner_term_magnitude(n, ctx)
-
-    @given(k=st.integers(min_value=1, max_value=2000), nudge=st.sampled_from([-1, 0, 1]))
-    @settings(max_examples=40, deadline=None)
-    def test_closed_form_count_equals_counting_loop(self, k, nudge):
-        # tolerances at and next to a term magnitude catch off-by-one slips
-        ctx = PrecisionContext(digits=20)
-        with ctx.workprec():
-            tol = inner_term_magnitude(k, ctx) * (1 + nudge * mpf(10) ** -15)
-        assert _inner_truncation_N(tol, ctx) == _counting_loop_N(tol, ctx)
+        # both bounds hold at the count and fail one term earlier, compared
+        # exactly, at counts up to about 10^250 terms
+        for digits in range(10, 501):
+            scale = 10 ** digits
+            N = _terms_to_tolerance(digits, squared=True)
+            assert 3 * (4 * N + 1) ** 3 > scale >= 3 * (4 * N - 3) ** 3
+            n = _terms_to_tolerance(digits)
+            assert (4 * n + 1) * (4 * n + 3) > 2 * scale >= (4 * n - 3) * (4 * n - 1)
 
     def test_closed_form_count_equals_counting_loop_at_1e10(self):
         ctx = PrecisionContext(digits=10)
-        assert _inner_truncation_N(ctx.tolerance, ctx) == _counting_loop_N(ctx.tolerance, ctx)
+        assert _terms_to_tolerance(10) == _counting_loop_N(ctx.tolerance, ctx)
 
 
 class TestLimit:
@@ -317,8 +309,7 @@ class TestDoubleSeries:
     def test_pure_and_accelerated_routes_agree(self):
         # the partial sum up to the bound-driven N that the CLI trace uses
         ctx = PrecisionContext(digits=14)
-        with ctx.workprec():
-            pure = double_series_partial(_pure_truncation_N(ctx.tolerance), ctx)
+        pure = double_series_partial(_terms_to_tolerance(14, squared=True), ctx)
         accel = double_series(PrecisionContext(digits=30))
         assert abs(pure - accel.value) < ctx.tolerance
 
