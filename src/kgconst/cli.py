@@ -12,13 +12,13 @@ Grammar (each subcommand takes only the options listed for it)::
 Exit codes: 0 success/verified, 2 not converged, a series trace needing
 more than --max-terms terms, or --out not writable, 3 identity failed beyond
 tolerance, 64 usage error (--digits outside 10..MAX_DIGITS, --max-terms
-below 1, or an option the subcommand does not take).
+below 1, an unknown target, or an option the subcommand does not take).
 
 Numbers are serialized as decimal strings carrying exactly ``digits``
-significant digits, or fewer where the value carries fewer
-(identities.printed_digits), never as binary floats.  Output is
-byte-deterministic for identical argv; measured runtimes are therefore
-suppressed (reported as 0.0) unless --timings is given.
+significant digits, or fewer where the value carries fewer (_digits),
+never as binary floats.  Output is byte-deterministic for identical argv;
+measured runtimes are therefore suppressed (reported as 0.0) unless
+--timings is given.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ _CONSTANTS = {
 
 _TRACE_TARGETS = ("double_series", "partial_sum_S", "khintchine_partial")
 
+# the printed outputs, by identity, constant or trace target, whose values
+# carry a fixed number of digits
+_CARRIED_DIGITS = {
+    "KHINTCHINE_STABILITY": khintchine.CARRIED_DIGITS,
+    "KHINTCHINE": khintchine.CARRIED_DIGITS,
+    "khintchine_partial": khintchine.CARRIED_DIGITS,
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -87,26 +95,30 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="kgconst", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
-        "target": {},
         "--digits": {"type": _int_in(MIN_DIGITS, MAX_DIGITS), "default": 20},
         "--max-terms": {"type": _int_in(1), "default": DEFAULT_MAX_TERMS},
         "--format": {"choices": ("text", "json", "csv"), "default": "text"},
         "--out": {},
         "--timings": {"action": "store_true"},
     }
-    for name, help_text, handler, names in (
-        ("compute", "compute one named constant", _run_compute,
-         "target --digits --format --out"),
+    for name, help_text, handler, targets, names in (
+        ("compute", "compute one named constant", _run_compute, list(_CONSTANTS),
+         "--digits --format --out"),
         ("verify", "verify one identity, or 'all'", _run_verify,
-         "target --digits --format --out --timings"),
-        ("list", "list constants and identities", _run_list, "--out"),
-        ("trace", "emit a convergence trace as CSV", _run_trace,
-         "target --digits --max-terms --out"),
+         ["all", *(ident.value for ident in identities.IdentityId)],
+         "--digits --format --out --timings"),
+        ("list", "list constants and identities", _run_list, None, "--out"),
+        ("trace", "emit a convergence trace as CSV", _run_trace, _TRACE_TARGETS,
+         "--digits --max-terms --out"),
     ):
         p = sub.add_parser(name, help=help_text)
+        if targets:
+            p.add_argument("target", choices=targets, metavar="target")
         for option in names.split():
             p.add_argument(option, **options[option])
-        p.set_defaults(handler=handler)
+        # trace takes no --format and always writes CSV; set for compute or
+        # verify, this default would override the one --format declares
+        p.set_defaults(handler=handler, **({"format": "csv"} if name == "trace" else {}))
     return parser
 
 
@@ -117,6 +129,26 @@ def _nstr(value, digits):
         return mp.nstr(mp.convert(value), digits, strip_zeros=False)
 
 
+def _digits(name, digits, x, scale):
+    """Significant digits worth printing of x, a value or residual of the
+    identity, constant or trace target name, at the requested digits; scale
+    is x for a value and the larger of |a| and |b| for a residual |a - b|.
+
+    A value that carries a fixed number of digits is known only to the
+    absolute precision of its last digit, so x carries the digits above
+    it: the carried ones less the decades between scale and x (at least
+    one).  Other names print every requested digit, and a zero or the
+    infinite residual of a failed report prints like its values.
+    """
+    carried = _CARRIED_DIGITS.get(name)
+    if carried is None:
+        return digits
+    if not x or not mp.isfinite(x):
+        return min(digits, carried)
+    decades = int(mp.floor(mp.log10(scale))) - int(mp.floor(mp.log10(x)))
+    return max(1, min(digits, carried - decades))
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -125,7 +157,7 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _write(ns, records, lines):
+def _write(ns, records, lines=()):
     """Emit records as JSON (one object, or a list for 'all'), as CSV, or as
     the text lines."""
     if ns.format == "json":
@@ -142,13 +174,13 @@ def _write(ns, records, lines):
 
 
 def _report_record(report, ns):
-    digits = identities.printed_digits(report.id, ns.digits)
+    name, lhs, rhs = report.id.value, report.lhs, report.rhs
     return {
-        "target": report.id.value,
-        "lhs": _nstr(report.lhs, digits),
-        "rhs": _nstr(report.rhs, digits),
-        "residual": _nstr(report.residual, identities.residual_digits(
-            report.id, ns.digits, report.residual, max(abs(report.lhs), abs(report.rhs)))),
+        "target": name,
+        "lhs": _nstr(lhs, _digits(name, ns.digits, lhs, lhs)),
+        "rhs": _nstr(rhs, _digits(name, ns.digits, rhs, rhs)),
+        "residual": _nstr(report.residual, _digits(
+            name, ns.digits, report.residual, max(abs(lhs), abs(rhs)))),
         "digits_agreed": report.digits_agreed,
         "passed": report.passed,
         "runtime_ms": report.runtime_ms if ns.timings else 0.0,
@@ -157,16 +189,12 @@ def _report_record(report, ns):
 
 
 def _run_compute(ns) -> int:
-    if ns.target not in _CONSTANTS:
-        print(f"error: unknown constant {ns.target!r}; valid targets: "
-              f"{', '.join(_CONSTANTS)}", file=sys.stderr)
-        return EXIT_USAGE
     ctx = PrecisionContext(digits=ns.digits)
     fn, description = _CONSTANTS[ns.target]
     value = fn(ctx)
     record = {
         "target": ns.target,
-        "value": _nstr(value, identities.printed_digits(ns.target, ns.digits)),
+        "value": _nstr(value, _digits(ns.target, ns.digits, value, value)),
         "runtime_ms": 0.0,
         "paper_anchor": description,
     }
@@ -175,16 +203,9 @@ def _run_compute(ns) -> int:
 
 
 def _run_verify(ns) -> int:
-    valid = [i.value for i in identities.REGISTRY_ORDER]
     ctx = PrecisionContext(digits=ns.digits)
-    if ns.target == "all":
-        reports = identities.verify_all(ctx)
-    elif ns.target in valid:
-        reports = [identities.verify(ns.target, ctx)]
-    else:
-        print(f"error: unknown identity {ns.target!r}; valid targets: "
-              f"all, {', '.join(valid)}", file=sys.stderr)
-        return EXIT_USAGE
+    reports = (identities.verify_all(ctx) if ns.target == "all"
+               else [identities.verify(ns.target, ctx)])
     records = [_report_record(r, ns) for r in reports]
     _write(ns, records, [f"{'PASS' if rec['passed'] else 'FAIL'} {rec['target']}: "
                          f"residual={rec['residual']} digits_agreed={rec['digits_agreed']}"
@@ -201,7 +222,7 @@ def _run_list(ns) -> int:
     for name, (_, description) in _CONSTANTS.items():
         lines.append(f"  {name:12s} {description}")
     lines.append("identities:")
-    for ident in identities.REGISTRY_ORDER:
+    for ident in identities.IdentityId:
         lines.append(f"  {ident.value:34s} {identities.anchor(ident)}")
     lines.append("trace targets:")
     for name in _TRACE_TARGETS:
@@ -252,21 +273,13 @@ def _trace_rows(target, ctx, max_terms):
 
 
 def _run_trace(ns) -> int:
-    if ns.target not in _TRACE_TARGETS:
-        print(f"error: unknown trace target {ns.target!r}; valid targets: "
-              f"{', '.join(_TRACE_TARGETS)}", file=sys.stderr)
-        return EXIT_USAGE
     ctx = PrecisionContext(digits=ns.digits)
     final, rows = _trace_rows(ns.target, ctx, ns.max_terms)
-    digits = identities.printed_digits(ns.target, ns.digits)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "value", "residual"])
-    for index, value, residual in rows:
-        residual_digits = identities.residual_digits(
-            ns.target, ns.digits, residual, max(abs(value), abs(final)))
-        writer.writerow([index, _nstr(value, digits), _nstr(residual, residual_digits)])
-    _emit(buf.getvalue(), ns.out)
+    _write(ns, [{"index": index,
+                 "value": _nstr(value, _digits(ns.target, ns.digits, value, value)),
+                 "residual": _nstr(residual, _digits(ns.target, ns.digits, residual,
+                                                     max(abs(value), abs(final))))}
+                for index, value, residual in rows])
     final_residual = rows[-1][2]
     tol = (khintchine.STABILITY_TOLERANCE if ns.target == "khintchine_partial"
            else ctx.tolerance)

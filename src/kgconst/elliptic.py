@@ -88,24 +88,52 @@ def ellip_E(k, ctx: PrecisionContext) -> BigReal:
         return _agm_KE(k)[1]
 
 
+def _check_trapezoid_reach(k, kp2, ctx):
+    """Raise NoConvergence, before any evaluation, when the trapezoid rule of
+    integrate_even_periodic cannot converge within PERIODIC_MAX_INTERVALS on
+    an integrand in cos^2 t + kp2 sin^2 t, kp2 = k'^2 = 1 - k^2.
+
+    That form vanishes at t = pi/2 +- i atanh(k'), so n intervals on
+    (0, pi/2) err by about exp(-4 n atanh(k')) (Trefethen & Weideman 2014),
+    and reaching even ctx.tolerance takes about
+    digits ln 10 / (4 atanh(k')) intervals.  The rule's own target is
+    ctx.working_tolerance, ten digits finer: measured from 10 to 500 digits
+    for K, E and the Krivine middle integrand, it stopped where
+    exp(-4 n atanh(k')) was at least 7 decades below ctx.tolerance, so the
+    check refuses no integral the rule completes.
+    """
+    with mp.workdps(15):
+        needed = ctx.digits * mp.ln10 / (4 * mp.atanh(mp.sqrt(kp2)))
+    if needed > quadrature.PERIODIC_MAX_INTERVALS:
+        raise NoConvergence(
+            f"periodic trapezoid at modulus {mp.nstr(k, 15)} needs about "
+            f"{int(needed)} intervals, more than {quadrature.PERIODIC_MAX_INTERVALS}")
+
+
 def ellip_K_quadrature(k, ctx: PrecisionContext) -> BigReal:
     """Defining-integral route for K(k) (independent oracle), by the periodic
-    trapezoid rule, with 1 - k^2 sin^2 t = cos^2 t + k'^2 sin^2 t."""
+    trapezoid rule, with 1 - k^2 sin^2 t = cos^2 t + k'^2 sin^2 t.  Raises
+    NoConvergence at once as k -> 1 where the rule would need more than
+    PERIODIC_MAX_INTERVALS intervals (_check_trapezoid_reach): from about
+    k = 1 - 3.5e-8 at 30 digits."""
     with ctx.workprec():
         k = mpf(k)
         _check_modulus(k, "ellip_K_quadrature")
         kp2 = (1 - k) * (1 + k)
+        _check_trapezoid_reach(k, kp2, ctx)
         return quadrature.integrate_even_periodic(
             lambda s2, c2: 1 / mp.sqrt(c2 + kp2 * s2), ctx).value
 
 
 def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
     """Defining-integral route for E(k) (independent oracle), by the periodic
-    trapezoid rule, with 1 - k^2 sin^2 t = cos^2 t + k'^2 sin^2 t."""
+    trapezoid rule, with 1 - k^2 sin^2 t = cos^2 t + k'^2 sin^2 t.  Raises
+    NoConvergence at once as k -> 1, as ellip_K_quadrature does."""
     with ctx.workprec():
         k = mpf(k)
         _check_modulus(k, "ellip_E_quadrature")
         kp2 = (1 - k) * (1 + k)
+        _check_trapezoid_reach(k, kp2, ctx)
         return quadrature.integrate_even_periodic(
             lambda s2, c2: mp.sqrt(c2 + kp2 * s2), ctx).value
 
@@ -188,12 +216,14 @@ def krivine_complex_f(x, ctx: PrecisionContext) -> BigReal:
 def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:
     """Middle expression x * integral of cos^2(t)/sqrt(1-x^2 sin^2(t)) over
     (0, pi/2) (oracle), by the periodic trapezoid rule, with
-    1 - x^2 sin^2 t = cos^2 t + (1 - x^2) sin^2 t."""
+    1 - x^2 sin^2 t = cos^2 t + (1 - x^2) sin^2 t.  Raises NoConvergence at
+    once as x -> 1, as ellip_K_quadrature does at k = x."""
     with ctx.workprec():
         x = mpf(x)
         if not (0 < x < 1):
             raise DomainError(f"middle expression requires 0 < x < 1, got {x}")
         xp2 = (1 - x) * (1 + x)
+        _check_trapezoid_reach(x, xp2, ctx)
         res = quadrature.integrate_even_periodic(
             lambda s2, c2: c2 / mp.sqrt(c2 + xp2 * s2), ctx)
         return x * res.value

@@ -225,43 +225,10 @@ _TABLE = {
 }
 
 IdentityId = Enum("IdentityId", [(name, name) for name in _TABLE], type=str)
-REGISTRY_ORDER = tuple(IdentityId)
-
-# the printed outputs, by identity, CLI constant or trace target, whose
-# values carry a fixed number of digits
-_CARRIED_DIGITS = {
-    "KHINTCHINE_STABILITY": khintchine.CARRIED_DIGITS,
-    "KHINTCHINE": khintchine.CARRIED_DIGITS,
-    "khintchine_partial": khintchine.CARRIED_DIGITS,
-}
 
 
 def anchor(identity: IdentityId) -> str:
     return _TABLE[identity].anchor
-
-
-def printed_digits(name: str, digits: int) -> int:
-    """Significant digits worth printing of the values of an identity, CLI
-    constant or trace target name at the requested digits: those, or fewer
-    for a desk-scale value."""
-    return min(digits, _CARRIED_DIGITS.get(name, digits))
-
-
-def residual_digits(name: str, digits: int, residual, operand) -> int:
-    """Significant digits worth printing of a residual |a - b| at the
-    requested digits, where operand is the larger of |a| and |b|.
-
-    Operands that carry a fixed number of digits are known only to the
-    absolute precision of their last digit, so their residual carries the
-    digits above it: the carried ones less the decades between the operand
-    and the residual (at least one).  Other residuals, and a zero or the
-    infinite one of a failed report, print like values.
-    """
-    carried = _CARRIED_DIGITS.get(name)
-    if carried is None or not residual or not mp.isfinite(residual):
-        return printed_digits(name, digits)
-    decades = int(mp.floor(mp.log10(operand))) - int(mp.floor(mp.log10(residual)))
-    return max(1, min(digits, carried - decades))
 
 
 def _digits_agreed(residual, lhs, rhs, cap):

@@ -4,7 +4,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import NoConvergence, elliptic, khintchine, series
+from kgconst import IdentityId, NoConvergence, elliptic, khintchine, series
 from kgconst.cli import (
     EXIT_IDENTITY_FAILED,
     EXIT_NOT_CONVERGED,
@@ -12,6 +12,9 @@ from kgconst.cli import (
     EXIT_USAGE,
     run,
 )
+
+COMPUTE_TARGETS = ("PI", "L", "S", "KG", "A0", "HAAGERUP", "X0", "KC_UPPER", "KHINTCHINE")
+TRACE_TARGETS = ("double_series", "partial_sum_S", "khintchine_partial")
 
 
 def invoke(capsys, *argv):
@@ -23,6 +26,17 @@ def invoke(capsys, *argv):
 def significant_digits(text):
     """The number of significant digits a printed value carries."""
     return len(text.split("e")[0].lstrip("-0.").replace(".", ""))
+
+
+def assert_unknown_target(code, out, err, targets):
+    """A usage error that names every valid target; argparse's quoting of
+    the names differs across Python versions, so only the names are read."""
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "invalid choice" in err
+    named = set(err.split("choose from", 1)[1].replace("'", " ").replace(",", " ")
+                .replace("(", " ").replace(")", " ").split())
+    assert named == set(targets)
 
 
 def residual_digits_of(residual, *operands):
@@ -70,9 +84,7 @@ class TestCompute:
             assert abs(mpf(json.loads(out)["value"]) - reference) < mpf(10) ** -59
 
     def test_unknown_constant(self, capsys):
-        code, _, err = invoke(capsys, "compute", "NOPE")
-        assert code == EXIT_USAGE
-        assert "valid targets" in err
+        assert_unknown_target(*invoke(capsys, "compute", "NOPE"), COMPUTE_TARGETS)
 
     def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
         code, out, _ = invoke(capsys, "compute", "KHINTCHINE", "--digits", "60")
@@ -168,9 +180,8 @@ class TestVerify:
         assert err == ""
 
     def test_unknown_identity(self, capsys):
-        code, _, err = invoke(capsys, "verify", "MYSTERY")
-        assert code == EXIT_USAGE
-        assert "valid targets" in err
+        assert_unknown_target(*invoke(capsys, "verify", "MYSTERY"),
+                              ["all", *(ident.value for ident in IdentityId)])
 
 
 class TestList:
@@ -242,9 +253,17 @@ class TestTrace:
         assert [line.split(",")[0] for line in lines[1:]] == ["1"]
 
     def test_unknown_target(self, capsys):
-        code, _, err = invoke(capsys, "trace", "mystery_series")
-        assert code == EXIT_USAGE
-        assert "valid targets" in err
+        assert_unknown_target(*invoke(capsys, "trace", "mystery_series"), TRACE_TARGETS)
+
+    def test_out_file_holds_the_printed_bytes(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        argv = ("trace", "double_series", "--digits", "12")
+        code, printed, _ = invoke(capsys, *argv)
+        assert code == EXIT_OK
+        code, out, _ = invoke(capsys, *argv, "--out", str(path))
+        assert code == EXIT_OK
+        assert out == ""
+        assert path.read_bytes() == printed.encode()
 
     def test_truncated_trace_not_converged(self, capsys):
         code, out, _ = invoke(capsys, "trace", "double_series", "--digits", "12",

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from mpmath import mp, mpf
 
 from kgconst import (
     DomainError,
+    NoConvergence,
     PrecisionContext,
     ellip_E,
     ellip_E_imag,
@@ -194,6 +197,20 @@ class TestNearOne:
         ref_K, ref_E = mp.ellipk(k * k), mp.ellipe(k * k)
         assert abs(ellip_K(k, ctx30) / ref_K - 1) < mpf("1e-35")
         assert abs(ellip_E(k, ctx30) / ref_E - 1) < mpf("1e-35")
+
+    @pytest.mark.parametrize("oracle", [ellip_K_quadrature, ellip_E_quadrature,
+                                        krivine_complex_middle])
+    def test_trapezoid_oracle_fails_fast(self, oracle, ctx30):
+        # about 1.2e5 intervals needed, past PERIODIC_MAX_INTERVALS = 2^16
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence, match="needs about 122113 intervals"):
+            oracle(1 - mpf("1e-8"), ctx30)
+        assert time.perf_counter() - start < 0.1
+
+    def test_trapezoid_oracle_reaches_its_last_levels(self, ctx30):
+        # 2^15 intervals, just inside the cap
+        k = "0.999999"
+        assert abs(ellip_K_quadrature(k, ctx30) / ellip_K(k, ctx30) - 1) < mpf("1e-30")
 
 
 def record_solve(monkeypatch, digits):

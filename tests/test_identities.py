@@ -14,15 +14,14 @@ from kgconst import (
 )
 from kgconst.cli import MAX_DIGITS
 from kgconst.core import MIN_DIGITS
-from kgconst.identities import REGISTRY_ORDER, _TABLE, anchor
+from kgconst.identities import _TABLE, anchor
 
 ALL_IDS = list(IdentityId)
 
 
 class TestRegistry:
     def test_every_identity_registered(self):
-        assert set(REGISTRY_ORDER) == set(ALL_IDS)
-        assert len(REGISTRY_ORDER) == 18
+        assert len(ALL_IDS) == 18
 
     def test_every_identity_has_anchor(self):
         for ident in ALL_IDS:
@@ -100,7 +99,7 @@ class TestVerifyAll:
                 assert r.digits_agreed >= 19, r.id
 
     def test_registry_order_preserved(self, reports):
-        assert [r.id for r in reports] == list(REGISTRY_ORDER)
+        assert [r.id for r in reports] == ALL_IDS
 
 
 class TestSingleVerify:
