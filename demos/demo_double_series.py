@@ -24,7 +24,7 @@ print()
 
 print("first Fourier coefficients of 1/cos(x/4):")
 for n in range(0, 6):
-    print(f"  a_{n} = {mp.nstr(fourier_a(n, ctx).value, 20)}")
+    print(f"  a_{n} = {mp.nstr(fourier_a(n, ctx), 20)}")
 print()
 
 print("brute-force partial sums of sum_n T_n^2:")

@@ -17,7 +17,6 @@ from .errors import (
 from .identities import IdentityId, IdentityReport, verify, verify_all
 from .quadrature import QuadratureResult, integrate_analytic, integrate_even_periodic
 from .series import (
-    FourierCoefficient,
     SeriesResult,
     double_series,
     double_series_partial,
@@ -59,7 +58,6 @@ __all__ = [
     "MaxTermsExceeded",
     "BracketFailure",
     "SeriesResult",
-    "FourierCoefficient",
     "inner_term",
     "partial_sum_S",
     "partial_sums",

@@ -45,16 +45,12 @@ MAX_DIGITS = 500
 DEFAULT_MAX_TERMS = 10_000_000
 
 
-def _fourier_a0(ctx):
-    return series.fourier_a(0, ctx).value
-
-
 _CONSTANTS = {
     "PI": (const_pi, "ratio of circumference to diameter"),
     "L": (const_L, "ln(1+sqrt(2)), the a0 integral up to 8/pi"),
     "S": (series.limit_S, "limit of the alternating partial sums, (sqrt(2)/2) L"),
     "KG": (const_KG, "Grothendieck-Krivine constant pi/(2L)"),
-    "A0": (_fourier_a0, "zeroth Fourier coefficient (8/pi) L"),
+    "A0": (lambda ctx: series.fourier_a(0, ctx), "zeroth Fourier coefficient (8/pi) L"),
     "HAAGERUP": (elliptic.haagerup_bound, "Haagerup's complex bound 1/(2K(i)-E(i))"),
     "X0": (lambda ctx: elliptic.solve_x0(ctx).x0, "root of the complex-case equation"),
     "KC_UPPER": (elliptic.kc_upper, "Krivine complex upper limit 8/(pi(x0+1))"),

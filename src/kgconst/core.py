@@ -3,8 +3,9 @@ and the Grothendieck-Krivine constant K_G = pi / (2 L).
 
 Every operation in the package takes a :class:`PrecisionContext` and performs
 all intermediate arithmetic at ``digits + GUARD_DIGITS`` decimal digits.  The
-returned values are plain ``mpmath.mpf`` instances (aliased ``BigReal``) and
-are immutable, so they are safe to share between tasks.
+returned values are plain ``mpmath.mpf`` instances (aliased ``BigReal``), or
+frozen records that carry one beside its work counts; both are immutable, so
+they are safe to share between tasks.
 """
 
 from __future__ import annotations

@@ -143,15 +143,14 @@ def _recurrence(ctx, params):
         # fourier_a(n - 1) would name index n - 1 in its error, not n
         raise DomainError(f"recurrence index must be >= 1, got {n}")
     sign = 1 if n % 2 == 0 else -1
-    lhs = series.fourier_a(n, ctx).value - series.fourier_a(n - 1, ctx).value
+    lhs = series.fourier_a(n, ctx) - series.fourier_a(n - 1, ctx)
     rhs = 8 * mp.sqrt(2) / mp.pi * sign * (mpf(1) / (4 * n - 3) - mpf(1) / (4 * n - 1))
     return lhs, rhs, {"n": n}
 
 
 def _coeff_vs_quadrature(ctx, params):
     n = params.get("n", 3)
-    return (series.fourier_a(n, ctx).value,
-            series.fourier_a_quadrature(n, ctx).value, {"n": n})
+    return series.fourier_a(n, ctx), series.fourier_a_quadrature(n, ctx), {"n": n}
 
 
 def _krivine_middle(ctx, params):

@@ -19,8 +19,8 @@ tail beyond N is bounded by 1/(3 (4N+1)^3) (integral comparison): pure
 truncation needs ~10^9 terms for 30-digit tolerances (the CLI trace counts
 them with _terms_to_tolerance).  |T_n| is the smooth function
 
-    I(n) = (1/8) [ psi((n+5/4)/2) - psi((n+1/4)/2)
-                 - psi((n+7/4)/2) + psi((n+3/4)/2) ],
+    I(n) = (1/8) [ digamma((n+5/4)/2) - digamma((n+1/4)/2)
+                 - digamma((n+7/4)/2) + digamma((n+3/4)/2) ],
 
 so V - V_n = sum_{m>n} I(m)^2 has an asymptotic expansion in powers of 1/n,
 and double_series extrapolates the partial sums V_n by Richardson's method
@@ -28,6 +28,14 @@ and double_series extrapolates the partial sums V_n by Richardson's method
 Engineers, 1978, section 8.1; mp.richardson).  The extrapolate of order N,
 from V_N ... V_2N, is off by about 10^(-1.14 N) (measured from N = 100 to
 300 against the closed form).
+
+Fourier coefficients
+--------------------
+fourier_a sums the inner tail I(n) = sum_{j>=0} (-1)^j |t_{n+1+j}| itself,
+by the alternating-series acceleration of Cohen, Rodriguez Villegas & Zagier
+(Convergence acceleration of alternating series, Experimental Math. 9, 2000,
+Algorithm 1; mp.cohen_alt): |t_{n+1+j}| = int_0^1 x^(4(n+j)) (1 - x^2) dx is
+a moment sequence with a positive measure, the case that algorithm treats.
 
 Explicit summation
 ------------------
@@ -56,12 +64,6 @@ class SeriesResult:
     terms_used: int
     tail_bound: BigReal
     converged: bool
-
-
-@dataclass(frozen=True)
-class FourierCoefficient:
-    n: int
-    value: BigReal
 
 
 def inner_term(k: int, ctx: PrecisionContext) -> BigReal:
@@ -147,41 +149,26 @@ def limit_S(ctx: PrecisionContext) -> BigReal:
         return mp.sqrt(2) / 2 * mp.log(1 + mp.sqrt(2))
 
 
-def smooth_tail_magnitude(n, ctx: PrecisionContext) -> BigReal:
-    """I(n) = |T_n| as a smooth function of (real) n, via digamma values.
-
-    The digamma values are about ln(n/2) and I(n) about 1/(16 n^2), so they
-    are taken with 2 log10(n) + 2 extra digits against the cancellation.
-    """
-    with ctx.workprec():
-        n = mpf(n)
-        with mp.extradps(2 * int(mp.log10(n + 10)) + 2):
-            a1 = n + mpf(1) / 4
-            a2 = n + mpf(3) / 4
-            value = (mp.psi(0, (a1 + 1) / 2) - mp.psi(0, a1 / 2)
-                     - mp.psi(0, (a2 + 1) / 2) + mp.psi(0, a2 / 2)) / 8
-        return +value
-
-
-def fourier_a(n: int, ctx: PrecisionContext) -> FourierCoefficient:
+def fourier_a(n: int, ctx: PrecisionContext) -> BigReal:
     """Fourier cosine coefficient a_n of 1/cos(x/4) on [-pi, pi].
 
-    a_0 = (8/pi) ln(1+sqrt(2)); a_n = (8 sqrt(2)/pi) (-1)^n I(n) for n >= 1,
-    with I(n) = |T_n| from smooth_tail_magnitude and sign(T_n) =
-    sign(t_{n+1}) = (-1)^n, so the cost does not grow with n and no partial
-    sum S_n is formed.  The value keeps its relative precision at every n:
-    smooth_tail_magnitude takes the digamma values deep enough to absorb
-    their cancellation.
+    a_0 = (8/pi) ln(1+sqrt(2)); a_n = (8 sqrt(2)/pi) T_n for n >= 1, with
+    sign(T_n) = sign(t_{n+1}) = (-1)^n and |T_n| = I(n) summed from the
+    inner terms by mp.cohen_alt, so the cost does not grow with n and no
+    partial sum S_n is formed.  N terms of I(n) = sum_{j>=0} (-1)^j b_j,
+    b_j = |t_{n+1+j}| = 2/((4(n+j)+1)(4(n+j)+3)), err by under
+    2 b_0/(3 + sqrt(8))^N, and b_0 < 2 I(n), so the bound is relative at
+    every n: N = 1.31 mp.dps + 2 puts it below 10^-mp.dps.
     """
     if n < 0:
         raise DomainError(f"coefficient index must be >= 0, got {n}")
     with ctx.workprec():
         if n == 0:
-            value = 8 / mp.pi * mp.log(1 + mp.sqrt(2))
-        else:
-            sign = 1 if n % 2 == 0 else -1
-            value = sign * 8 * mp.sqrt(2) / mp.pi * smooth_tail_magnitude(n, ctx)
-        return FourierCoefficient(n=n, value=value)
+            return 8 / mp.pi * mp.log(1 + mp.sqrt(2))
+        terms = [(-1) ** j * mpf(2) / ((4 * (n + j) + 1) * (4 * (n + j) + 3))
+                 for j in range(int(1.31 * mp.dps) + 2)]
+        tail = mp.cohen_alt().update(terms)[0]
+        return (-1) ** n * 8 * mp.sqrt(2) / mp.pi * tail
 
 
 def _chebyshev_t(m: int, c):
@@ -207,7 +194,7 @@ def _chebyshev_t(m: int, c):
     return mp.ldexp(t, -W)
 
 
-def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> FourierCoefficient:
+def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
     """Independent route: a_n = (8/pi) * integral of cos(4nt)/cos(t) over
     (0, pi/4), by Fejer's second rule on a rational integrand.
 
@@ -237,7 +224,7 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> FourierCoefficient:
             return _chebyshev_t(4 * n, p / (1 + u2)) * (2 / p + fold / (p + 2 * u))
 
         res = quadrature.integrate_analytic(integrand, 0, mp.tan(mp.pi / 16), ctx)
-        return FourierCoefficient(n=n, value=8 / mp.pi * res.value)
+        return 8 / mp.pi * res.value
 
 
 def _terms_to_tolerance(digits: int, *, squared: bool = False) -> int:
@@ -303,7 +290,7 @@ def parseval_closure(ctx: PrecisionContext) -> SeriesResult:
     """
     with ctx.workprec():
         ds = double_series(ctx)
-        a0 = fourier_a(0, ctx).value
+        a0 = fourier_a(0, ctx)
         scale = 128 / mp.pi ** 2
         return SeriesResult(value=a0 ** 2 / 2 + scale * ds.value,
                             terms_used=ds.terms_used,

@@ -76,7 +76,7 @@ def test_criterion_3_coefficient_oracle_and_recurrence():
     ctx40 = PrecisionContext(digits=40)
     with mp.workdps(90):
         worst_coeff = max(
-            abs(fourier_a(n, ctx30).value - fourier_a_quadrature(n, ctx30).value)
+            abs(fourier_a(n, ctx30) - fourier_a_quadrature(n, ctx30))
             for n in range(0, 9))
         worst_rec = max(verify(IdentityId.RECURRENCE, ctx40, n=n).residual
                         for n in range(1, 101))

@@ -1,7 +1,8 @@
 """The identity table: failed reports instead of exceptions, an independent
-KG_DEFINITION side, the integrals shared by the appendix identities and
-their fixed-point forms, and the rewrite that gives A3, A4 and their fixed
-points the chi_2 series instead of a quadrature."""
+KG_DEFINITION side, a_n summed by one route without digamma values, the
+integrals shared by the appendix identities and their fixed-point forms,
+and the rewrite that gives A3, A4 and their fixed points the chi_2 series
+instead of a quadrature."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from kgconst import (
     identities,
     khintchine,
     quadrature,
+    series,
     verify,
 )
 
@@ -65,6 +67,45 @@ def test_khintchine_fails_when_log_sum_is_wrong(monkeypatch):
     r = verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=20))
     assert not r.passed
     assert r.residual > mpf("1e-5")
+
+
+def _clear_memos():
+    identities._tail_integral.cache_clear()
+    identities._head_integral.cache_clear()
+    series.double_series.cache_clear()
+
+
+def test_verify_all_without_digamma(monkeypatch):
+    # a_n is summed from the inner terms, not from four digamma values
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mp.psi called")
+
+    monkeypatch.setattr(mp, "psi", forbidden)
+    _clear_memos()
+    reports = identities.verify_all(PrecisionContext(digits=50))
+    assert len(reports) == 18
+    assert [(r.id, r.params.get("error")) for r in reports if not r.passed] == []
+
+
+def test_shifted_accelerator_fails_only_its_rows(monkeypatch):
+    # the alternating-series accelerator gives a_n on one side of RECURRENCE
+    # (against a rational) and of COEFF_VS_QUADRATURE (against Fejer), and is
+    # no route of any other row
+    cohen_alt = mp.cohen_alt
+
+    class Shifted:
+        def __init__(self):
+            self.accelerator = cohen_alt()
+
+        def update(self, terms):
+            value, error = self.accelerator.update(terms)
+            return value * (1 + mpf("1e-25")), error
+
+    monkeypatch.setattr(mp, "cohen_alt", Shifted)
+    _clear_memos()
+    reports = identities.verify_all(PrecisionContext(digits=50))
+    assert {r.id for r in reports if not r.passed} == {
+        IdentityId.RECURRENCE, IdentityId.COEFF_VS_QUADRATURE}
 
 
 @pytest.fixture

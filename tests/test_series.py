@@ -23,11 +23,7 @@ from kgconst import (
     verify,
 )
 from kgconst import quadrature, series
-from kgconst.series import (
-    _terms_to_tolerance,
-    inner_term_magnitude,
-    smooth_tail_magnitude,
-)
+from kgconst.series import _terms_to_tolerance, inner_term_magnitude
 from kgconst.core import GUARD_BITS
 
 
@@ -208,19 +204,20 @@ class TestInnerTail:
                 assert abs(_tail(n, ctx) - reference[n]) <= bound, n
 
     def test_smooth_magnitude_matches_closed(self, ctx30):
+        # |a_n| pi/(8 sqrt(2)) = I(n), summed by the accelerator
         for n in (1, 3, 10, 250):
             closed = abs(_tail(n, ctx30))
-            assert abs(closed - smooth_tail_magnitude(n, ctx30)) < mpf("1e-35")
+            summed = abs(fourier_a(n, ctx30)) * mp.pi / (8 * mp.sqrt(2))
+            assert abs(closed - summed) < mpf("1e-35")
 
 
 class TestFourierCoefficients:
     def test_a0(self, ctx30):
         a0 = fourier_a(0, ctx30)
-        assert a0.n == 0
-        assert mp.nstr(a0.value, 8) == "2.2443994"
+        assert mp.nstr(a0, 8) == "2.2443994"
 
     def test_a1_sign_and_value(self, ctx30):
-        a1 = fourier_a(1, ctx30).value
+        a1 = fourier_a(1, ctx30)
         expected = 8 * mp.sqrt(2) / mp.pi * (limit_S(ctx30) - mpf(2) / 3)
         assert abs(a1 - expected) < mpf("1e-35")
         assert mp.nstr(a1, 5) == "-0.15644"
@@ -230,8 +227,8 @@ class TestFourierCoefficients:
         # (-1)^n
         for ctx in (PrecisionContext(digits=30), PrecisionContext(digits=120)):
             for n in range(0, 9):
-                closed = fourier_a(n, ctx).value
-                quad = fourier_a_quadrature(n, ctx).value
+                closed = fourier_a(n, ctx)
+                quad = fourier_a_quadrature(n, ctx)
                 assert abs(closed - quad) < ctx.tolerance, (ctx.digits, n)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 12, 255, 800])
@@ -251,19 +248,19 @@ class TestFourierCoefficients:
         # T_4n(c) by doubling, over the 9 and 10 bits of 4n; near u = 0 the
         # rounding of c costs up to 2 log10(4n) of the rule's 10 extra digits
         ctx = PrecisionContext(digits=digits)
-        closed = fourier_a(n, ctx).value
-        quad = fourier_a_quadrature(n, ctx).value
+        closed = fourier_a(n, ctx)
+        quad = fourier_a_quadrature(n, ctx)
         with ctx.workprec():
             assert abs(closed - quad) < ctx.tolerance
 
     def test_decay_envelope(self, ctx30):
         for n in range(1, 60):
             bound = 8 * mp.sqrt(2) / mp.pi * inner_term_magnitude(n + 1, ctx30)
-            assert abs(fourier_a(n, ctx30).value) <= bound
+            assert abs(fourier_a(n, ctx30)) <= bound
 
     def test_no_partial_sums(self, ctx30, monkeypatch):
-        # a_n comes from the digamma form of |T_n|, so the recurrence check
-        # does not telescope the sums S_n that would build it
+        # a_n sums the tail |T_n| from its own terms, so the recurrence
+        # check does not telescope the sums S_n that would build it
         def forbidden(*args, **kwargs):
             raise AssertionError("partial sums used")
 
@@ -272,7 +269,7 @@ class TestFourierCoefficients:
 
     def test_large_index_is_fast(self, ctx30):
         start = time.perf_counter()
-        a = fourier_a(10 ** 6, ctx30).value
+        a = fourier_a(10 ** 6, ctx30)
         assert time.perf_counter() - start < 0.05
         bound = 8 * mp.sqrt(2) / mp.pi * inner_term_magnitude(10 ** 6 + 1, ctx30)
         assert 0 < a <= bound
@@ -395,7 +392,7 @@ class TestParsevalClosure:
 
     def test_exact_relation_to_double_series(self, ctx30):
         pc = parseval_closure(ctx30)
-        a0 = fourier_a(0, ctx30).value
+        a0 = fourier_a(0, ctx30)
         with ctx30.workprec():
             combined = a0 ** 2 / 2 + 128 / mp.pi ** 2 * double_series(ctx30).value
         assert abs(pc.value - combined) < ctx30.tolerance
