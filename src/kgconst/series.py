@@ -25,7 +25,7 @@ them with _terms_to_tolerance).  |T_n| is the smooth function
 so V - V_n = sum_{m>n} I(m)^2 has an asymptotic expansion in powers of 1/n,
 and double_series extrapolates the partial sums V_n by Richardson's method
 (Bender & Orszag, Advanced Mathematical Methods for Scientists and
-Engineers, 1978, section 8.1; mp.richardson).  The extrapolate of order N,
+Engineers, 1978, section 8.1).  The extrapolate of order N,
 from V_N ... V_2N, is off by about 10^(-1.14 N) (measured from N = 100 to
 300 against the closed form).
 
@@ -34,7 +34,7 @@ Fourier coefficients
 fourier_a sums the inner tail I(n) = sum_{j>=0} (-1)^j |t_{n+1+j}| itself,
 by the alternating-series acceleration of Cohen, Rodriguez Villegas & Zagier
 (Convergence acceleration of alternating series, Experimental Math. 9, 2000,
-Algorithm 1; mp.cohen_alt): |t_{n+1+j}| = int_0^1 x^(4(n+j)) (1 - x^2) dx is
+Algorithm 1): |t_{n+1+j}| = int_0^1 x^(4(n+j)) (1 - x^2) dx is
 a moment sequence with a positive measure, the case that algorithm treats.
 
 Explicit summation
@@ -44,12 +44,23 @@ runs through one fixed-point integer loop, ``_fixed_point_sums``: exact
 Python-int accumulation of floor(2^(P+1) / ((4k-3)(4k-1))), in the manner of
 mpmath's own ``libelefun`` (Brent & Zimmermann, Modern Computer Arithmetic,
 2010, section 4.4).  legendre_chi2 sums its series the same way.
+
+Both accelerators work in the same fixed point, because their weights are
+integers: Richardson's are (-1)^(k+N) C(N,k) (N+k)^N over N!, and those of
+CVZ Algorithm 1 are integers over d = T_N(3).  _richardson applies them to
+the integer sums V_n and _inner_tail to the floored terms, each dividing
+once and rounding once.  mp.richardson and mp.cohen_alt form the same
+weights as mpf products on every call (two (k+N)^N powers per Richardson
+weight, (3 + sqrt(8))^N per CVZ call) and round each product; the integer
+kernels are exact and several times faster (README, "Notes on
+method"), so they replace those mpmath primitives here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, factorial
 
 from mpmath import mp, mpf
 
@@ -83,13 +94,14 @@ def inner_term_magnitude(k: int, ctx: PrecisionContext) -> BigReal:
         return mpf(2) / ((4 * k - 3) * (4 * k - 1))
 
 
-def _fixed_point_sums(marks, *, squared: bool = False) -> list:
+def _fixed_point_sums(marks, *, squared: bool = False) -> tuple:
     """Partial sums at each index m in marks (ascending, each >= 0), in one
-    pass; call at the working precision.
+    pass, as integers scaled by 2^shift: returns (sums, shift).  Call at the
+    working precision.
 
-    squared=False gives S_m = sum_{k=1}^{m} t_k.  squared=True gives
-    sum_{n=1}^{m} T_n^2 with T_n = S - S_n, starting from T_0 = S rounded
-    once to P bits.
+    squared=False gives S_m = sum_{k=1}^{m} t_k at shift P.  squared=True
+    gives sum_{n=1}^{m} T_n^2 at shift 2P, with T_n = S - S_n, starting from
+    T_0 = S rounded once to P bits.
 
     The loop works on integers scaled by 2^P, P = mp.prec + N.bit_length()
     + GUARD_BITS, N = marks[-1].  Each term floor(2^(P+1) / ((4k-3)(4k-1)))
@@ -98,7 +110,7 @@ def _fixed_point_sums(marks, *, squared: bool = False) -> list:
     accumulated exactly at 2P bits; T_n is off by under (n+1) 2^-P and
     2 (n+1) |T_n| < 1/(2n), so sum T_n^2 is off by under
     (1 + ln N)/2 2^-P <= N 2^-P.  Both bounds are below
-    2^-(mp.prec + GUARD_BITS); the one rounding to an mpf per result
+    2^-(mp.prec + GUARD_BITS), so a rounding of the result to an mpf
     dominates.
     """
     P = mp.prec + marks[-1].bit_length() + GUARD_BITS
@@ -120,20 +132,24 @@ def _fixed_point_sums(marks, *, squared: bool = False) -> list:
             if squared:
                 acc += tail * tail
         start = mark + 1
-        out.append(mp.ldexp(acc, -2 * P) if squared else -mp.ldexp(tail, -P))
-    return out
+        out.append(acc if squared else -tail)
+    return out, (2 * P if squared else P)
 
 
 def partial_sums(indices, ctx: PrecisionContext, *, squared: bool = False) -> list:
     """S_n for each n in indices (ascending), or sum_{m<=n} T_m^2 with
-    squared=True (each n >= 1), from one pass of the fixed-point loop."""
+    squared=True (each n >= 1), from one pass of the fixed-point loop.
+
+    S_n is rounded once to the working precision; sum T_m^2 keeps all 2P
+    bits of its integer, an exact mpf."""
     indices = list(indices)
     if not indices:
         return []
     if indices != sorted(indices) or indices[0] < int(squared):
         raise DomainError(f"indices must ascend from {int(squared)}, got {indices}")
     with ctx.workprec():
-        return _fixed_point_sums(indices, squared=squared)
+        sums, shift = _fixed_point_sums(indices, squared=squared)
+        return [mp.ldexp(v if squared else mpf(v), -shift) for v in sums]
 
 
 def partial_sum_S(n: int, ctx: PrecisionContext) -> BigReal:
@@ -154,21 +170,65 @@ def fourier_a(n: int, ctx: PrecisionContext) -> BigReal:
 
     a_0 = (8/pi) ln(1+sqrt(2)); a_n = (8 sqrt(2)/pi) T_n for n >= 1, with
     sign(T_n) = sign(t_{n+1}) = (-1)^n and |T_n| = I(n) summed from the
-    inner terms by mp.cohen_alt, so the cost does not grow with n and no
-    partial sum S_n is formed.  N terms of I(n) = sum_{j>=0} (-1)^j b_j,
-    b_j = |t_{n+1+j}| = 2/((4(n+j)+1)(4(n+j)+3)), err by under
-    2 b_0/(3 + sqrt(8))^N, and b_0 < 2 I(n), so the bound is relative at
-    every n: N = 1.31 mp.dps + 2 puts it below 10^-mp.dps.
+    inner terms by _inner_tail, so the cost does not grow with n and no
+    partial sum S_n is formed.
     """
     if n < 0:
         raise DomainError(f"coefficient index must be >= 0, got {n}")
     with ctx.workprec():
         if n == 0:
             return 8 / mp.pi * mp.log(1 + mp.sqrt(2))
-        terms = [(-1) ** j * mpf(2) / ((4 * (n + j) + 1) * (4 * (n + j) + 3))
-                 for j in range(int(1.31 * mp.dps) + 2)]
-        tail = mp.cohen_alt().update(terms)[0]
-        return (-1) ** n * 8 * mp.sqrt(2) / mp.pi * tail
+        return (-1) ** n * 8 * mp.sqrt(2) / mp.pi * _inner_tail(n)
+
+
+@lru_cache(maxsize=None)
+def _cvz_weights(N: int) -> tuple:
+    """The weights of Cohen, Rodriguez Villegas & Zagier's Algorithm 1 for N
+    terms, as integers: (c_0, ..., c_{N-1}) and d, with
+    sum_{j>=0} (-1)^j b_j ~ sum_{j<N} c_j b_j / d.
+
+    d = T_N(3) = ((3 + sqrt(8))^N + (3 - sqrt(8))^N)/2, by
+    T_{m+1} = 6 T_m - T_{m-1}.  The auxiliary e_k are minus the coefficients
+    of x^k in T_N(1 - 2x), so their recurrence
+    e_{k+1} = 2 (k+N)(k-N) e_k / ((2k+1)(k+1)) divides exactly, and
+    c_k = e_k - c_{k-1}, c_{-1} = -d.
+    """
+    d_prev, d = 1, 3
+    for _ in range(N - 1):
+        d_prev, d = d, 6 * d - d_prev
+    e, c = -1, -d
+    weights = []
+    for k in range(N):
+        c = e - c
+        weights.append(c)
+        e = 2 * (k + N) * (k - N) * e // ((2 * k + 1) * (k + 1))
+    return tuple(weights), d
+
+
+def _inner_tail(n: int) -> BigReal:
+    """I(n) = |T_n| = sum_{j>=0} (-1)^j b_j, b_j = |t_{n+1+j}|
+    = 2/((4(n+j)+1)(4(n+j)+3)), for n >= 1, at the working precision.
+
+    N terms of CVZ Algorithm 1 err by under 2 b_0/(3 + sqrt(8))^N, and
+    b_0 < 2 I(n), so the bound is relative at every n:
+    N = 1.31 mp.dps + 2 puts it below 10^-mp.dps.  The weights of
+    _cvz_weights meet floor(2^(P+1) / ((4(n+j)+1)(4(n+j)+3))), each short
+    by under one unit 2^-P, in exact integer arithmetic; the sum is divided
+    once by d and rounded once to an mpf.  Each |c_j| is below d, so the
+    quotient is off by under N units, and I(n) > b_0/2 > (4n+3)^-2, so
+    P = mp.prec + bitlength(N) + 2 bitlength(4n+3) + GUARD_BITS keeps the
+    error relative, under 2^-(mp.prec + GUARD_BITS), at every n.
+    """
+    N = int(1.31 * mp.dps) + 2
+    weights, d = _cvz_weights(N)
+    P = mp.prec + N.bit_length() + 2 * (4 * n + 3).bit_length() + GUARD_BITS
+    two = 2 << P
+    acc = 0
+    m = 4 * n
+    for c in weights:
+        acc += c * (two // ((m + 1) * (m + 3)))
+        m += 4
+    return mp.ldexp(mpf(acc // d), -P)
 
 
 def _chebyshev_t(m: int, c):
@@ -263,23 +323,41 @@ def double_series(ctx: PrecisionContext) -> SeriesResult:
     """V = sum_{n>=1} T_n^2, the double-series value (= pi/16 - L^2/4).
 
     Richardson's extrapolate of order N = working_dps + 10 from the partial
-    sums V_1 ... V_{2N+1}, off by about 10^(-1.14 N): below
+    sums V_N ... V_2N, off by about 10^(-1.14 N): below
     ctx.working_tolerance, so that scaled forms such as parseval_closure
     still meet ctx.tolerance.  Its weights grow to about 10^(0.93 N), so the
-    sums are taken N digits deeper and the result is rounded once.
+    sums are taken N digits deeper, as the integers of _fixed_point_sums,
+    and _richardson applies the weights to them exactly and rounds once.
     tail_bound is its distance from the extrapolate of order N - 10 taken
-    from the same sums.
+    from the same sums.  V_n ascends, so the branch of mp.richardson that
+    extrapolates only the even-index terms of a sequence whose last three
+    do not move monotonically has no use here, nor has the sum V_{2N+1}
+    that it read.
     """
     with ctx.workprec():
         N = ctx.working_dps + 10
         with mp.extradps(N):
-            # sums[n] = V_n, with V_0 = 0 in front
-            sums = [0] + _fixed_point_sums(range(1, 2 * N + 2), squared=True)
-            value = mp.richardson(sums)[0]
-            bound = abs(value - mp.richardson(sums[:2 * N - 18])[0])
-        value, bound = +value, +bound
-        return SeriesResult(value=value, terms_used=2 * N + 1, tail_bound=bound,
+            sums, shift = _fixed_point_sums(range(1, 2 * N + 1), squared=True)
+            sums = [0] + sums  # sums[n] = V_n
+            value = _richardson(sums, N)
+            bound = abs(value - _richardson(sums, N - 10))
+        value, bound = mp.ldexp(mpf(value), -shift), mp.ldexp(mpf(bound), -shift)
+        return SeriesResult(value=value, terms_used=2 * N, tail_bound=bound,
                             converged=bool(bound < ctx.working_tolerance))
+
+
+def _richardson_weights(N: int) -> list:
+    """The integer weights (-1)^(k+N) C(N,k) (N+k)^N, k = 0 ... N, of the
+    order-N Richardson extrapolate times N! (Bender & Orszag, section 8.1)."""
+    return [(-1) ** (k + N) * comb(N, k) * (N + k) ** N for k in range(N + 1)]
+
+
+def _richardson(sums, N: int) -> int:
+    """Richardson's extrapolate of order N from the integers sums[N] ...
+    sums[2N], at their scale: sum_k w_k sums[N+k] is exact, and the one
+    division by N! floors it, short by under one unit."""
+    weighted = sum(w * v for w, v in zip(_richardson_weights(N), sums[N:2 * N + 1]))
+    return weighted // factorial(N)
 
 
 def parseval_closure(ctx: PrecisionContext) -> SeriesResult:

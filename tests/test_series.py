@@ -1,4 +1,5 @@
 import time
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,6 +268,34 @@ class TestFourierCoefficients:
         monkeypatch.setattr(series, "_fixed_point_sums", forbidden)
         assert verify(IdentityId.RECURRENCE, ctx30, n=7).residual < ctx30.tolerance
 
+    @pytest.mark.parametrize("digits", [20, 200])
+    @pytest.mark.parametrize("n", [1, 7, 10 ** 6, 10 ** 9])
+    def test_integer_cvz_matches_mpmath(self, digits, n):
+        # the fixed-point kernel against mp.cohen_alt on the same terms;
+        # mp.cohen_alt rounds d and every weight product, so the two agree to
+        # within 2^10 units in the last place, relatively at every n
+        with PrecisionContext(digits=digits).workprec():
+            exact = series._inner_tail(n)
+            terms = [(-1) ** j * mpf(2) / ((4 * (n + j) + 1) * (4 * (n + j) + 3))
+                     for j in range(int(1.31 * mp.dps) + 2)]
+            floating = mp.cohen_alt().update(terms)[0]
+            assert abs(exact / floating - 1) < mp.ldexp(1, 10 - mp.prec)
+
+    def test_cvz_weights_exact(self):
+        # every division of the e_k recurrence leaves no remainder, for every
+        # term count up to the one at 500 digits, and d = T_N(3)
+        top = int(1.31 * PrecisionContext(digits=500).working_dps) + 2
+        for N in range(1, top + 1):
+            weights, d = series._cvz_weights.__wrapped__(N)
+            e, c = -1, -d
+            for k in range(N):
+                c = e - c
+                assert weights[k] == c, (N, k)
+                e, rest = divmod(2 * (k + N) * (k - N) * e, (2 * k + 1) * (k + 1))
+                assert rest == 0, (N, k)
+            with mp.workprec(3 * N + 64):
+                assert d == mp.nint(mp.cosh(N * mp.acosh(3))), N
+
     def test_large_index_is_fast(self, ctx30):
         start = time.perf_counter()
         a = fourier_a(10 ** 6, ctx30)
@@ -347,14 +376,15 @@ class TestDoubleSeries:
         # must stay below the digits the sums carry beyond working precision
         ctx = PrecisionContext(digits=digits)
         calls = []
-        richardson = mp.richardson
+        weights = series._richardson_weights
 
-        def recording(seq):
-            value, weight = richardson(seq)
-            calls.append((weight, mp.dps - ctx.working_dps))
-            return value, weight
+        def recording(N):
+            ws = weights(N)
+            calls.append((max(abs(w) for w in ws) / mpf(factorial(N)),
+                          mp.dps - ctx.working_dps))
+            return ws
 
-        monkeypatch.setattr(mp, "richardson", recording)
+        monkeypatch.setattr(series, "_richardson_weights", recording)
         double_series.cache_clear()
         assert double_series(ctx).converged
         assert calls
@@ -368,8 +398,9 @@ class TestDoubleSeries:
         kernel = series._fixed_point_sums
 
         def perturbed(marks, *, squared=False):
-            sums = kernel(marks, squared=squared)
-            return [v + (-1) ** n / mpf(n) ** 5 for n, v in zip(marks, sums)]
+            sums, shift = kernel(marks, squared=squared)
+            return [v + (-1) ** n * (1 << shift) // n ** 5
+                    for n, v in zip(marks, sums)], shift
 
         monkeypatch.setattr(series, "_fixed_point_sums", perturbed)
         double_series.cache_clear()
@@ -378,6 +409,22 @@ class TestDoubleSeries:
         assert not ds.converged
         assert ds.tail_bound >= PrecisionContext(digits=digits).working_tolerance
 
+    @pytest.mark.parametrize("digits", [10, 50, 200])
+    def test_integer_richardson_matches_mpmath(self, digits):
+        # the integer weights against mp.richardson on the same sums, at the
+        # depth double_series takes them; mp.richardson rounds each weight
+        # product, so the two agree to the sums' precision less the weights'
+        # 10^(0.93 N), which leaves the working digits; mp.richardson takes
+        # its order from the length, len // 2 - 1
+        ctx = PrecisionContext(digits=digits)
+        N = ctx.working_dps + 10
+        with ctx.workprec(), mp.extradps(N):
+            sums, shift = series._fixed_point_sums(range(1, 2 * N + 2), squared=True)
+            sums = [0] + sums
+            for order, length in ((N, 2 * N + 2), (N - 10, 2 * N - 18)):
+                exact = mp.ldexp(series._richardson(sums, order), -shift)
+                floating = mp.richardson([mp.ldexp(v, -shift) for v in sums[:length]])[0]
+                assert abs(exact - floating) < ctx.working_tolerance, order
     def test_determinism(self, ctx30):
         a = double_series(ctx30)
         b = double_series(ctx30)
