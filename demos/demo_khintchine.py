@@ -1,14 +1,15 @@
 """Khintchine's constant as an infinite product, and why acceleration matters.
 
 The log-space terms decay like ln(n)/n^2, so the raw partial product crawls:
-a million factors buy barely six digits.  The Euler-Maclaurin tail correction
-reaches eight digits from twenty thousand explicit factors, certified by
-stability across a doubling of the explicit range.
+a million factors buy barely six digits.  The Euler-Maclaurin tail, a series
+in 1/N in closed form, reaches the 15 digits the binary64 explicit sums carry
+from twenty thousand factors, certified by stability across a doubling of
+the explicit range.
 """
 
 from mpmath import mp
 
-from kgconst import PrecisionContext, khintchine_accelerated, khintchine_partial
+from kgconst import PrecisionContext, khintchine, khintchine_accelerated, khintchine_partial
 from kgconst.khintchine import log_tail_bound
 
 ctx = PrecisionContext(digits=15)
@@ -26,7 +27,9 @@ for N in (1000, 100_000):
 print()
 
 res = khintchine_accelerated(ctx)
-print("accelerated value:", mp.nstr(res.value, 10))
+print("accelerated value:", mp.nstr(res.value, khintchine.PRODUCT_DIGITS))
 print(f"  explicit terms: {res.terms_used}")
 print(f"  spread across range doubling: {mp.nstr(res.tail_estimate, 3)}")
-print("(accuracy is capped at ~8 significant digits by construction)")
+print(f"(binary64 sums: {khintchine.PRODUCT_DIGITS} significant digits; "
+      f"the check against mpmath's zeta series is held to "
+      f"{mp.nstr(khintchine.STABILITY_TOLERANCE, 1)})")

@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from mpmath import mp
@@ -55,18 +56,18 @@ _CONSTANTS = {
     "X0": (lambda ctx: elliptic.solve_x0(ctx).x0, "root of the complex-case equation"),
     "KC_UPPER": (elliptic.kc_upper, "Krivine complex upper limit 8/(pi(x0+1))"),
     "KHINTCHINE": (lambda ctx: khintchine.khintchine_accelerated(ctx).value,
-                   "Khintchine product (accurate to ~6-8 digits by construction)"),
+                   "Khintchine product, Euler-Maclaurin tail (15 digits)"),
 }
 
 _TRACE_TARGETS = ("double_series", "partial_sum_S", "khintchine_partial")
 
-# the printed outputs, by identity, constant or trace target, whose values
-# carry a fixed number of digits
-_CARRIED_DIGITS = {
-    "KHINTCHINE_STABILITY": khintchine.CARRIED_DIGITS,
-    "KHINTCHINE": khintchine.CARRIED_DIGITS,
-    "khintchine_partial": khintchine.CARRIED_DIGITS,
-}
+# the digits the values of some identities, constants and trace targets carry:
+# (lhs or value, rhs or a trace's final value, residual: the coarser of the
+# two); every other value carries all the requested digits
+_CARRIED_DIGITS = dict.fromkeys(
+    ("KHINTCHINE_STABILITY", "KHINTCHINE", "khintchine_partial"),
+    (khintchine.PRODUCT_DIGITS, khintchine.REFERENCE_DIGITS, khintchine.PRODUCT_DIGITS))
+_EVERY_DIGIT = (math.inf,) * 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,24 +123,22 @@ def _nstr(value, digits):
     # format the value's own binary digits; converting it at mpmath's default
     # 53-bit precision would keep only about 16 of them
     with mp.workdps(digits + GUARD_DIGITS):
-        return mp.nstr(mp.convert(value), digits, strip_zeros=False)
+        text = mp.nstr(mp.convert(value), digits, strip_zeros=False)
+    return text.replace(".e", "e").rstrip(".")  # one digit: "7.e-17" as "7e-17"
 
 
-def _digits(name, digits, x, scale):
-    """Significant digits worth printing of x, a value or residual of the
-    identity, constant or trace target name, at the requested digits; scale
-    is x for a value and the larger of |a| and |b| for a residual |a - b|.
+def _digits(carried, digits, x, scale):
+    """Significant digits worth printing of x, a value or residual whose
+    operands carry `carried` digits (math.inf: every one), at the requested
+    digits; scale is x for a value and max(|a|, |b|) for a residual |a - b|.
 
     A value that carries a fixed number of digits is known only to the
     absolute precision of its last digit, so x carries the digits above
     it: the carried ones less the decades between scale and x (at least
-    one).  Other names print every requested digit, and a zero or the
-    infinite residual of a failed report prints like its values.
+    one).  A zero or the infinite residual of a failed report prints like
+    its values.
     """
-    carried = _CARRIED_DIGITS.get(name)
-    if carried is None:
-        return digits
-    if not x or not mp.isfinite(x):
+    if carried == math.inf or not x or not mp.isfinite(x):
         return min(digits, carried)
     decades = int(mp.floor(mp.log10(scale))) - int(mp.floor(mp.log10(x)))
     return max(1, min(digits, carried - decades))
@@ -171,12 +170,13 @@ def _write(ns, records, lines=()):
 
 def _report_record(report, ns):
     name, lhs, rhs = report.id.value, report.lhs, report.rhs
+    lhs_carried, rhs_carried, residual_carried = _CARRIED_DIGITS.get(name, _EVERY_DIGIT)
     return {
         "target": name,
-        "lhs": _nstr(lhs, _digits(name, ns.digits, lhs, lhs)),
-        "rhs": _nstr(rhs, _digits(name, ns.digits, rhs, rhs)),
+        "lhs": _nstr(lhs, _digits(lhs_carried, ns.digits, lhs, lhs)),
+        "rhs": _nstr(rhs, _digits(rhs_carried, ns.digits, rhs, rhs)),
         "residual": _nstr(report.residual, _digits(
-            name, ns.digits, report.residual, max(abs(lhs), abs(rhs)))),
+            residual_carried, ns.digits, report.residual, max(abs(lhs), abs(rhs)))),
         "digits_agreed": report.digits_agreed,
         "passed": report.passed,
         "runtime_ms": report.runtime_ms if ns.timings else 0.0,
@@ -190,7 +190,8 @@ def _run_compute(ns) -> int:
     value = fn(ctx)
     record = {
         "target": ns.target,
-        "value": _nstr(value, _digits(ns.target, ns.digits, value, value)),
+        "value": _nstr(value, _digits(_CARRIED_DIGITS.get(ns.target, _EVERY_DIGIT)[0],
+                                      ns.digits, value, value)),
         "runtime_ms": 0.0,
         "paper_anchor": description,
     }
@@ -271,9 +272,10 @@ def _trace_rows(target, ctx, max_terms):
 def _run_trace(ns) -> int:
     ctx = PrecisionContext(digits=ns.digits)
     final, rows = _trace_rows(ns.target, ctx, ns.max_terms)
+    value_carried, _, residual_carried = _CARRIED_DIGITS.get(ns.target, _EVERY_DIGIT)
     _write(ns, [{"index": index,
-                 "value": _nstr(value, _digits(ns.target, ns.digits, value, value)),
-                 "residual": _nstr(residual, _digits(ns.target, ns.digits, residual,
+                 "value": _nstr(value, _digits(value_carried, ns.digits, value, value)),
+                 "residual": _nstr(residual, _digits(residual_carried, ns.digits, residual,
                                                      max(abs(value), abs(final))))}
                 for index, value, residual in rows])
     final_residual = rows[-1][2]

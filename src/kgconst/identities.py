@@ -3,7 +3,7 @@
 Each identity is one row of ``_TABLE``, keyed by its name: its paper anchor,
 a ``sides`` callable returning ``(lhs, rhs, extra)`` from independent routes
 through the owning modules, and a fixed tolerance where the check is
-intrinsically desk-scale (the eight-digit Khintchine product).  The table is
+intrinsically desk-scale (the 15-digit Khintchine product).  The table is
 the registry: ``IdentityId`` is built from its keys.  ``verify`` reports the
 absolute residual, the number of digits of agreement, and a pass flag against
 the row's tolerance, or else the context tolerance.

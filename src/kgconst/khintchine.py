@@ -4,14 +4,14 @@
 
 evaluated in log space.  The log-series term f(n) = (ln n/ln 2) ln(1+1/(n(n+2)))
 decays like ln(n)/n^2, so brute force stalls near five digits; the accelerated
-route adds an Euler-Maclaurin tail correction and certifies the result by
-stability across a doubling of the explicit range.  Accuracy is capped at
-desk scale (eight significant digits).
+route adds a closed-form Euler-Maclaurin tail to binary64 explicit sums, and is
+certified by stability across a doubling of the explicit range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -19,18 +19,16 @@ from mpmath import mp, mpf
 from .core import BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence
 
-# the fixed tolerance of the desk-scale Khintchine checks, whatever the
-# digits: the module's eight-digit cap
+# the fixed tolerance of the desk-scale Khintchine checks, whatever the digits
 STABILITY_TOLERANCE = mpf("1e-8")
 ACCEL_BASE_TERMS = 20_000
-# the Euler-Maclaurin tail is needed to TAIL_TOLERANCE only, far beyond the
-# module's eight digits, so its integral (mpmath's quad) and derivative run
-# at the 30 working digits of TAIL_CTX at every caller precision
-TAIL_TOLERANCE = mpf("1e-14")
+# the tail and the zeta-series reference run at TAIL_CTX's 30 working digits
 TAIL_CTX = PrecisionContext(digits=20)
-# the digits the module's values carry, so the most worth printing: the
-# zeta-series reference and the tail are computed at TAIL_CTX's working digits
-CARRIED_DIGITS = TAIL_CTX.working_dps
+# the digits the values carry: a binary64 log-series term takes five roundings
+# (math.log, _LN2, the division by it, 1/(n(n+2)), log1p) and math.fsum one,
+# so the product's log is within 6 * 2^-53 ln K < 7e-16, the product 2e-15
+PRODUCT_DIGITS = sys.float_info.dig
+REFERENCE_DIGITS = TAIL_CTX.working_dps
 _LN2 = math.log(2)
 
 
@@ -47,8 +45,7 @@ def _log_sum(marks) -> list:
     ascending marks, each exactly rounded in binary64.
 
     The terms up to the last mark are computed once, each a binary64 value,
-    and math.fsum adds each prefix without rounding error; binary64 is ample
-    for the module's eight-digit scope.
+    and math.fsum adds each prefix without rounding error.
     """
     terms = [math.log(n) / _LN2 * math.log1p(1.0 / (n * (n + 2.0)))
              for n in range(1, marks[-1] + 1)]
@@ -69,7 +66,9 @@ def khintchine_partial(N: int, ctx: PrecisionContext) -> ProductResult:
         raise DomainError(f"N must be >= 1, got {N}")
     with ctx.workprec():
         if N <= 1000:  # small ranges at full working precision
-            value = mp.exp(mp.fsum(_log_term(mpf(n)) for n in range(1, N + 1)))
+            value = mp.exp(mp.fsum(
+                mp.log(n) / mp.log(2) * mp.log1p(mpf(1) / (n * (n + 2)))
+                for n in range(1, N + 1)))
         else:
             value = mp.exp(mpf(_log_sum([N])[0]))
         tail = value * mp.expm1(log_tail_bound(N, ctx))
@@ -77,29 +76,27 @@ def khintchine_partial(N: int, ctx: PrecisionContext) -> ProductResult:
                              accelerated=False)
 
 
-def _log_term(x):
-    return mp.log(x) / mp.log(2) * mp.log1p(1 / (x * (x + 2)))
-
-
 def _em_log_tail(N: int) -> BigReal:
-    """Euler-Maclaurin correction for the log-space tail beyond N, to
-    TAIL_TOLERANCE, computed in TAIL_CTX whatever the caller's precision.
+    """The log-space tail beyond N by Euler-Maclaurin, int_a^inf f + f(a)/2
+    - f'(a)/12 with a = N + 1, in closed form in TAIL_CTX at every precision.
 
-    The integral is log-singular at u = 0, which mp.quad's default
-    double-exponential rule handles; NoConvergence is raised unless its
-    error estimate is below TAIL_TOLERANCE.
+    g(x) = ln(1 + 1/(x(x+2))) = sum_{m>=2} c_m x^-m, c_m = (-1)^m (2^m - 2)/m,
+    so int_a^inf f = (1/ln 2) sum c_m a^(1-m) (ln a/(m-1) + 1/(m-1)^2), whose
+    terms alternate, each below 2/a times the last: it stops at the first
+    term below 2^-prec (8 terms at a = 20,001), the remainder below the next.
+    f'(a) = (g(a)/a - 2 ln a/(a(a+1)(a+2)))/ln 2.
     """
     with TAIL_CTX.workprec():
         a = mpf(N + 1)
-
-        def integrand(u):
-            return _log_term(1 / u) / u ** 2
-
-        integral, error = mp.quad(integrand, [0, 1 / a], error=True)
-        if not error < TAIL_TOLERANCE:
-            raise NoConvergence(
-                f"Khintchine tail integral error estimate {error} exceeds {TAIL_TOLERANCE}")
-        return integral + _log_term(a) / 2 - mp.diff(_log_term, a) / 12
+        ln_a, g = mp.log(a), mp.log1p(1 / (a * (a + 2)))
+        integral, m, term = 0, 2, 1
+        while abs(term) >= mpf(2) ** -mp.prec:
+            term = ((-1) ** m * (2 ** m - 2) * (ln_a + mpf(1) / (m - 1))
+                    / (m * (m - 1) * a ** (m - 1)))
+            integral += term
+            m += 1
+        derivative = g / a - 2 * ln_a / (a * (a + 1) * (a + 2))
+        return (integral + ln_a * g / 2 - derivative / 12) / mp.log(2)
 
 
 def khintchine_accelerated(ctx: PrecisionContext) -> ProductResult:

@@ -327,18 +327,19 @@ def double_series(ctx: PrecisionContext) -> SeriesResult:
     ctx.working_tolerance, so that scaled forms such as parseval_closure
     still meet ctx.tolerance.  Its weights grow to about 10^(0.93 N), so the
     sums are taken N digits deeper, as the integers of _fixed_point_sums,
-    and _richardson applies the weights to them exactly and rounds once.
-    tail_bound is its distance from the extrapolate of order N - 10 taken
-    from the same sums.  V_n ascends, so the branch of mp.richardson that
-    extrapolates only the even-index terms of a sequence whose last three
-    do not move monotonically has no use here, nor has the sum V_{2N+1}
-    that it read.
+    floored to the P bits they carry, and _richardson applies the weights to
+    them exactly and rounds once.  tail_bound is its distance from the
+    extrapolate of order N - 10 from the same sums.  V_n ascends, so the
+    branch of mp.richardson that extrapolates only the even-index terms of a
+    sequence whose last three do not move monotonically has no use here, nor
+    has the sum V_{2N+1} that it read.
     """
     with ctx.workprec():
         N = ctx.working_dps + 10
         with mp.extradps(N):
             sums, shift = _fixed_point_sums(range(1, 2 * N + 1), squared=True)
-            sums = [0] + sums  # sums[n] = V_n
+            shift //= 2  # sums[n] = V_n at P bits
+            sums = [0] + [v >> shift for v in sums]
             value = _richardson(sums, N)
             bound = abs(value - _richardson(sums, N - 10))
         value, bound = mp.ldexp(mpf(value), -shift), mp.ldexp(mpf(bound), -shift)

@@ -4,7 +4,15 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import IdentityId, NoConvergence, elliptic, khintchine, series
+from kgconst import (
+    IdentityId,
+    NoConvergence,
+    PrecisionContext,
+    elliptic,
+    khintchine,
+    khintchine_partial,
+    series,
+)
 from kgconst.cli import (
     EXIT_IDENTITY_FAILED,
     EXIT_NOT_CONVERGED,
@@ -39,11 +47,24 @@ def assert_unknown_target(code, out, err, targets):
     assert named == set(targets)
 
 
-def residual_digits_of(residual, *operands):
-    """The significant digits of a residual between values that carry 30:
-    those above the operands' last digit."""
+def residual_digits_of(carried, residual, *operands):
+    """The significant digits of a residual between values that carry
+    `carried` digits: those above the operands' last digit, at least one."""
     top = max(mp.floor(mp.log10(abs(mpf(x)))) for x in operands)
-    return 30 - int(top - mp.floor(mp.log10(mpf(residual))))
+    return max(1, carried - int(top - mp.floor(mp.log10(mpf(residual)))))
+
+
+def half_unit(text):
+    """Half a unit of the last significant digit of a printed value."""
+    lead = mp.floor(mp.log10(abs(mpf(text))))
+    return mpf(10) ** (lead - significant_digits(text) + 1) / 2
+
+
+def assert_digits_of_khinchin(text):
+    """Every printed digit is right: the value is within half a unit of its
+    last digit of Khintchine's constant."""
+    with mp.workdps(40):
+        assert abs(mpf(text) - mp.khinchin) < half_unit(text), text
 
 
 class TestCompute:
@@ -90,9 +111,8 @@ class TestCompute:
         code, out, _ = invoke(capsys, "compute", "KHINTCHINE", "--digits", "60")
         assert code == EXIT_OK
         value = out.strip().split(" = ")[1]
-        assert significant_digits(value) == 30
-        with mp.workdps(40):
-            assert abs(mpf(value) - mp.khinchin) < mpf("1e-15")
+        assert significant_digits(value) == khintchine.PRODUCT_DIGITS
+        assert_digits_of_khinchin(value)
 
     def test_not_converged(self, capsys, monkeypatch):
         def fail(ctx):
@@ -149,10 +169,11 @@ class TestVerify:
         assert first == second
 
     def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
-        # the 30-digit zeta-series reference and the product are not padded
-        # to --digits with the binary expansion of their last bits, and
-        # their residual, near 1e-16, carries only the digits above their
-        # last one, the same at every --digits
+        # the product carries the 15 digits of its binary64 sums and the
+        # zeta-series reference 30; neither is padded to --digits with the
+        # binary expansion of its last bits, and their residual, near 7e-17,
+        # carries only the digits above the product's last one: one digit,
+        # the same at every --digits
         residuals = []
         for digits in ("20", "50", "500"):
             code, out, _ = invoke(capsys, "verify", "KHINTCHINE_STABILITY",
@@ -160,12 +181,15 @@ class TestVerify:
             assert code == EXIT_OK
             record = json.loads(out)
             residuals.append(record["residual"])
-        for key in ("lhs", "rhs"):
-            assert significant_digits(record[key]) == 30, (key, record[key])
-        expected = residual_digits_of(record["residual"], record["lhs"], record["rhs"])
-        assert expected == 13
+        assert significant_digits(record["lhs"]) == khintchine.PRODUCT_DIGITS
+        assert significant_digits(record["rhs"]) == khintchine.REFERENCE_DIGITS
+        expected = residual_digits_of(khintchine.PRODUCT_DIGITS, record["residual"],
+                                      record["lhs"], record["rhs"])
+        assert expected == 1
         assert significant_digits(record["residual"]) == expected
         assert residuals == [residuals[0]] * 3
+        for key in ("lhs", "rhs"):
+            assert_digits_of_khinchin(record[key])
         with mp.workdps(40):
             assert abs(mpf(record["rhs"]) - mp.khinchin) < mpf("1e-28")
 
@@ -182,6 +206,72 @@ class TestVerify:
     def test_unknown_identity(self, capsys):
         assert_unknown_target(*invoke(capsys, "verify", "MYSTERY"),
                               ["all", *(ident.value for ident in IdentityId)])
+
+
+class TestDigitLadder:
+    """Every printed digit is right: at --digits d, each value that compute,
+    verify all and trace print is within half a unit of its last digit of a
+    reference: the same quantity at 2d + 20 digits or, for the Khintchine
+    product and its zeta-series check, Khintchine's constant at 40 digits.
+
+    The Khintchine trace rows print 15 digits at every --digits, so their
+    references come from the library: the partial product at 2d + 20 digits
+    up to 1000 factors, where it is summed at working precision, and above,
+    where it is summed in binary64, the constant less the Euler-Maclaurin
+    tail (whose next term is below 5e-21 at 10^4 factors).  The series
+    traces print no rows where they need more than --max-terms terms.
+    """
+
+    @pytest.mark.parametrize("digits", [20, 60])
+    def test_every_printed_digit_is_right(self, capsys, digits):
+        deeper = 2 * digits + 20
+        with mp.workdps(40):
+            khinchin = +mp.khinchin
+        printed = []  # (name, printed value, reference)
+
+        def read(kind, target, at):
+            code, out, _ = invoke(capsys, kind, target, "--digits", str(at),
+                                  *(() if kind == "trace" else ("--format", "json")))
+            if kind == "trace":
+                return code, [row.split(",") for row in out.splitlines()[1:]]
+            assert code == EXIT_OK
+            return code, json.loads(out)
+
+        for name in COMPUTE_TARGETS:
+            value = read("compute", name, digits)[1]["value"]
+            reference = (khinchin if name == "KHINTCHINE"
+                         else mpf(read("compute", name, deeper)[1]["value"]))
+            printed.append((name, value, reference))
+        records = read("verify", "all", digits)[1]
+        references = read("verify", "all", deeper)[1]
+        for record, reference in zip(records, references):
+            for side in ("lhs", "rhs"):
+                printed.append((f"{record['target']} {side}", record[side],
+                                khinchin if record["target"] == "KHINTCHINE_STABILITY"
+                                else mpf(reference[side])))
+        for target in TRACE_TARGETS:
+            code, rows = read("trace", target, digits)
+            if code != EXIT_OK:  # needs more than --max-terms terms
+                assert rows == [] and target != "khintchine_partial"
+                continue
+            marks = [int(index) for index, _, _ in rows if index != "accelerated"]
+            deeper_ctx = PrecisionContext(digits=deeper)
+            if target == "khintchine_partial":
+                with mp.workdps(40):
+                    references = [khintchine_partial(n, deeper_ctx).value if n <= 1000
+                                  else khinchin / mp.exp(khintchine._em_log_tail(n))
+                                  for n in marks] + [khinchin]
+            else:
+                references = series.partial_sums(marks, deeper_ctx,
+                                                  squared=target == "double_series")
+            printed += [(f"{target} {index}", value, reference)
+                        for (index, value, _), reference in zip(rows, references)]
+
+        with mp.workdps(deeper + 10):
+            wrong = [(name, value) for name, value, reference in printed
+                     if not abs(mpf(value) - reference) < half_unit(value)]
+        assert wrong == []
+        assert len(printed) > 2 * len(IdentityId) + len(COMPUTE_TARGETS)
 
 
 class TestList:
@@ -225,10 +315,10 @@ class TestTrace:
         assert mpf(last[2]) < mpf("1e-6")
 
     def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
-        # the rows' values carry at most 30 digits, and their residuals
-        # against the 30-digit zeta-series value only the digits above the
-        # operands' last one, so the accelerated row's residual is the same
-        # at every --digits
+        # the rows' values carry the product's 15 digits, and their
+        # residuals against the 30-digit zeta-series value only the digits
+        # above the product's last one, so the accelerated row's residual is
+        # the same at every --digits
         accelerated = []
         for digits in ("20", "50", "500"):
             code, out, _ = invoke(capsys, "trace", "khintchine_partial", "--digits", digits)
@@ -238,10 +328,12 @@ class TestTrace:
             accelerated.append(rows[-1][2])
         final = khintchine.zeta_series_value()
         for _, value, residual in rows:
-            assert significant_digits(value) == 30
-            assert significant_digits(residual) == residual_digits_of(residual, value, final)
-        assert significant_digits(accelerated[0]) == 13
+            assert significant_digits(value) == khintchine.PRODUCT_DIGITS
+            assert significant_digits(residual) == residual_digits_of(
+                khintchine.PRODUCT_DIGITS, residual, value, final)
+        assert significant_digits(accelerated[0]) == 1
         assert accelerated == [accelerated[0]] * 3
+        assert_digits_of_khinchin(rows[-1][1])
 
     def test_khintchine_max_terms_below_accelerated(self, capsys):
         # the accelerated row sums 2 * ACCEL_BASE_TERMS factors, so a cap of

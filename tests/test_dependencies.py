@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +23,22 @@ def test_cli_import_loads_mpmath_only():
     result = subprocess.run([sys.executable, "-c", LOADED], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "['kgconst', 'mpmath']\n"
+
+
+# mpmath's own quadrature and numerical differentiation: the package
+# integrates by its two rules, quadrature.integrate_analytic and
+# quadrature.integrate_even_periodic, and differentiates in closed form
+MPMATH_QUADRATURE = {"quad", "quadts", "quadgl", "diff"}
+
+
+def test_no_mpmath_quadrature_or_numerical_derivative():
+    used = []
+    for path in sorted(Path(kgconst.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in MPMATH_QUADRATURE
+                    and isinstance(node.value, ast.Name) and node.value.id == "mp"):
+                used.append(f"{path.name}:{node.lineno} mp.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+                used += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                         if alias.name in MPMATH_QUADRATURE]
+    assert used == []

@@ -131,7 +131,7 @@ class TestSingleVerify:
 
     def test_khintchine_uses_fixed_tolerance(self):
         # the product is desk-scale: it passes at high ctx digits because its
-        # tolerance stays pinned at the module's eight-digit cap
+        # tolerance stays pinned at the module's fixed 1e-8
         r = verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=30))
         assert r.passed
         assert r.residual < mpf("1e-8")

@@ -3,13 +3,11 @@ from mpmath import mp, mpf
 
 from kgconst import (
     DomainError,
-    NoConvergence,
     PrecisionContext,
-    khintchine,
     khintchine_accelerated,
     khintchine_partial,
 )
-from kgconst.khintchine import log_tail_bound
+from kgconst.khintchine import ACCEL_BASE_TERMS, _em_log_tail, log_tail_bound
 
 # reference value of the constant, for regression only (first 16 digits)
 KNOWN = mpf("2.685452001065306")
@@ -70,27 +68,37 @@ class TestAccelerated:
         brute = khintchine_partial(1_000_000, ctx15).value
         assert abs(accel - KNOWN) < abs(brute - KNOWN)
 
-    def test_tail_runs_at_fixed_precision(self, monkeypatch):
-        # the tail integrals run at the 30 working digits of TAIL_CTX at
-        # every caller precision, so the product does not move with the
-        # requested digits beyond it
-        precisions = []
-        quad = mp.quad
-
-        def recording(*args, **kwargs):
-            precisions.append(mp.dps)
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "quad", recording)
+    def test_tail_runs_at_fixed_precision(self):
+        # the tail runs at the 30 working digits of TAIL_CTX at every caller
+        # precision, so the product does not move with the requested digits
+        # beyond it
+        for N in (ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS):
+            with mp.workdps(15):
+                low = _em_log_tail(N)
+            with mp.workdps(300):
+                assert _em_log_tail(N) == low
         low = khintchine_accelerated(PrecisionContext(digits=20))
         high = khintchine_accelerated(PrecisionContext(digits=300))
-        assert precisions == [30] * 4
         with mp.workdps(40):
             assert abs(high.value - low.value) < mpf("1e-28")
 
-    def test_tail_error_estimate_gates(self, monkeypatch):
-        # mp.quad's error estimate (about 1e-32 here) must be below
-        # TAIL_TOLERANCE, or the product is not returned
-        monkeypatch.setattr(khintchine, "TAIL_TOLERANCE", mpf("1e-40"))
-        with pytest.raises(NoConvergence):
-            khintchine_accelerated(PrecisionContext(digits=20))
+
+def _log_term(x):
+    return mp.log(x) / mp.log(2) * mp.log1p(1 / (x * (x + 2)))
+
+
+def em_tail_reference(N):
+    """The Euler-Maclaurin tail beyond N by tanh-sinh quadrature and a
+    numerical derivative at 40 digits: int_a^inf f = int_0^{1/a} f(1/u)/u^2
+    du, log-singular at u = 0, then f(a)/2 - f'(a)/12, a = N + 1."""
+    with mp.workdps(40):
+        a = mpf(N + 1)
+        integral = mp.quad(lambda u: _log_term(1 / u) / u ** 2, [0, 1 / a])
+        return integral + _log_term(a) / 2 - mp.diff(_log_term, a) / 12
+
+
+@pytest.mark.parametrize("N", [ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS])
+def test_closed_form_tail_matches_quadrature(N):
+    # the series in 1/a and the closed-form derivative against mpmath's
+    # quadrature and numerical derivative (they agree to about 4e-35)
+    assert abs(_em_log_tail(N) - em_tail_reference(N)) < mpf("1e-30")
