@@ -63,7 +63,9 @@ _TRACE_TARGETS = ("double_series", "partial_sum_S", "khintchine_partial")
 
 # the digits the values of some identities, constants and trace targets carry:
 # (lhs or value, rhs or a trace's final value, residual: the coarser of the
-# two); every other value carries all the requested digits
+# two); every other value carries all the requested digits, except a series
+# trace's residual: the difference of two working-precision values, it
+# carries the working digits (_run_trace)
 _CARRIED_DIGITS = dict.fromkeys(
     ("KHINTCHINE_STABILITY", "KHINTCHINE", "khintchine_partial"),
     (khintchine.PRODUCT_DIGITS, khintchine.REFERENCE_DIGITS, khintchine.PRODUCT_DIGITS))
@@ -251,7 +253,7 @@ def _trace_rows(target, ctx, max_terms):
     if target == "khintchine_partial":
         final = khintchine.zeta_series_value()
         marks = _checkpoints(min(10 ** 6, max_terms))
-        values = [khintchine.khintchine_partial(n, ctx).value for n in marks]
+        values = khintchine.partial_products(marks, ctx)
         if max_terms >= 2 * khintchine.ACCEL_BASE_TERMS:
             marks.append("accelerated")
             values.append(khintchine.khintchine_accelerated(ctx).value)
@@ -272,7 +274,8 @@ def _trace_rows(target, ctx, max_terms):
 def _run_trace(ns) -> int:
     ctx = PrecisionContext(digits=ns.digits)
     final, rows = _trace_rows(ns.target, ctx, ns.max_terms)
-    value_carried, _, residual_carried = _CARRIED_DIGITS.get(ns.target, _EVERY_DIGIT)
+    value_carried, _, residual_carried = _CARRIED_DIGITS.get(
+        ns.target, (math.inf, math.inf, ctx.working_dps))
     _write(ns, [{"index": index,
                  "value": _nstr(value, _digits(value_carried, ns.digits, value, value)),
                  "residual": _nstr(residual, _digits(residual_carried, ns.digits, residual,

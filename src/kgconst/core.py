@@ -10,7 +10,7 @@ they are safe to share between tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -27,15 +27,20 @@ GUARD_DIGITS = 10
 GUARD_BITS = 8
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(NamedTuple("PrecisionContext", [("digits", int)])):
     """The requested output precision; every other setting derives from it."""
 
-    digits: int = 30
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.digits, int) or self.digits < MIN_DIGITS:
-            raise InvalidPrecision(f"digits must be an integer >= {MIN_DIGITS}, got {self.digits}")
+    def __new__(cls, digits: int = 30):
+        if not isinstance(digits, int) or digits < MIN_DIGITS:
+            raise InvalidPrecision(f"digits must be an integer >= {MIN_DIGITS}, got {digits}")
+        return super().__new__(cls, digits)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple _make, which _replace calls, would skip the check
+        return cls(*iterable)
 
     @property
     def tolerance(self) -> BigReal:

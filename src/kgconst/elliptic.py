@@ -14,7 +14,7 @@ quadrature module, serve as independent cross-checks of the AGM values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -25,8 +25,7 @@ from . import quadrature
 ROOT_BRACKET = (mpf("0.01"), mpf("0.99"))
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     x0: BigReal
     residual: BigReal
     iterations: int

@@ -12,7 +12,6 @@ the row's tolerance, or else the context tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -24,15 +23,14 @@ from .errors import DomainError
 from . import elliptic, khintchine, quadrature, series
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     id: IdentityId
     lhs: BigReal
     rhs: BigReal
     residual: BigReal
     digits_agreed: int
     passed: bool
-    params: dict = field(default_factory=dict)
+    params: dict
     runtime_ms: float = 0.0
 
 

@@ -37,8 +37,8 @@ stops at least 1.5 digits below its target, against the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -62,8 +62,7 @@ FEJER_MAX_INTERVALS = 2 ** 11
 TABLE_EXTRA_BITS = 24
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: BigReal
     error_estimate: BigReal
     evaluations: int

@@ -58,9 +58,9 @@ method"), so they replace those mpmath primitives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -69,8 +69,7 @@ from .errors import DomainError
 from . import quadrature
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     value: BigReal
     terms_used: int
     tail_bound: BigReal

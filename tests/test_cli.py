@@ -171,7 +171,7 @@ class TestVerify:
     def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
         # the product carries the 15 digits of its binary64 sums and the
         # zeta-series reference 30; neither is padded to --digits with the
-        # binary expansion of its last bits, and their residual, near 7e-17,
+        # binary expansion of its last bits, and their residual, near 5e-17,
         # carries only the digits above the product's last one: one digit,
         # the same at every --digits
         residuals = []
@@ -218,8 +218,11 @@ class TestDigitLadder:
     references come from the library: the partial product at 2d + 20 digits
     up to 1000 factors, where it is summed at working precision, and above,
     where it is summed in binary64, the constant less the Euler-Maclaurin
-    tail (whose next term is below 5e-21 at 10^4 factors).  The series
-    traces print no rows where they need more than --max-terms terms.
+    tail (whose next term is below 5e-21 at 10^4 factors).  Each trace
+    residual is held to the distance of the row's reference from the
+    same-precision limit, except the accelerated row's, whose reference is
+    the constant itself.  The series traces print no rows where they need
+    more than --max-terms terms.
     """
 
     @pytest.mark.parametrize("digits", [20, 60])
@@ -257,15 +260,22 @@ class TestDigitLadder:
             marks = [int(index) for index, _, _ in rows if index != "accelerated"]
             deeper_ctx = PrecisionContext(digits=deeper)
             if target == "khintchine_partial":
+                final = khinchin
                 with mp.workdps(40):
                     references = [khintchine_partial(n, deeper_ctx).value if n <= 1000
                                   else khinchin / mp.exp(khintchine._em_log_tail(n))
                                   for n in marks] + [khinchin]
             else:
-                references = series.partial_sums(marks, deeper_ctx,
-                                                  squared=target == "double_series")
+                squared = target == "double_series"
+                references = series.partial_sums(marks, deeper_ctx, squared=squared)
+                final = (series.double_series(deeper_ctx).value if squared
+                         else series.limit_S(deeper_ctx))
             printed += [(f"{target} {index}", value, reference)
                         for (index, value, _), reference in zip(rows, references)]
+            with mp.workdps(deeper + 10):
+                printed += [(f"{target} {index} residual", residual, abs(reference - final))
+                            for (index, _, residual), reference in zip(rows, references)
+                            if index != "accelerated"]
 
         with mp.workdps(deeper + 10):
             wrong = [(name, value) for name, value, reference in printed
@@ -334,6 +344,22 @@ class TestTrace:
         assert significant_digits(accelerated[0]) == 1
         assert accelerated == [accelerated[0]] * 3
         assert_digits_of_khinchin(rows[-1][1])
+
+    def test_khintchine_rows_take_one_log_sum_pass(self, capsys, monkeypatch):
+        # the binary64 rows come from one pass over their marks, 10^6 terms
+        # in all; the accelerated row is khintchine_accelerated's own pass
+        calls = []
+        log_sum = khintchine._log_sum
+        monkeypatch.setattr(khintchine, "_log_sum",
+                            lambda marks: (calls.append(list(marks)), log_sum(marks))[1])
+        assert invoke(capsys, "trace", "khintchine_partial")[0] == EXIT_OK
+        assert calls == [[10 ** 4, 10 ** 5, 10 ** 6],
+                         [khintchine.ACCEL_BASE_TERMS, 2 * khintchine.ACCEL_BASE_TERMS]]
+        # below the accelerated row's factor count, the one pass is all
+        calls.clear()
+        code = invoke(capsys, "trace", "khintchine_partial", "--max-terms", "1999")[0]
+        assert code == EXIT_NOT_CONVERGED
+        assert calls == [[1999]]
 
     def test_khintchine_max_terms_below_accelerated(self, capsys):
         # the accelerated row sums 2 * ACCEL_BASE_TERMS factors, so a cap of

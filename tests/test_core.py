@@ -36,6 +36,8 @@ def test_pi_precision_consistency():
 def test_invalid_precision_rejected():
     with pytest.raises(InvalidPrecision):
         PrecisionContext(digits=9)
+    with pytest.raises(InvalidPrecision):
+        PrecisionContext(digits=20)._replace(digits=9)
 
 
 def test_L_value_and_defining_property():

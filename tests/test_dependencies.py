@@ -16,13 +16,31 @@ print(sorted({m.split('.')[0] for m in set(sys.modules) - before}
 """
 
 
-def test_cli_import_loads_mpmath_only():
+# standard modules that a fresh `import kgconst.cli` need not load:
+# dataclasses pulls in inspect, and with it dis, ast and tokenize
+SLOW_STDLIB = """
+import sys
+before = set(sys.modules)
+import kgconst.cli
+print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))
+"""
+
+
+def fresh_python(code):
+    """The stdout of code run by a fresh interpreter that imports this package."""
     src = str(Path(kgconst.__file__).resolve().parents[1])
     # mpmath's optional gmpy backend belongs to mpmath, not to this package
     env = dict(os.environ, PYTHONPATH=src, MPMATH_NOGMPY="1")
-    result = subprocess.run([sys.executable, "-c", LOADED], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout == "['kgconst', 'mpmath']\n"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_mpmath_only():
+    assert fresh_python(LOADED) == "['kgconst', 'mpmath']\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    assert fresh_python(SLOW_STDLIB) == "[]\n"
 
 
 # mpmath's own quadrature and numerical differentiation: the package

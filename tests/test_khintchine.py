@@ -3,11 +3,20 @@ from mpmath import mp, mpf
 
 from kgconst import (
     DomainError,
+    IdentityId,
     PrecisionContext,
+    khintchine,
     khintchine_accelerated,
     khintchine_partial,
+    verify,
 )
-from kgconst.khintchine import ACCEL_BASE_TERMS, _em_log_tail, log_tail_bound
+from kgconst.khintchine import (
+    ACCEL_BASE_TERMS,
+    _em_log_tail,
+    _log_sum,
+    log_tail_bound,
+    partial_products,
+)
 
 # reference value of the constant, for regression only (first 16 digits)
 KNOWN = mpf("2.685452001065306")
@@ -41,6 +50,17 @@ class TestPartialProduct:
     def test_invalid_N(self, ctx15):
         with pytest.raises(DomainError):
             khintchine_partial(0, ctx15)
+
+    def test_one_pass_gives_each_partial_product(self, ctx15, monkeypatch):
+        # marks on both sides of the switch to binary64 above 1000 factors,
+        # those above it from one _log_sum pass
+        marks = [1, 2, 10, 1000, 1001, 5000, 20_000]
+        expected = [khintchine_partial(N, ctx15).value for N in marks]
+        calls = []
+        monkeypatch.setattr(khintchine, "_log_sum",
+                            lambda m: (calls.append(list(m)), _log_sum(m))[1])
+        assert partial_products(marks, ctx15) == expected
+        assert calls == [[1001, 5000, 20_000]]
 
 
 class TestTailBound:
@@ -88,17 +108,40 @@ def _log_term(x):
 
 
 def em_tail_reference(N):
-    """The Euler-Maclaurin tail beyond N by tanh-sinh quadrature and a
-    numerical derivative at 40 digits: int_a^inf f = int_0^{1/a} f(1/u)/u^2
-    du, log-singular at u = 0, then f(a)/2 - f'(a)/12, a = N + 1."""
+    """The Euler-Maclaurin tail beyond N by tanh-sinh quadrature and
+    numerical derivatives at 40 digits: int_a^inf f = int_0^{1/a} f(1/u)/u^2
+    du, log-singular at u = 0, then f(a)/2 - f'(a)/12 + f'''(a)/720,
+    a = N + 1."""
     with mp.workdps(40):
         a = mpf(N + 1)
         integral = mp.quad(lambda u: _log_term(1 / u) / u ** 2, [0, 1 / a])
-        return integral + _log_term(a) / 2 - mp.diff(_log_term, a) / 12
+        return (integral + _log_term(a) / 2 - mp.diff(_log_term, a) / 12
+                + mp.diff(_log_term, a, 3) / 720)
 
 
 @pytest.mark.parametrize("N", [ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS])
 def test_closed_form_tail_matches_quadrature(N):
-    # the series in 1/a and the closed-form derivative against mpmath's
-    # quadrature and numerical derivative (they agree to about 4e-35)
+    # the series in 1/a against mpmath's quadrature and numerical
+    # derivatives (they agree to about 4e-34)
     assert abs(_em_log_tail(N) - em_tail_reference(N)) < mpf("1e-30")
+
+
+@pytest.mark.parametrize("N", [ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS])
+def test_product_with_tail_carries_fifteen_digits(N):
+    # the binary64 sum plus the tail at either end of the doubling, and the
+    # accelerated product, are within the product's 2e-15 of the constant
+    with mp.workdps(40):
+        product = mp.exp(mpf(_log_sum([N])[0]) + _em_log_tail(N))
+        accelerated = khintchine_accelerated(PrecisionContext(digits=30)).value
+        assert abs(product - mp.khinchin) < mpf("2e-15")
+        assert abs(accelerated - mp.khinchin) < mpf("2e-15")
+
+
+def test_stability_row_sums_at_most_two_thousand_terms(monkeypatch):
+    # one binary64 pass, up to 2 ACCEL_BASE_TERMS, per KHINTCHINE_STABILITY row
+    lengths = []
+    monkeypatch.setattr(khintchine, "_log_sum",
+                        lambda marks: (lengths.append(marks[-1]), _log_sum(marks))[1])
+    assert verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=20)).passed
+    assert lengths == [2 * ACCEL_BASE_TERMS]
+    assert sum(lengths) <= 2000
