@@ -87,41 +87,47 @@ def ellip_E(k, ctx: PrecisionContext) -> BigReal:
         return _agm_KE(k)[1]
 
 
-def _check_trapezoid_reach(k, kp2, ctx):
-    """Raise NoConvergence, before any evaluation, when the trapezoid rule of
-    integrate_even_periodic cannot converge within PERIODIC_MAX_INTERVALS on
-    an integrand in cos^2 t + kp2 sin^2 t, kp2 = k'^2 = 1 - k^2.
+def _periodic(g, kappa, bound, ctx):
+    """integrate_even_periodic of g, an integrand in
+    q = cos^2 t + kappa sin^2 t = A + B cos 2t, A, B = (1 +- kappa)/2, whose
+    modulus is at most bound(low, high, a) on the strip |Im t| <= a wherever
+    low <= |q| <= high there.
 
-    That form vanishes at t = pi/2 +- i atanh(k'), so n intervals on
-    (0, pi/2) err by about exp(-4 n atanh(k')) (Trefethen & Weideman 2014),
-    and reaching even ctx.tolerance takes about
-    digits ln 10 / (4 atanh(k')) intervals.  The rule's own target is
-    ctx.working_tolerance, ten digits finer: measured from 10 to 500 digits
-    for K, E and the Krivine middle integrand, it stopped where
-    exp(-4 n atanh(k')) was at least 7 decades below ctx.tolerance, so the
-    check refuses no integral the rule completes.
+    |cos 2t| <= cosh 2a on that strip, so low = A - |B| cosh 2a and
+    high = A + |B| cosh 2a serve.  q vanishes at Im t = +-w,
+    w = atanh(min(k', 1/k')), k' = sqrt(kappa), since
+    cosh(2 atanh k') = (1 + kappa)/(1 - kappa) = A/B; so low > 0 for
+    a < w.  The strip a = 15w/16 is taken: for the integrals of verify_all
+    at 10, 20, 50, 200, 500 and 1000 digits its bound proves as few
+    intervals as the strips a = w/2, 3w/4 and 7w/8 together.  At kappa = 1
+    (k = 0, or x so small that 1 - x^2 rounds to 1) q = 1 and g is entire:
+    any w serves, and w = ctx.working_dps proves n = 4.
     """
-    with mp.workdps(15):
-        needed = ctx.digits * mp.ln10 / (4 * mp.atanh(mp.sqrt(kp2)))
-    if needed > quadrature.PERIODIC_MAX_INTERVALS:
-        raise NoConvergence(
-            f"periodic trapezoid at modulus {mp.nstr(k, 15)} needs about "
-            f"{int(needed)} intervals, more than {quadrature.PERIODIC_MAX_INTERVALS}")
+    A, B = (1 + kappa) / 2, abs(1 - kappa) / 2
+    kp = mp.sqrt(kappa)
+    w = mp.atanh(min(kp, 1 / kp)) if kappa != 1 else mpf(ctx.working_dps)
+    a = w * 15 / 16
+    return quadrature.integrate_even_periodic(
+        g, ctx, [(a, bound(A - B * mp.cosh(2 * a), A + B * mp.cosh(2 * a), a))])
+
+
+def _cos2_over_root(low, high, a):
+    # cos^2 t / sqrt(q), with |cos t|^2 = cos^2 Re t + sinh^2 Im t <= cosh^2 a
+    return mp.cosh(a) ** 2 / mp.sqrt(low)
 
 
 def ellip_K_quadrature(k, ctx: PrecisionContext) -> BigReal:
     """Defining-integral route for K(k) (independent oracle), by the periodic
     trapezoid rule, with 1 - k^2 sin^2 t = cos^2 t + k'^2 sin^2 t.  Raises
-    NoConvergence at once as k -> 1 where the rule would need more than
-    PERIODIC_MAX_INTERVALS intervals (_check_trapezoid_reach): from about
-    k = 1 - 3.5e-8 at 30 digits."""
+    NoConvergence at once as k -> 1, where the strip of analyticity narrows to
+    atanh(k') and the rule's error bound (_periodic) needs more than
+    PERIODIC_MAX_INTERVALS intervals: below about k' = 4.3e-4 at 30 digits."""
     with ctx.workprec():
         k = mpf(k)
         _check_modulus(k, "ellip_K_quadrature")
         kp2 = (1 - k) * (1 + k)
-        _check_trapezoid_reach(k, kp2, ctx)
-        return quadrature.integrate_even_periodic(
-            lambda s2, c2: 1 / mp.sqrt(c2 + kp2 * s2), ctx).value
+        return _periodic(lambda s2, c2: 1 / mp.sqrt(c2 + kp2 * s2), kp2,
+                         lambda low, high, a: 1 / mp.sqrt(low), ctx).value
 
 
 def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
@@ -132,9 +138,8 @@ def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
         k = mpf(k)
         _check_modulus(k, "ellip_E_quadrature")
         kp2 = (1 - k) * (1 + k)
-        _check_trapezoid_reach(k, kp2, ctx)
-        return quadrature.integrate_even_periodic(
-            lambda s2, c2: mp.sqrt(c2 + kp2 * s2), ctx).value
+        return _periodic(lambda s2, c2: mp.sqrt(c2 + kp2 * s2), kp2,
+                         lambda low, high, a: mp.sqrt(high), ctx).value
 
 
 def _imag_KE():
@@ -190,8 +195,9 @@ def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:
     """Independent route: reciprocal of the integral of cos^2(t)/sqrt(1+sin^2(t))
     over (0, pi/2), by the periodic trapezoid rule."""
     with ctx.workprec():
-        integral = quadrature.integrate_even_periodic(
-            lambda s2, c2: c2 / mp.sqrt(1 + s2), ctx).value
+        # 1 + sin^2 t = cos^2 t + 2 sin^2 t
+        integral = _periodic(lambda s2, c2: c2 / mp.sqrt(1 + s2), mpf(2),
+                             _cos2_over_root, ctx).value
         return 1 / integral
 
 
@@ -222,10 +228,8 @@ def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:
         if not (0 < x < 1):
             raise DomainError(f"middle expression requires 0 < x < 1, got {x}")
         xp2 = (1 - x) * (1 + x)
-        _check_trapezoid_reach(x, xp2, ctx)
-        res = quadrature.integrate_even_periodic(
-            lambda s2, c2: c2 / mp.sqrt(c2 + xp2 * s2), ctx)
-        return x * res.value
+        return x * _periodic(lambda s2, c2: c2 / mp.sqrt(c2 + xp2 * s2), xp2,
+                             _cos2_over_root, ctx).value
 
 
 def solve_x0(ctx: PrecisionContext) -> RootResult:

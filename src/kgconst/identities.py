@@ -53,15 +53,19 @@ def _tail_integral(ctx: PrecisionContext) -> BigReal:
 
     phi(x) = arcsinh(csch x) = -ln tanh(x/2) is an involution, with
     phi'(x) = -1/sinh x and fixed point L, so x = phi(s) maps s in (0, L) onto
-    x in (L, inf) and turns phi(x) dx into -s/sinh s ds.  s/sinh s is
-    analytic on [0, L], with its nearest poles +-i pi on the Bernstein
-    ellipse of radius about 14 about it; one sinh per node.  L is taken at
-    the rule's precision.  Shared by APPENDIX_A1 and FIXED_POINT_1, whose
-    limit pi/(2 K_G) is L by definition.
+    x in (L, inf) and turns phi(x) dx into -s/sinh s ds; one sinh per node.
+    The nearest poles of s/sinh s, +-i pi, lie on the Bernstein ellipse of
+    radius 14.46 about [0, L].  On E_11 every point has
+    |s| <= R = L/2 + (L/4)(11 + 1/11) < 2.885 < pi, and there
+    |sinh s/s| = prod_k |1 + s^2/(k pi)^2| >= prod_k (1 - R^2/(k pi)^2)
+    = sin R/R, so |s/sinh s| <= R/sin R < 11.4.  L is taken at the rule's
+    precision.  Shared by APPENDIX_A1 and FIXED_POINT_1, whose limit
+    pi/(2 K_G) is L by definition.
     """
     with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
         L = mp.log(1 + mp.sqrt(2))
-        return quadrature.integrate_analytic(lambda s: s / mp.sinh(s), 0, L, ctx).value
+        return quadrature.integrate_analytic(lambda s: s / mp.sinh(s), 0, L, ctx,
+                                             [(11, 12)]).value
 
 
 def _head_regular(x):
@@ -85,15 +89,23 @@ def _head_integral(ctx: PrecisionContext) -> BigReal:
 
     Over (0, L) the only singularity is -ln(x/2) at 0, since
     arcsinh(csch x) = -ln tanh(x/2): the rule integrates _head_regular, the
-    sum arcsinh(csch x) + ln(x/2), whose nearest singularities +-i pi lie on
-    the Bernstein ellipse of radius about 14 about [0, L], and
-    int_0^L -ln(x/2) dx = L - L ln(L/2) is added in closed form.  L and that
-    closed form are taken at the rule's precision.  Shared by
-    APPENDIX_A2_CORRECTED and FIXED_POINT_2.
+    sum arcsinh(csch x) + ln(x/2), and int_0^L -ln(x/2) dx = L - L ln(L/2)
+    is added in closed form.  L and that closed form are taken at the rule's
+    precision.  Shared by APPENDIX_A2_CORRECTED and FIXED_POINT_2.
+
+    The sum is h(x) = ln(z coth z), z = x/2.  z coth z is analytic for
+    |x| < 2 pi, with zeros only at x = +-i pi, so h is analytic on |x| < pi,
+    with h(0) = 0; its nearest singularities lie on the Bernstein ellipse of
+    radius 14.46 about [0, L].  Every point of E_11 has
+    |x| <= r = L/2 + (L/4)(11 + 1/11) < 2.885.  On |x| = R = 3.13, where
+    |z| = 1.565 < pi/2, |cosh z| <= cosh|z| and
+    |sinh z/z| = prod_k |1 + z^2/(k pi)^2| >= sin|z|/|z|, so
+    Re h = ln|z coth z| <= ln(|z| cosh|z|/sin|z|) < 1.366, and the
+    Borel-Caratheodory theorem gives |h| <= 2 r 1.366/(R - r) < 33 on E_11.
     """
     with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
         L = mp.log(1 + mp.sqrt(2))
-        regular = quadrature.integrate_analytic(_head_regular, 0, L, ctx).value
+        regular = quadrature.integrate_analytic(_head_regular, 0, L, ctx, [(11, 33)]).value
         return regular + L - L * mp.log(L / 2)
 
 

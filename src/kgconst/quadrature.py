@@ -14,25 +14,18 @@ a concurrent miss may build an entry twice, with identical integers.
 mpmath's precision is process-global, so the package is not safe to call
 from two threads at once in any case.
 
-One loop (_doubling) runs both rules: it doubles their intervals until the
-error estimate of the last three estimates falls below the target, or
-raises NoConvergence beyond the rule's cap.  Each doubling about doubles the
-correct digits, so the error of the last estimate is far below its
-difference from the one before: the estimate is 10^max(D1^2/D2, 2 D1), with
-D1 and D2 the log10 distances of the last estimate from the two before it
-(Borwein, Bailey & Girgensohn, Experimentation in Mathematics, 2004;
-mpmath's QuadratureRule.estimate_error uses the same formula), times
-ERROR_SAFETY_FACTOR.  The target is the working precision,
-ctx.working_tolerance = ctx.tolerance 10^-GUARD_DIGITS.
-
-ERROR_SAFETY_FACTOR is 1000, not 10, because the digits do not double
-exactly.  The Fejer errors of int_0^L s/sinh s ds at 76 working digits are
-7.3e-11, 4.1e-20, 1.3e-39 and 2.7e-76 on n = 8 .. 64 intervals: the last
-step gains 1.94 times the digits, not 2, and the formula gives 1.6e-78,
-170 times below the error.  With a factor of 10 the rule stopped there,
-above its target of 1e-76, and APPENDIX_A1 kept 8.7 digits to spare at 66
-digits.  With 1000, every Fejer call of verify_all from 10 to 500 digits
-stops at least 1.5 digits below its target, against the closed forms.
+Neither rule judges its own convergence.  Its caller proves where the
+integrand is analytic and how large it is there, as pairs (rho, M) for a
+Bernstein ellipse about [a, b] (integrate_analytic) or (width, M) for a strip
+|Im t| < width (integrate_even_periodic), and each pair bounds the rule's
+error on n intervals in closed form (derived at each rule).  The rule takes
+the smallest power of 2, n >= 4, at which some pair's bound falls below
+ctx.working_tolerance = ctx.tolerance 10^-GUARD_DIGITS, raises NoConvergence
+before any evaluation if that n is beyond its cap, and otherwise evaluates
+the rule on n intervals once and returns the bound as its error_bound.  The
+bound is the rule's error in exact arithmetic; the rule works RULE_EXTRA_DPS
+digits beyond the working precision, and the rounding of its nodes and
+weights is bounded at _sine_table and _fejer_rule.
 """
 
 from __future__ import annotations
@@ -45,15 +38,12 @@ from mpmath import mp, mpf
 from .core import GUARD_BITS, BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence, NonFiniteEvaluation
 
-ERROR_SAFETY_FACTOR = 1000
 # decimal digits beyond ctx.working_dps at which both rules evaluate and sum
 RULE_EXTRA_DPS = 10
 # trapezoid intervals on (0, pi/2) beyond which integrate_even_periodic
 # gives up
 PERIODIC_MAX_INTERVALS = 2 ** 16
-# Fejer's second rule starts at FEJER_FIRST_INTERVALS intervals and gives up
-# beyond FEJER_MAX_INTERVALS
-FEJER_FIRST_INTERVALS = 8
+# Fejer intervals beyond which integrate_analytic gives up
 FEJER_MAX_INTERVALS = 2 ** 11
 # fraction bits of the sine table beyond the rule's precision and GUARD_BITS:
 # 16 for the factor n <= PERIODIC_MAX_INTERVALS by which sin^2 of the first
@@ -64,9 +54,8 @@ TABLE_EXTRA_BITS = 24
 
 class QuadratureResult(NamedTuple):
     value: BigReal
-    error_estimate: BigReal
+    error_bound: BigReal
     evaluations: int
-    levels: int
 
 
 def _table_bits(prec: int) -> int:
@@ -194,21 +183,6 @@ def _fejer_rule(n: int, prec: int):
     return distances, weights
 
 
-def _error_estimate(estimates):
-    """ERROR_SAFETY_FACTOR 10^max(D1^2/D2, 2 D1) for the last of estimates,
-    with D1 = log10|S_k - S_{k-1}| and D2 = log10|S_k - S_{k-2}|.
-
-    Differences below the working precision count as one unit of it.  While
-    D2 >= 0 the rule is not yet converging and the estimate is 10^max(D1, D2).
-    """
-    s2, s1, s = estimates[-3:]
-    floor = mpf(10) ** (-mp.dps)
-    d1 = mp.log10(max(abs(s - s1), floor))
-    d2 = mp.log10(max(abs(s - s2), floor))
-    exponent = max(d1 * d1 / d2, 2 * d1) if d2 < 0 else max(d1, d2)
-    return ERROR_SAFETY_FACTOR * mpf(10) ** exponent
-
-
 def _checked(f, *x):
     v = f(*x)
     if not mp.isfinite(v):
@@ -216,46 +190,52 @@ def _checked(f, *x):
     return v
 
 
-def _doubling(rule, level, n, max_intervals, ends, ctx):
-    """Run level(n), which evaluates the new points of a rule on n intervals
-    and returns its estimate, for n doubled from the given n until the error
-    estimate falls below ctx.working_tolerance.  Called at the rule's
-    working precision; raises NoConvergence naming the rule beyond
-    max_intervals.  The rule evaluates n - 1 interior points and `ends` ends.
-    """
+def _intervals(rule, error, bounds, least, max_intervals, ctx):
+    """(n, error bound) for the smallest power of 2, n >= 4, at which
+    error(n, p, M) falls below ctx.working_tolerance for some pair (p, M) of
+    bounds.  Called at the rule's working precision.  Raises DomainError
+    unless every p exceeds least and every M is positive and finite, and
+    NoConvergence naming the rule, before any evaluation, beyond
+    max_intervals."""
+    pairs = [(mpf(p), mpf(M)) for p, M in bounds]
+    if not pairs or not all(p > least and 0 < M < mp.inf for p, M in pairs):
+        raise DomainError(f"{rule} requires bounds (p, M) with p > {least} and "
+                          f"finite M > 0, got {pairs}")
     tol = ctx.working_tolerance
-    estimates = []
-    err = mp.inf
-    while True:
-        estimates.append(level(n))
-        if len(estimates) >= 3:
-            err = _error_estimate(estimates)
-            if err < tol:
-                return QuadratureResult(value=estimates[-1], error_estimate=err,
-                                        evaluations=n - 1 + ends, levels=len(estimates))
-        if n >= max_intervals:
-            raise NoConvergence(
-                f"{rule} did not reach tolerance {tol} within "
-                f"{n} intervals (error estimate {err})"
-            )
+    n = 4
+    while (err := min(error(n, p, M) for p, M in pairs)) >= tol:
         n *= 2
+    if n > max_intervals:
+        raise NoConvergence(
+            f"{rule} cannot reach tolerance {mp.nstr(tol, 3)} within {max_intervals} "
+            f"intervals: its error bound needs about {n} intervals")
+    return n, err
 
 
-def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
-    """Integrate f over (a, b), for f analytic on the closed interval [a, b].
+def integrate_analytic(f, a, b, ctx: PrecisionContext, bounds) -> QuadratureResult:
+    """Integrate f over (a, b), for f analytic on the closed interval [a, b],
+    by Fejer's second rule (see _fejer_rule) on n intervals.
 
-    Fejer's second rule (see _fejer_rule) on n intervals, n doubled from
-    FEJER_FIRST_INTERVALS, reusing every point.  For f analytic inside a
-    Bernstein ellipse about [a, b] the error falls geometrically in n
-    (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
-    Review 50, 2008), so each doubling about doubles the correct digits and
-    _doubling stops the rule when the error estimate of the module docstring
-    falls below ctx.working_tolerance.  The points are the
-    interior Chebyshev points a + r d_j and b - r d_j, r = (b - a)/2, with
-    d_j from the rule: no endpoint is evaluated, and a point near an
-    endpoint keeps every digit of its distance from it.  Raises
-    NoConvergence beyond FEJER_MAX_INTERVALS intervals and
-    NonFiniteEvaluation if f returns a non-finite value.
+    bounds holds pairs (rho, M), rho > 1, each stating that f is analytic in
+    the Bernstein ellipse E_rho about [a, b] (foci a and b, semi-axes summing
+    to r rho, r = (b - a)/2) with |f| <= M there.  Then
+    f(a + r(1 + x)) = sum_k c_k T_k(x) with |c_k| <= 2 M rho^-k (Trefethen,
+    Approximation Theory and Approximation Practice, 2013, Theorem 8.1).
+    The rule's n - 1 nodes are symmetric about the midpoint, so for even n it
+    is exact through degree n - 1; its weights are positive and sum to 2, so
+    it gives |Q(T_k)| <= 2, and |int T_k| = 2/(k^2 - 1) <= 2/15 for even
+    k >= 4 (0 for odd k).  The error is therefore at most
+    r sum_{k>=n} 2 M rho^-k (2 + 2/15) = r (64/15) M rho^(1-n)/(rho - 1),
+    the bound by which the module docstring's choice of n is made (compare
+    Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
+    Review 50, 2008, Theorem 5.1, for Clenshaw-Curtis).
+
+    The points are the interior Chebyshev points a + r d_j and b - r d_j,
+    with d_j from the rule: no endpoint is evaluated, and a point near an
+    endpoint keeps every digit of its distance from it.  Raises DomainError
+    for a >= b or a bad pair, NoConvergence if the bounds need more than
+    FEJER_MAX_INTERVALS intervals, and NonFiniteEvaluation if f returns a
+    non-finite value.
     """
     with mp.workdps(ctx.working_dps + RULE_EXTRA_DPS):
         a = mpf(a)
@@ -263,58 +243,47 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext) -> QuadratureResult:
         if not a < b:
             raise DomainError(f"integrate_analytic requires a < b, got a={a}, b={b}")
         r = (b - a) / 2
-        # f at the one or two points of index j, summed; None until evaluated
-        values = [None] * (FEJER_FIRST_INTERVALS // 4 + 1)
-
-        def level(n):
-            nonlocal values
-            distances, weights = _fejer_rule(n, mp.prec)
-            # the points of n/2 intervals are the even-index points of n
-            spread = [None] * (n // 2 + 1)
-            spread[::2] = values
-            values = spread
-            for j in range(1, n // 2 + 1):
-                if values[j] is None:
-                    values[j] = _checked(f, a + r * distances[j])
-                    if j < n // 2:
-                        values[j] += _checked(f, b - r * distances[j])
-            return r * mp.fdot(weights[1:], values[1:])
-
-        return _doubling("Fejer's second rule", level, FEJER_FIRST_INTERVALS,
-                         FEJER_MAX_INTERVALS, 0, ctx)
+        n, err = _intervals(
+            "Fejer's second rule",
+            lambda n, rho, M: r * 64 * M * rho ** (1 - n) / (15 * (rho - 1)),
+            bounds, 1, FEJER_MAX_INTERVALS, ctx)
+        distances, weights = _fejer_rule(n, mp.prec)
+        # f at the one or two points of each index j = 1 .. n/2, summed
+        values = [_checked(f, a + r * d) + _checked(f, b - r * d) for d in distances[1:-1]]
+        values.append(_checked(f, a + r * distances[-1]))
+        return QuadratureResult(r * mp.fdot(weights[1:], values), err, n - 1)
 
 
-def integrate_even_periodic(g, ctx: PrecisionContext) -> QuadratureResult:
-    """Integrate g(sin^2 t, cos^2 t) over (0, pi/2).
+def integrate_even_periodic(g, ctx: PrecisionContext, bounds) -> QuadratureResult:
+    """Integrate G(t) = g(sin^2 t, cos^2 t) over (0, pi/2), by the trapezoid
+    rule on n intervals with halved end weights.
 
-    The integrand is even and of period pi, so the trapezoid rule on
-    [0, pi/2] with halved end weights equals half the trapezoid rule over a
-    full period, which converges geometrically for analytic periodic
-    integrands (Trefethen & Weideman, "The exponentially convergent
-    trapezoidal rule", SIAM Review 56, 2014): doubling the points doubles
-    the correct digits.  The number of intervals n doubles from 4, reusing
-    every point, until the error estimate of the module docstring falls
-    below ctx.working_tolerance.  At t_j = j pi/(2n), sin t_j and
-    cos t_j = sin((n - j) pi/(2n)) are entries j and n - j of
-    _sine_table(n, prec), so each square is off by under
-    2^-(prec + GUARD_BITS + 2) of itself (see TABLE_EXTRA_BITS) and both
-    are exact at the ends.  Write g so that it cancels no digits: for
+    bounds holds pairs (width, M), width > 0, each stating that G is analytic
+    in the strip |Im t| < width with |G| <= M there.  G is even and of period
+    pi, so the rule is a quarter of the 2n-point trapezoid rule for
+    F(theta) = G(theta/2) over its period 2 pi, and F is analytic in
+    |Im theta| < 2 width, where that rule errs by at most
+    4 pi M/(e^(2n 2 width) - 1) (Trefethen & Weideman, "The exponentially
+    convergent trapezoidal rule", SIAM Review 56, 2014, Theorem 3.2).  So
+    the error is at most pi M/(e^(4n width) - 1), the bound by which the
+    module docstring's choice of n is made.
+
+    At t_j = j pi/(2n), sin t_j and cos t_j = sin((n - j) pi/(2n)) are
+    entries j and n - j of _sine_table(n, prec), so each square is off by
+    under 2^-(prec + GUARD_BITS + 2) of itself (see TABLE_EXTRA_BITS) and
+    both are exact at the ends.  Write g so that it cancels no digits: for
     example 1 - k^2 sin^2 t as cos^2 t + (1 - k)(1 + k) sin^2 t.  Raises
-    NoConvergence beyond PERIODIC_MAX_INTERVALS intervals and
-    NonFiniteEvaluation if g returns a non-finite value.
+    DomainError for a bad pair, NoConvergence if the bounds need more than
+    PERIODIC_MAX_INTERVALS intervals, and NonFiniteEvaluation if g returns a
+    non-finite value.
     """
     with mp.workdps(ctx.working_dps + RULE_EXTRA_DPS):
+        n, err = _intervals("periodic trapezoid",
+                            lambda n, width, M: mp.pi * M / mp.expm1(4 * n * width),
+                            bounds, 0, PERIODIC_MAX_INTERVALS, ctx)
         P2 = 2 * _table_bits(mp.prec)
-        # the ends t = 0 and pi/2, at half weight
-        raw_sum = (_checked(g, mpf(0), mpf(1)) + _checked(g, mpf(1), mpf(0))) / 2
-
-        def level(n):
-            nonlocal raw_sum
-            table = _sine_table(n, mp.prec)
-            # every interior point on the first level, the new odd ones after
-            raw_sum += mp.fsum(
-                _checked(g, mp.ldexp(table[j] ** 2, -P2), mp.ldexp(table[n - j] ** 2, -P2))
-                for j in range(1, n, 1 if n == 4 else 2))
-            return mp.pi / (2 * n) * raw_sum
-
-        return _doubling("periodic trapezoid", level, 4, PERIODIC_MAX_INTERVALS, 2, ctx)
+        table = _sine_table(n, mp.prec)
+        values = [_checked(g, mp.ldexp(table[j] ** 2, -P2), mp.ldexp(table[n - j] ** 2, -P2))
+                  for j in range(n + 1)]
+        raw_sum = mp.fsum(values[1:-1]) + (values[0] + values[-1]) / 2
+        return QuadratureResult(mp.pi / (2 * n) * raw_sum, err, n + 1)

@@ -262,28 +262,58 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
     integral of cos(4nt) [1/cos t + (-1)^n sqrt(2)/(cos t + sin t)] over
     (0, pi/8).  With u = tan(t/2), cos t = c = (1 - u^2)/(1 + u^2) and
     dt = 2 du/(1 + u^2), that is the integral of
-    T_4n(c) [2/(1 - u^2) + (-1)^n 2 sqrt(2)/(1 + 2u - u^2)] over
-    (0, tan(pi/16)), with T_4n(c) = cos(4nt) by _chebyshev_t: no node makes
-    a transcendental call.  The pole nearest that interval, at
-    u = 1 - sqrt(2), lies on its Bernstein ellipse of radius about 10.2
-    (those of T_4n(c), at u = +-i, lie on radius about 20).  Near u = 0, c is
-    close to 1, where |T_m'| <= m^2: the rounding of c costs T_4n(c) up to
-    2 log10(4n) digits, about 6 at n = 200, out of the RULE_EXTRA_DPS = 10
-    the rule works beyond ctx.working_dps; the doubling itself adds under
+    T [2/(1 - u^2) + (-1)^n 2 sqrt(2)/(1 + 2u - u^2)] over
+    (0, tan(pi/16)), with T = T_4n(c) = cos(4nt) by _chebyshev_t: no node
+    makes a transcendental call.  At n = 0 (T = 1) the integral is L, so
+    a_n = (8/pi)(L + int h_n), with
+    h_n = 2(T - 1)/(1 - u^2) + 2 sqrt(2)((-1)^n T - 1)/(1 + 2u - u^2).
+    T is 1 at u = +-1 (t = +-pi/2) and (-1)^n at u = 1 -+ sqrt(2)
+    (t = -pi/4, 3pi/4), so h_n has no pole there: its only singularities
+    are those of c, at u = +-i, on the Bernstein ellipse of radius 20.2
+    about [0, tan(pi/16)].
+
+    The rule takes the bound of the ellipse E_rho, rho = 2, 4, 8 or 16,
+    that proves the fewest intervals.  With r = tan(pi/16)/2, E_rho has
+    semi-minor axis b = r (rho - 1/rho)/2 < 1, and on it
+    |Im atan u| = atanh(2 Im u/(1 + |u|^2))/2 <= atanh b, so
+    |T| = |cos(8n atan u)| <= cosh(8n atanh b).  A real point p at
+    Bernstein radius rho_p lies at distance at least
+    (r/2)|rho - rho_p|(1 - 1/(rho rho_p)) from the boundary of E_rho (with
+    u = r + r (w + 1/w)/2, u - p = (r/2)(w - w_p)(1 - 1/(w w_p))), which
+    bounds the two denominators there, and the maximum principle carries
+    the bound inside.  Near u = 0, c is close to 1, where |T_m'| <= m^2: the
+    rounding of c costs T up to 2 log10(4n) digits, about 6 at n = 200, out
+    of the RULE_EXTRA_DPS = 10 the rule works beyond ctx.working_dps, where
+    L, sqrt(2) and tan(pi/16) are taken; the doubling itself adds under
     2^-GUARD_BITS units of the rule's precision.
     """
     if n < 0:
         raise DomainError(f"coefficient index must be >= 0, got {n}")
     with ctx.workprec():
-        fold = (-1) ** n * 2 * mp.sqrt(2)
+        with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
+            root2 = mp.sqrt(2)
+            r = mp.tan(mp.pi / 16) / 2
+            sign = (-1) ** n
 
-        def integrand(u):
-            u2 = u * u
-            p = 1 - u2
-            return _chebyshev_t(4 * n, p / (1 + u2)) * (2 / p + fold / (p + 2 * u))
+            def h(u):
+                u2 = u * u
+                p = 1 - u2
+                t = _chebyshev_t(4 * n, p / (1 + u2))
+                return 2 * (t - 1) / p + 2 * root2 * (sign * t - 1) / (p + 2 * u)
 
-        res = quadrature.integrate_analytic(integrand, 0, mp.tan(mp.pi / 16), ctx)
-        return 8 / mp.pi * res.value
+            def gap(p, rho):
+                # a lower bound on the distance of the real point p from E_rho's boundary
+                x = abs(p / r - 1)
+                rho_p = x + mp.sqrt(x * x - 1)
+                return r / 2 * abs(rho - rho_p) * (1 - 1 / (rho * rho_p))
+
+            bounds = [(rho, (1 + mp.cosh(8 * n * mp.atanh(r * (rho - mpf(1) / rho) / 2)))
+                       * (2 / (gap(1, rho) * gap(-1, rho))
+                          + 2 * root2 / (gap(1 - root2, rho) * gap(1 + root2, rho))))
+                      for rho in (2, 4, 8, 16)]
+            integral = mp.log(1 + root2) + quadrature.integrate_analytic(
+                h, 0, 2 * r, ctx, bounds).value
+        return 8 / mp.pi * integral
 
 
 def _terms_to_tolerance(digits: int, *, squared: bool = False) -> int:

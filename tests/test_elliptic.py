@@ -16,7 +16,7 @@ from kgconst import (
     krivine_complex_f,
     solve_x0,
 )
-from kgconst import elliptic, integrate_even_periodic
+from kgconst import elliptic, quadrature
 from kgconst.elliptic import (
     ellip_E_quadrature,
     ellip_K_quadrature,
@@ -32,14 +32,17 @@ K_GRID = ["0.05", "0.3", "0.5", "0.7", "0.9", "0.99"]
 # Defining integrals of K(i) and E(i), functions of sin^2 t, by the periodic
 # trapezoid rule: a route that shares nothing with the AGM (mpmath's ellipk
 # and ellipe run the AGM too).
+# 1 + sin^2 t = cos^2 t + 2 sin^2 t, bounded on strips by elliptic._periodic
 def ellip_K_imag_quadrature(ctx):
     with ctx.workprec():
-        return integrate_even_periodic(lambda s2, c2: 1 / mp.sqrt(1 + s2), ctx).value
+        return elliptic._periodic(lambda s2, c2: 1 / mp.sqrt(1 + s2), mpf(2),
+                                  lambda low, high, a: 1 / mp.sqrt(low), ctx).value
 
 
 def ellip_E_imag_quadrature(ctx):
     with ctx.workprec():
-        return integrate_even_periodic(lambda s2, c2: mp.sqrt(1 + s2), ctx).value
+        return elliptic._periodic(lambda s2, c2: mp.sqrt(1 + s2), mpf(2),
+                                  lambda low, high, a: mp.sqrt(high), ctx).value
 
 
 class TestSpecialValues:
@@ -201,11 +204,37 @@ class TestNearOne:
     @pytest.mark.parametrize("oracle", [ellip_K_quadrature, ellip_E_quadrature,
                                         krivine_complex_middle])
     def test_trapezoid_oracle_fails_fast(self, oracle, ctx30):
-        # about 1.2e5 intervals needed, past PERIODIC_MAX_INTERVALS = 2^16
+        # the error bound needs 2^18 intervals, past PERIODIC_MAX_INTERVALS = 2^16
         start = time.perf_counter()
-        with pytest.raises(NoConvergence, match="needs about 122113 intervals"):
+        with pytest.raises(NoConvergence, match="needs about 262144 intervals"):
             oracle(1 - mpf("1e-8"), ctx30)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("digits, kp", [(30, "3e-4"), (10, "1.5e-4")])
+    @pytest.mark.parametrize("oracle, agm", [(ellip_K_quadrature, ellip_K),
+                                             (ellip_E_quadrature, ellip_E)])
+    def test_trapezoid_oracle_returns_within_its_bound_or_fails_fast(
+            self, digits, kp, oracle, agm, monkeypatch):
+        # moduli whose integrals could reach 10^-digits but not the rule's
+        # target 10^-working_dps within 2^16 intervals: each oracle returns
+        # within its error bound or raises before evaluating anything
+        ctx = PrecisionContext(digits=digits)
+        with ctx.workprec():
+            k = mp.sqrt(1 - mpf(kp) ** 2)
+        results = []
+        rule = quadrature.integrate_even_periodic
+        monkeypatch.setattr(quadrature, "integrate_even_periodic",
+                            lambda *args: (results.append(rule(*args)), results[-1])[1])
+        start = time.perf_counter()
+        try:
+            value = oracle(k, ctx)
+        except NoConvergence:
+            assert results == []
+            assert time.perf_counter() - start < 0.1
+        else:
+            with ctx.workprec():
+                assert abs(value - agm(k, ctx)) <= (
+                    results[0].error_bound + abs(value) * mpf(10) ** -(ctx.working_dps - 1))
 
     def test_trapezoid_oracle_reaches_its_last_levels(self, ctx30):
         # 2^15 intervals, just inside the cap

@@ -174,9 +174,8 @@ def test_analytic_evaluations_at_500_digits(ident, integrate_calls):
 
 def test_appendix_tail_margin_at_66_digits():
     # at 66 digits the tail's Fejer error on 64 intervals, 2.7e-76, lies
-    # 170 times above the doubling formula's estimate; unless
-    # ERROR_SAFETY_FACTOR covers that, the rule stops there, above its
-    # target of 1e-76
+    # above the target of 1e-76, so the rule must take 128 (its bound on
+    # E_11 is 5.6e-66 at 64 and 1.2e-132 at 128)
     ctx = PrecisionContext(digits=66)
     r = verify(IdentityId.APPENDIX_A1, ctx)
     assert r.passed, r.params

@@ -12,52 +12,69 @@ from kgconst import (
     integrate_analytic,
     integrate_even_periodic,
 )
-from kgconst import quadrature
+from kgconst import elliptic, quadrature, series
 from kgconst.quadrature import _fejer_rule, _sine_table, _table_bits, _weight_sums
+
+
+# A point of the Bernstein ellipse E_rho about [a, b], r = (b - a)/2, lies
+# within r (rho + 1/rho)/2 of the midpoint and r (rho - 1/rho)/2 of the real
+# axis.  So about [0, 1], |exp x| <= e^(1/2 + 33/16) < 13 on E_8, and
+# |1 + x^2| = |x - i||x + i| >= (5/8)^2 on E_2; about [-1, 1],
+# |2 + x| >= 2 - 5/4 on E_2.
+EXP_BOUNDS = [(8, 13)]
+# 1/(2 + cos 2t) on |Im t| <= 1/2, where |cos 2t| <= cosh 1 < 1.55
+PERIODIC_BOUNDS = [(mpf(1) / 2, 3)]
 
 
 class TestFiniteInterval:
     def test_polynomial_exact(self, ctx30):
-        res = integrate_analytic(lambda x: x * x, 0, 1, ctx30)
+        # |x|^2 <= (1/2 + 33/16)^2 < 7 on E_8
+        res = integrate_analytic(lambda x: x * x, 0, 1, ctx30, [(8, 7)])
         assert abs(res.value - mpf(1) / 3) < ctx30.tolerance
-        assert res.error_estimate < ctx30.tolerance
+        assert res.error_bound < ctx30.tolerance
         assert res.evaluations > 0
-        assert res.levels >= 3
 
     def test_secant_gives_log_tan_form(self, ctx30):
         with ctx30.workprec():
             upper = mp.pi / 4
             expected = mp.log(1 + mp.sqrt(2))
-        res = integrate_analytic(lambda t: 1 / mp.cos(t), 0, upper, ctx30)
+        # on E_4 about [0, pi/4], Re t <= pi/8 + (pi/16)(4 + 1/4) < 1.23, and
+        # |cos t| >= |cos Re t| > 1/3
+        res = integrate_analytic(lambda t: 1 / mp.cos(t), 0, upper, ctx30, [(4, 3)])
         assert abs(res.value - expected) < ctx30.tolerance
 
     def test_cosine_product_orthogonality(self, ctx30):
         # integral of cos(4t)cos(8t) over a full shared period vanishes
         with ctx30.workprec():
             upper = mp.pi / 2
-        res = integrate_analytic(lambda t: mp.cos(4 * t) * mp.cos(8 * t), 0, upper, ctx30)
+            # |cos z| <= cosh Im z, and |Im t| <= (pi/8)(rho - 1/rho) on E_rho
+            bounds = [(rho, mp.cosh(12 * mp.pi / 8 * (rho - mpf(1) / rho))) for rho in (2, 8)]
+        res = integrate_analytic(lambda t: mp.cos(4 * t) * mp.cos(8 * t), 0, upper, ctx30,
+                                 bounds)
         assert abs(res.value) < mpf(10) ** -(ctx30.digits - 2)
 
     def test_converges_within_tolerance(self, ctx30):
         with ctx30.workprec():
             expected = mp.exp(mpf(1)) - 1
-        res = integrate_analytic(mp.exp, 0, 1, ctx30)
-        assert res.error_estimate < ctx30.tolerance
+        res = integrate_analytic(mp.exp, 0, 1, ctx30, EXP_BOUNDS)
+        assert res.error_bound < ctx30.tolerance
         assert abs(res.value - expected) < ctx30.tolerance
 
 
 class TestEndpointSingularities:
     """Neither rule integrates an endpoint singularity: the one the library
-    meets, the -ln(x/2) of arcsinh(csch x) at 0, is subtracted in closed form."""
+    meets, the -ln(x/2) of arcsinh(csch x) at 0, is subtracted in closed form.
+    No Bernstein ellipse about [0, 1] avoids a singularity at 0, so the
+    narrowest one a caller could name, rho near 1, is refused before any
+    evaluation: its bound needs far more intervals than the cap."""
 
     def test_inverse_sqrt(self, ctx30):
-        # the error falls only like n^-1/2: refused at the cap, not returned
         with pytest.raises(NoConvergence):
-            integrate_analytic(lambda x: 1 / mp.sqrt(x), 0, 1, ctx30)
+            integrate_analytic(lambda x: 1 / mp.sqrt(x), 0, 1, ctx30, [(mpf("1.01"), 100)])
 
     def test_log_singularity(self, ctx30):
         with pytest.raises(NoConvergence):
-            integrate_analytic(mp.log, 0, 1, ctx30)
+            integrate_analytic(mp.log, 0, 1, ctx30, [(mpf("1.01"), 100)])
 
     def test_endpoints_never_evaluated(self, ctx30, monkeypatch):
         # arcsinh(csch x) + ln(x/2), written through 1 - e^-x, divides by
@@ -65,8 +82,8 @@ class TestEndpointSingularities:
         seen = []
         fejer = quadrature.integrate_analytic
 
-        def recording(f, a, b, ctx):
-            return fejer(lambda x: (seen.append(x), f(x))[1], a, b, ctx)
+        def recording(f, a, b, ctx, bounds):
+            return fejer(lambda x: (seen.append(x), f(x))[1], a, b, ctx, bounds)
 
         monkeypatch.setattr(quadrature, "integrate_analytic", recording)
         identities._head_integral.cache_clear()
@@ -80,25 +97,25 @@ class TestEndpointSingularities:
 class TestFailureModes:
     def test_degenerate_interval_rejected(self, ctx30):
         with pytest.raises(DomainError):
-            integrate_analytic(lambda x: x, 1, 1, ctx30)
+            integrate_analytic(lambda x: x, 1, 1, ctx30, [(2, 2)])
 
     def test_nonfinite_integrand(self, ctx30):
         with pytest.raises(NonFiniteEvaluation):
-            integrate_even_periodic(lambda s2, c2: mpf("nan"), ctx30)
+            integrate_even_periodic(lambda s2, c2: mpf("nan"), ctx30, [(1, 1)])
         with pytest.raises(NonFiniteEvaluation):
-            integrate_even_periodic(lambda s2, c2: mpf("inf") if s2 > mpf("0.5") else s2, ctx30)
+            integrate_even_periodic(lambda s2, c2: mpf("inf") if s2 > mpf("0.5") else s2, ctx30,
+                                    [(1, 1)])
 
 
 class TestDeterminism:
     def test_identical_reruns(self, ctx30):
         # 1/(2 + cos 2t); the second run rebuilds the sine tables from an
         # empty cache
-        a = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30)
+        a = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30, PERIODIC_BOUNDS)
         _sine_table.cache_clear()
-        b = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30)
+        b = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30, PERIODIC_BOUNDS)
         assert a.value == b.value
         assert a.evaluations == b.evaluations
-        assert a.levels == b.levels
 
 
 def _assert_relative(value, reference, ctx):
@@ -133,7 +150,11 @@ class TestClosedForms:
         # as int_0^L s/sinh s ds
         ctx = PrecisionContext(digits=digits)
         L = const_L(ctx)
-        value = integrate_analytic(lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx).value
+        # the integrand is 2 atanh(z v)/v, z = sqrt(2) - 1, with branch points
+        # at v = +-1/z; on E_6, |v| <= V = 1/2 + (6 + 1/6)/4 < 1/z, where its
+        # series gives |2 atanh(z v)/v| <= 2 atanh(z V)/V < 2
+        value = integrate_analytic(lambda v: _arcsinh_csch(L - mp.log(v)) / v, 0, 1, ctx,
+                                   [(6, 2)]).value
         _assert_relative(value, lambda: mp.pi ** 2 / 8 - _L() ** 2 / 2, ctx)
 
     def test_appendix_head(self, digits):
@@ -145,7 +166,9 @@ class TestClosedForms:
 
     def test_haagerup_integral(self, digits):
         ctx = PrecisionContext(digits=digits)
-        value = integrate_even_periodic(lambda s2, c2: c2 / mp.sqrt(1 + s2), ctx).value
+        with ctx.workprec():
+            value = elliptic._periodic(lambda s2, c2: c2 / mp.sqrt(1 + s2), mpf(2),
+                                       elliptic._cos2_over_root, ctx).value
         _assert_relative(value, lambda: 2 * mp.ellipk(-1) - mp.ellipe(-1), ctx)
 
     @pytest.mark.parametrize("x", ["0.25", "0.5", "0.9", "0.999"])
@@ -154,8 +177,8 @@ class TestClosedForms:
         with ctx.workprec():
             x = mpf(x)
             xp2 = (1 - x) * (1 + x)
-        value = integrate_even_periodic(
-            lambda s2, c2: c2 / mp.sqrt(c2 + xp2 * s2), ctx).value
+            value = elliptic._periodic(lambda s2, c2: c2 / mp.sqrt(c2 + xp2 * s2), xp2,
+                                       elliptic._cos2_over_root, ctx).value
 
         def reference():
             m = x * x
@@ -171,7 +194,7 @@ class TestEvenPeriodic:
             seen.append((s2, c2))
             return 1 / (2 + c2 - s2)
 
-        res = integrate_even_periodic(g, ctx30)
+        res = integrate_even_periodic(g, ctx30, PERIODIC_BOUNDS)
         assert res.evaluations == len(seen) == len(set(seen))
         with ctx30.workprec():
             assert abs(res.value - mp.pi / (2 * mp.sqrt(3))) < ctx30.tolerance
@@ -179,7 +202,8 @@ class TestEvenPeriodic:
     def test_nodes_are_squared_sines_and_cosines(self, ctx30):
         # exact at the ends, and sin^2 t + cos^2 t = 1 at every node
         seen = []
-        res = integrate_even_periodic(lambda s2, c2: (seen.append((s2, c2)), 1)[1], ctx30)
+        res = integrate_even_periodic(lambda s2, c2: (seen.append((s2, c2)), 1)[1], ctx30,
+                                      [(1, 1)])
         with ctx30.workprec():
             assert abs(res.value - mp.pi / 2) < ctx30.tolerance
         assert (0, 1) in seen and (1, 0) in seen
@@ -187,11 +211,15 @@ class TestEvenPeriodic:
             assert all(abs(s2 + c2 - 1) < mpf(10) ** -mp.dps for s2, c2 in seen)
 
     def test_point_cap_raises(self, ctx30):
-        # |sin t| is even and of period pi but has a kink at 0: the
-        # trapezoid error falls only like h^2, far above the target at the cap
+        # |sin t| is even and of period pi but has a kink at 0, so no strip
+        # about the real line holds it: the narrowest a caller could name is
+        # refused before any evaluation
+        seen = []
         with pytest.raises(NoConvergence,
-                           match="^periodic trapezoid did not reach .* within 65536 intervals"):
-            integrate_even_periodic(lambda s2, c2: mp.sqrt(s2), ctx30)
+                           match="^periodic trapezoid cannot reach .* within 65536 intervals"):
+            integrate_even_periodic(lambda s2, c2: (seen.append(s2), mp.sqrt(s2))[1], ctx30,
+                                    [(mpf("1e-4"), 2)])
+        assert seen == []
 
 
 def _reference_fejer(n, dps):
@@ -283,7 +311,10 @@ class TestAnalytic:
         ctx = PrecisionContext(digits=digits)
         with ctx.workprec():
             quarter_pi = mp.pi / 4
-        res = integrate_analytic(lambda t: mp.cos(4 * n * t) / mp.cos(t), 0, quarter_pi, ctx)
+        # on E_4 about [0, pi/4], |Im t| < 0.74 and |cos t| > 1/3 (as in
+        # test_secant_gives_log_tan_form), so |cos 4nt| <= cosh 3n
+        res = integrate_analytic(lambda t: mp.cos(4 * n * t) / mp.cos(t), 0, quarter_pi, ctx,
+                                 [(4, 3 * mp.cosh(3 * n))])
         with ctx.workprec():
             assert abs(8 / mp.pi * res.value - fourier_a(n, ctx)) < ctx.tolerance
 
@@ -294,7 +325,7 @@ class TestAnalytic:
             seen.append(x)
             return mp.exp(x)
 
-        res = integrate_analytic(f, 0, 1, ctx30)
+        res = integrate_analytic(f, 0, 1, ctx30, EXP_BOUNDS)
         with ctx30.workprec():
             assert abs(res.value - (mp.e - 1)) < ctx30.tolerance
         assert seen and all(0 < x < 1 for x in seen)
@@ -306,40 +337,221 @@ class TestAnalytic:
             seen.append(x)
             return 1 / (2 + x)
 
-        res = integrate_analytic(f, -1, 1, ctx30)
+        res = integrate_analytic(f, -1, 1, ctx30, [(2, 2)])
         assert res.evaluations == len(seen) == len(set(seen))
         with ctx30.workprec():
             assert abs(res.value - mp.log(3)) < ctx30.tolerance
 
     def test_nonfinite_integrand(self, ctx30):
         with pytest.raises(NonFiniteEvaluation):
-            integrate_analytic(lambda x: mpf("nan"), 0, 1, ctx30)
+            integrate_analytic(lambda x: mpf("nan"), 0, 1, ctx30, [(2, 2)])
         with pytest.raises(NonFiniteEvaluation):
-            integrate_analytic(lambda x: mpf("inf") if x > mpf("0.5") else x, 0, 1, ctx30)
+            integrate_analytic(lambda x: mpf("inf") if x > mpf("0.5") else x, 0, 1, ctx30,
+                               [(2, 2)])
 
     def test_interval_cap_raises(self, ctx30):
-        # sqrt is not analytic at 0: the error falls only like n^-3, far
-        # above the target at the cap
+        # sqrt is not analytic at 0 (see TestEndpointSingularities): refused
+        # before any evaluation
+        seen = []
         with pytest.raises(NoConvergence,
-                           match="^Fejer's second rule did not reach .* within 2048 intervals"):
-            integrate_analytic(mp.sqrt, 0, 1, ctx30)
+                           match="^Fejer's second rule cannot reach .* within 2048 intervals"):
+            integrate_analytic(lambda x: (seen.append(x), mp.sqrt(x))[1], 0, 1, ctx30,
+                               [(mpf("1.01"), 2)])
+        assert seen == []
 
     def test_identical_reruns(self, ctx30):
         # the second run rebuilds the weights from an empty cache
-        a = integrate_analytic(lambda x: 1 / (1 + x * x), 0, 1, ctx30)
+        a = integrate_analytic(lambda x: 1 / (1 + x * x), 0, 1, ctx30, [(2, 3)])
         _fejer_rule.cache_clear()
-        b = integrate_analytic(lambda x: 1 / (1 + x * x), 0, 1, ctx30)
+        b = integrate_analytic(lambda x: 1 / (1 + x * x), 0, 1, ctx30, [(2, 3)])
         assert a.value == b.value
         assert a.evaluations == b.evaluations
-        assert a.levels == b.levels
 
     def test_rule_and_tables_built_once_per_precision(self, ctx30):
         # a second call at the same precision reads every rule and table
         # from the caches
         _fejer_rule.cache_clear()
         _sine_table.cache_clear()
-        integrate_analytic(mp.exp, 0, 1, ctx30)
+        integrate_analytic(mp.exp, 0, 1, ctx30, EXP_BOUNDS)
         misses = (_fejer_rule.cache_info().misses, _sine_table.cache_info().misses)
         assert misses[0] > 0 and misses[1] > 0
-        integrate_analytic(mp.exp, 0, 1, ctx30)
+        integrate_analytic(mp.exp, 0, 1, ctx30, EXP_BOUNDS)
         assert (_fejer_rule.cache_info().misses, _sine_table.cache_info().misses) == misses
+
+
+def _recording(monkeypatch):
+    """Record (rule name, arguments, result) of every call of the two rules
+    made through the quadrature module."""
+    calls = []
+    for name in ("integrate_analytic", "integrate_even_periodic"):
+        def recording(*args, _rule=getattr(quadrature, name), _name=name):
+            res = _rule(*args)
+            calls.append((_name, args, res))
+            return res
+        monkeypatch.setattr(quadrature, name, recording)
+    return calls
+
+
+def _ellipse(a, b, rho):
+    """64 points of the boundary of the Bernstein ellipse E_rho about [a, b]."""
+    r, m = (b - a) / 2, (a + b) / 2
+    return [m + r * (rho * mp.expjpi(mpf(j) / 32) + mp.expjpi(-mpf(j) / 32) / rho) / 2
+            for j in range(64)]
+
+
+def _strip(width):
+    """64 points of the boundary of |Im t| < width, over one period pi."""
+    return [mp.pi * j / 32 + side * width * 1j for j in range(32) for side in (1, -1)]
+
+
+def _oracle_reference(k, closed):
+    """closed(m) at the parameter m = 1 - k'^2 that the K and E oracles
+    integrate, with k'^2 = (1 - k)(1 + k) rounded as they round it."""
+    def reference(ctx):
+        with ctx.workprec():
+            kp2 = (1 - mpf(k)) * (1 + mpf(k))
+        return closed(1 - kp2)
+    return reference
+
+
+# every quadrature of verify_all, with the test oracles K(i) and E(i) and
+# the K and E oracles at three moduli: each runs one rule call, and its
+# value against the closed form of what that call integrates
+PROVED = {
+    "tail": (identities._tail_integral, lambda ctx: mp.pi ** 2 / 8 - _L() ** 2 / 2),
+    "head": (identities._head_integral,
+             lambda ctx: mp.pi ** 2 / 8 + _L() ** 2 / 2 - _L() + _L() * mp.log(_L() / 2)),
+    "a_3": (lambda ctx: series.fourier_a_quadrature(3, ctx),
+            lambda ctx: mp.pi / 8 * fourier_a(3, PrecisionContext(digits=ctx.digits + 20)) - _L()),
+    "Haagerup": (elliptic.haagerup_bound_quadrature,
+                 lambda ctx: 2 * mp.ellipk(-1) - mp.ellipe(-1)),
+    "Krivine middle": (lambda ctx: elliptic.krivine_complex_middle(mpf("0.5"), ctx),
+                       lambda ctx: 4 * mp.ellipe(mpf(1) / 4) - 3 * mp.ellipk(mpf(1) / 4)),
+    "K(i)": (lambda ctx: elliptic._periodic(lambda s2, c2: 1 / mp.sqrt(1 + s2), mpf(2),
+                                            lambda low, high, a: 1 / mp.sqrt(low), ctx),
+             lambda ctx: mp.ellipk(-1)),
+    "E(i)": (lambda ctx: elliptic._periodic(lambda s2, c2: mp.sqrt(1 + s2), mpf(2),
+                                            lambda low, high, a: mp.sqrt(high), ctx),
+             lambda ctx: mp.ellipe(-1)),
+}
+for _k in ("0.3", "0.9", "0.99"):
+    PROVED[f"K({_k})"] = (lambda ctx, k=_k: elliptic.ellip_K_quadrature(k, ctx),
+                          _oracle_reference(_k, mp.ellipk))
+    PROVED[f"E({_k})"] = (lambda ctx, k=_k: elliptic.ellip_E_quadrature(k, ctx),
+                          _oracle_reference(_k, mp.ellipe))
+
+
+class TestProvedBounds:
+    def test_declared_bounds_hold_on_the_boundary(self, monkeypatch):
+        # |f| <= M at 64 points of the boundary of each declared ellipse or
+        # strip, for every integrand of PROVED but a_n's (below); E's bound
+        # sqrt(A + |B| cosh 2a) is attained at Re t = 0, so up to rounding
+        ctx = PrecisionContext(digits=30)
+        calls = _recording(monkeypatch)
+        identities._tail_integral.cache_clear()
+        identities._head_integral.cache_clear()
+        for name, (run, _) in PROVED.items():
+            if name != "a_3":
+                with ctx.workprec():
+                    run(ctx)
+        assert len(calls) == len(PROVED) - 1
+        slack = mpf(10) ** -(ctx.working_dps - 2)
+        with mp.workdps(ctx.working_dps):
+            for name, args, _ in calls:
+                if name == "integrate_analytic":
+                    f, a, b, _, bounds = args
+                    boundary = lambda p, a=a, b=b: _ellipse(a, b, p)
+                else:
+                    g, _, bounds = args
+                    f = lambda t, g=g: g(mp.sin(t) ** 2, mp.cos(t) ** 2)
+                    boundary = _strip
+                for p, M in bounds:
+                    assert max(abs(f(x)) for x in boundary(p)) <= M * (1 + slack), (name, p, M)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 8, 64])
+    def test_coefficient_bounds_hold_on_the_boundary(self, n, monkeypatch):
+        # a_n's integrand h_n through T_4n(c) = cos(8n atan u), which holds
+        # off the real axis, where the library's integer doubling does not run
+        ctx = PrecisionContext(digits=30)
+        calls = _recording(monkeypatch)
+        series.fourier_a_quadrature(n, ctx)
+        [(_, (f, a, b, _, bounds), _)] = calls
+        with mp.workdps(ctx.working_dps):
+            def h(u):
+                t = mp.cos(8 * n * mp.atan(u))
+                return (2 * (t - 1) / (1 - u * u)
+                        + 2 * mp.sqrt(2) * ((-1) ** n * t - 1) / (1 + 2 * u - u * u))
+
+            for u in (a + (b - a) / 7, b):
+                assert abs(h(u) - f(u)) < mpf(10) ** -(ctx.working_dps - 5)
+            assert [rho for rho, _ in bounds] == [2, 4, 8, 16]
+            for rho, M in bounds:
+                assert max(abs(h(u)) for u in _ellipse(a, b, rho)) <= M, rho
+
+    @pytest.mark.parametrize("digits", [10, 20, 50, 200, 500])
+    def test_error_within_bound(self, digits, monkeypatch):
+        # |value - closed form| <= error_bound <= ctx.working_tolerance, up to
+        # the rule's rounding, RULE_EXTRA_DPS digits finer than its target
+        ctx = PrecisionContext(digits=digits)
+        calls = _recording(monkeypatch)
+        identities._tail_integral.cache_clear()
+        identities._head_integral.cache_clear()
+        rounding = mpf(10) ** -(ctx.working_dps + 5)
+        for name, (run, closed) in PROVED.items():
+            del calls[:]
+            with ctx.workprec():
+                run(ctx)
+            [(_, _, res)] = calls
+            with mp.workdps(ctx.working_dps + 40):
+                assert res.error_bound <= ctx.working_tolerance, name
+                assert abs(res.value - closed(ctx)) <= res.error_bound + rounding, name
+
+    def test_fewest_intervals_that_a_pair_proves(self, ctx30):
+        # Fejer: n - 1 evaluations at the smallest power of 2 whose bound
+        # meets the target; the trapezoid: n + 1
+        # (r = 1/2 for [0, 1]), the bounds computed here at 80 digits
+        tol = ctx30.working_tolerance
+        bounds = [(2, 5)] + EXP_BOUNDS  # |exp x| <= e^(1/2 + 5/8) < 5 on E_2
+        res = integrate_analytic(mp.exp, 0, 1, ctx30, bounds)
+        n = res.evaluations + 1
+
+        def fejer(n):
+            return min(32 * M * mpf(rho) ** (1 - n) / (15 * (rho - 1)) for rho, M in bounds)
+        assert n & (n - 1) == 0
+        assert abs(res.error_bound / fejer(n) - 1) < mpf(10) ** -ctx30.working_dps
+        assert fejer(n) < tol <= fejer(n // 2)
+        res = integrate_even_periodic(lambda s2, c2: 1 / (2 + c2 - s2), ctx30, PERIODIC_BOUNDS)
+        n = res.evaluations - 1
+        [(width, M)] = PERIODIC_BOUNDS
+        assert n & (n - 1) == 0
+        assert abs(res.error_bound / (mp.pi * M / mp.expm1(4 * n * width)) - 1) < tol
+        assert mp.pi * M / mp.expm1(4 * n * width) < tol <= mp.pi * M / mp.expm1(2 * n * width)
+
+    @pytest.mark.parametrize("bounds", [[], [(1, 1)], [(mpf("0.5"), 1)], [(2, 0)],
+                                        [(2, -1)], [(2, mp.inf)], [(2, 1), (1, 1)]])
+    def test_bad_ellipse_bounds_rejected(self, bounds, ctx30):
+        seen = []
+        with pytest.raises(DomainError):
+            integrate_analytic(lambda x: (seen.append(x), x)[1], 0, 1, ctx30, bounds)
+        assert seen == []
+
+    @pytest.mark.parametrize("bounds", [[], [(0, 1)], [(-1, 1)], [(1, 0)], [(1, mp.nan)]])
+    def test_bad_strip_bounds_rejected(self, bounds, ctx30):
+        seen = []
+        with pytest.raises(DomainError):
+            integrate_even_periodic(lambda s2, c2: (seen.append(s2), s2)[1], ctx30, bounds)
+        assert seen == []
+
+    def test_entire_integrand_at_kappa_one(self, ctx30, monkeypatch):
+        # k = 0, and x so small that 1 - x^2 rounds to 1: the integrands are
+        # 1 and cos^2 t, and the rule takes its fewest intervals, n = 4
+        calls = _recording(monkeypatch)
+        x = mpf("1e-30")
+        with ctx30.workprec():
+            half_pi = mp.pi / 2
+            assert (1 - x) * (1 + x) == 1
+        assert abs(elliptic.ellip_K_quadrature(0, ctx30) - half_pi) < ctx30.tolerance
+        assert abs(elliptic.ellip_E_quadrature(0, ctx30) - half_pi) < ctx30.tolerance
+        middle = elliptic.krivine_complex_middle(x, ctx30)
+        assert abs(middle - x * half_pi / 2) < x * ctx30.tolerance
+        assert [res.evaluations for _, _, res in calls] == [5, 5, 5]
