@@ -15,10 +15,10 @@ tolerance, 64 usage error (--digits outside 10..MAX_DIGITS, --max-terms
 below 1, an unknown target, or an option the subcommand does not take).
 
 Numbers are serialized as decimal strings carrying exactly ``digits``
-significant digits, or fewer where the value carries fewer (_digits),
-never as binary floats.  Output is byte-deterministic for identical argv;
-measured runtimes are therefore suppressed (reported as 0.0) unless
---timings is given.
+significant digits, or fewer where the value carries fewer (_value,
+_residual), never as binary floats.  Output is byte-deterministic for
+identical argv; measured runtimes are therefore suppressed (reported as 0.0)
+unless --timings is given.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from mpmath import mp
@@ -62,14 +61,11 @@ _CONSTANTS = {
 _TRACE_TARGETS = ("double_series", "partial_sum_S", "khintchine_partial")
 
 # the digits the values of some identities, constants and trace targets carry:
-# (lhs or value, rhs or a trace's final value, residual: the coarser of the
-# two); every other value carries all the requested digits, except a series
-# trace's residual: the difference of two working-precision values, it
-# carries the working digits (_run_trace)
+# (lhs or value, rhs or a trace's final value); every other value carries all
+# the requested digits
 _CARRIED_DIGITS = dict.fromkeys(
     ("KHINTCHINE_STABILITY", "KHINTCHINE", "khintchine_partial"),
-    (khintchine.PRODUCT_DIGITS, khintchine.REFERENCE_DIGITS, khintchine.PRODUCT_DIGITS))
-_EVERY_DIGIT = (math.inf,) * 3
+    (khintchine.PRODUCT_DIGITS, khintchine.REFERENCE_DIGITS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,9 +111,10 @@ def _build_parser() -> _Parser:
             p.add_argument("target", choices=targets, metavar="target")
         for option in names.split():
             p.add_argument(option, **options[option])
-        # trace takes no --format and always writes CSV; set for compute or
-        # verify, this default would override the one --format declares
-        p.set_defaults(handler=handler, **({"format": "csv"} if name == "trace" else {}))
+        # trace takes no --format and always writes CSV, list text; set for
+        # compute or verify, this default would override the one --format declares
+        p.set_defaults(handler=handler, **({"trace": {"format": "csv"},
+                                            "list": {"format": "text"}}.get(name, {})))
     return parser
 
 
@@ -129,29 +126,27 @@ def _nstr(value, digits):
     return text.replace(".e", "e").rstrip(".")  # one digit: "7.e-17" as "7e-17"
 
 
-def _digits(carried, digits, x, scale):
-    """Significant digits worth printing of x, a value or residual whose
-    operands carry `carried` digits (math.inf: every one), at the requested
-    digits; scale is x for a value and max(|a|, |b|) for a residual |a - b|.
+def _residual(ctx, name, residual, a, b):
+    """residual = |a - b|, printed to the significant digits it carries.
 
-    A value that carries a fixed number of digits is known only to the
-    absolute precision of its last digit, so x carries the digits above
-    it: the carried ones less the decades between scale and x (at least
-    one).  A zero or the infinite residual of a failed report prints like
-    its values.
+    a and b carry the digits _CARRIED_DIGITS gives name, and at most the
+    working ones, so each is known only to the absolute precision of its
+    last digit: the residual carries the digits above it, the operands'
+    digits less the decades between max(|a|, |b|) and the residual (at
+    least one, at most ctx.digits).  A zero or the infinite residual of a
+    failed report prints every digit the operands carry.
     """
-    if carried == math.inf or not x or not mp.isfinite(x):
-        return min(digits, carried)
-    decades = int(mp.floor(mp.log10(scale))) - int(mp.floor(mp.log10(x)))
-    return max(1, min(digits, carried - decades))
+    carried = min(_CARRIED_DIGITS.get(name, ()) + (ctx.working_dps,))
+    if residual and mp.isfinite(residual):
+        decades = mp.floor(mp.log10(max(abs(a), abs(b)))) - mp.floor(mp.log10(residual))
+        carried = max(1, carried - int(decades))
+    return _nstr(residual, min(ctx.digits, carried))
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _value(ctx, name, value, side=0):
+    """A value of name (side 0: lhs or value, 1: rhs) printed to the
+    digits it carries, at most ctx.digits."""
+    return _nstr(value, min(ctx.digits, _CARRIED_DIGITS.get(name, (ctx.digits,) * 2)[side]))
 
 
 def _write(ns, records, lines=()):
@@ -167,18 +162,20 @@ def _write(ns, records, lines=()):
         text = buf.getvalue()
     else:
         text = "\n".join(lines) + "\n"
-    _emit(text, ns.out)
+    if ns.out:
+        with open(ns.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _report_record(report, ns):
+def _report_record(report, ns, ctx):
     name, lhs, rhs = report.id.value, report.lhs, report.rhs
-    lhs_carried, rhs_carried, residual_carried = _CARRIED_DIGITS.get(name, _EVERY_DIGIT)
     return {
         "target": name,
-        "lhs": _nstr(lhs, _digits(lhs_carried, ns.digits, lhs, lhs)),
-        "rhs": _nstr(rhs, _digits(rhs_carried, ns.digits, rhs, rhs)),
-        "residual": _nstr(report.residual, _digits(
-            residual_carried, ns.digits, report.residual, max(abs(lhs), abs(rhs)))),
+        "lhs": _value(ctx, name, lhs),
+        "rhs": _value(ctx, name, rhs, 1),
+        "residual": _residual(ctx, name, report.residual, lhs, rhs),
         "digits_agreed": report.digits_agreed,
         "passed": report.passed,
         "runtime_ms": report.runtime_ms if ns.timings else 0.0,
@@ -192,8 +189,7 @@ def _run_compute(ns) -> int:
     value = fn(ctx)
     record = {
         "target": ns.target,
-        "value": _nstr(value, _digits(_CARRIED_DIGITS.get(ns.target, _EVERY_DIGIT)[0],
-                                      ns.digits, value, value)),
+        "value": _value(ctx, ns.target, value),
         "runtime_ms": 0.0,
         "paper_anchor": description,
     }
@@ -205,7 +201,7 @@ def _run_verify(ns) -> int:
     ctx = PrecisionContext(digits=ns.digits)
     reports = (identities.verify_all(ctx) if ns.target == "all"
                else [identities.verify(ns.target, ctx)])
-    records = [_report_record(r, ns) for r in reports]
+    records = [_report_record(r, ns, ctx) for r in reports]
     _write(ns, records, [f"{'PASS' if rec['passed'] else 'FAIL'} {rec['target']}: "
                          f"residual={rec['residual']} digits_agreed={rec['digits_agreed']}"
                          for rec in records])
@@ -226,7 +222,7 @@ def _run_list(ns) -> int:
     lines.append("trace targets:")
     for name in _TRACE_TARGETS:
         lines.append(f"  {name}")
-    _emit("\n".join(lines) + "\n", ns.out)
+    _write(ns, [], lines)
     return EXIT_OK
 
 
@@ -241,8 +237,8 @@ def _checkpoints(final_n):
 
 
 def _trace_rows(target, ctx, max_terms):
-    """The final value and the (index, partial value, residual vs final
-    value) rows.
+    """The final value, the (index, partial value, residual vs final value)
+    rows, and the tolerance the last row's residual must meet.
 
     A series target sums up to the closed-form term count that meets
     ctx.tolerance, and raises MaxTermsExceeded before summing when that
@@ -251,7 +247,7 @@ def _trace_rows(target, ctx, max_terms):
     taken against khintchine.zeta_series_value, mpmath's zeta series.
     """
     if target == "khintchine_partial":
-        final = khintchine.zeta_series_value()
+        final, tol = khintchine.zeta_series_value(), khintchine.STABILITY_TOLERANCE
         marks = _checkpoints(min(10 ** 6, max_terms))
         values = khintchine.partial_products(marks, ctx)
         if max_terms >= 2 * khintchine.ACCEL_BASE_TERMS:
@@ -265,27 +261,20 @@ def _trace_rows(target, ctx, max_terms):
                 f"trace {target} needs N = {needed} terms to reach tolerance "
                 f"{ctx.tolerance}, more than --max-terms {max_terms}")
         final = series.double_series(ctx).value if squared else series.limit_S(ctx)
+        tol = ctx.tolerance
         marks = _checkpoints(needed)
         values = series.partial_sums(marks, ctx, squared=squared)
     with ctx.workprec():
-        return final, [(n, value, abs(value - final)) for n, value in zip(marks, values)]
+        return final, [(n, value, abs(value - final)) for n, value in zip(marks, values)], tol
 
 
 def _run_trace(ns) -> int:
     ctx = PrecisionContext(digits=ns.digits)
-    final, rows = _trace_rows(ns.target, ctx, ns.max_terms)
-    value_carried, _, residual_carried = _CARRIED_DIGITS.get(
-        ns.target, (math.inf, math.inf, ctx.working_dps))
-    _write(ns, [{"index": index,
-                 "value": _nstr(value, _digits(value_carried, ns.digits, value, value)),
-                 "residual": _nstr(residual, _digits(residual_carried, ns.digits, residual,
-                                                     max(abs(value), abs(final))))}
+    final, rows, tol = _trace_rows(ns.target, ctx, ns.max_terms)
+    _write(ns, [{"index": index, "value": _value(ctx, ns.target, value),
+                 "residual": _residual(ctx, ns.target, residual, value, final)}
                 for index, value, residual in rows])
-    final_residual = rows[-1][2]
-    tol = (khintchine.STABILITY_TOLERANCE if ns.target == "khintchine_partial"
-           else ctx.tolerance)
-    with ctx.workprec():
-        return EXIT_OK if final_residual < tol else EXIT_NOT_CONVERGED
+    return EXIT_OK if rows[-1][2] < tol else EXIT_NOT_CONVERGED
 
 
 def run(argv) -> int:

@@ -42,7 +42,7 @@ LEGENDRE_GRID = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8",
 
 class _Row(NamedTuple):
     anchor: str
-    sides: Callable  # (ctx, params) -> (lhs, rhs, extra)
+    sides: Callable  # (ctx, **the row's own keywords) -> (lhs, rhs, extra)
     tolerance: BigReal | None = None  # None: ctx.tolerance
 
 
@@ -62,7 +62,7 @@ def _tail_integral(ctx: PrecisionContext) -> BigReal:
     precision.  Shared by APPENDIX_A1 and FIXED_POINT_1, whose limit
     pi/(2 K_G) is L by definition.
     """
-    with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
+    with quadrature.rule_precision(ctx):
         L = mp.log(1 + mp.sqrt(2))
         return quadrature.integrate_analytic(lambda s: s / mp.sinh(s), 0, L, ctx,
                                              [(11, 12)]).value
@@ -103,7 +103,7 @@ def _head_integral(ctx: PrecisionContext) -> BigReal:
     Re h = ln|z coth z| <= ln(|z| cosh|z|/sin|z|) < 1.366, and the
     Borel-Caratheodory theorem gives |h| <= 2 r 1.366/(R - r) < 33 on E_11.
     """
-    with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
+    with quadrature.rule_precision(ctx):
         L = mp.log(1 + mp.sqrt(2))
         regular = quadrature.integrate_analytic(_head_regular, 0, L, ctx, [(11, 33)]).value
         return regular + L - L * mp.log(L / 2)
@@ -129,26 +129,25 @@ _CHI2_ROUTE = "; = 2 atanh(e^-x), int = 2 chi_2(sqrt(2)-1) by series"
 def _appendix(spelling, tail_integral, route=""):
     """Row of the appendix identity pi^2 = 4L^2 + 8 int_L^inf f."""
     return _Row(f"pi^2 = 4L^2 + 8 int_L^inf {spelling} dx{route}",
-                lambda ctx, p: (mp.pi ** 2,
-                                4 * const_L(ctx) ** 2 + 8 * tail_integral(ctx), {}))
+                lambda ctx: (mp.pi ** 2,
+                             4 * const_L(ctx) ** 2 + 8 * tail_integral(ctx), {}))
 
 
 def _kg_fixed_point(integral, tail):
     """K_G = 1/sqrt(+-(1 - (8/pi^2) int f)), the integral limit being pi/(2 K_G) = L."""
-    def sides(ctx, params):
+    def sides(ctx):
         inner = 8 / mp.pi ** 2 * integral(ctx)
         return const_KG(ctx), 1 / mp.sqrt(1 - inner if tail else inner - 1), {}
     return sides
 
 
-def _kg_definition(ctx, params):
+def _kg_definition(ctx):
     # rhs takes L from its defining property sinh(L) = 1 (exp path, no log)
     L = mp.findroot(lambda x: mp.sinh(x) - 1, mpf("0.88"))
     return const_KG(ctx), mp.pi / (2 * L), {}
 
 
-def _recurrence(ctx, params):
-    n = params.get("n", 7)
+def _recurrence(ctx, n=7):
     if n < 1:
         # fourier_a(n - 1) would name index n - 1 in its error, not n
         raise DomainError(f"recurrence index must be >= 1, got {n}")
@@ -158,18 +157,17 @@ def _recurrence(ctx, params):
     return lhs, rhs, {"n": n}
 
 
-def _coeff_vs_quadrature(ctx, params):
-    n = params.get("n", 3)
+def _coeff_vs_quadrature(ctx, n=3):
     return series.fourier_a(n, ctx), series.fourier_a_quadrature(n, ctx), {"n": n}
 
 
-def _krivine_middle(ctx, params):
-    x = mpf(params.get("x", "0.5"))
+def _krivine_middle(ctx, x="0.5"):
+    x = mpf(x)
     return (elliptic.krivine_complex_lhs(x, ctx),
             elliptic.krivine_complex_middle(x, ctx), {"x": x})
 
 
-def _legendre(ctx, params):
+def _legendre(ctx):
     grid = [mpf(k) for k in LEGENDRE_GRID] + [1 / mp.sqrt(2)]
     half_pi = mp.pi / 2
     worst_k, lhs = max(((k, elliptic.legendre_lhs(k, ctx)) for k in grid),
@@ -177,7 +175,7 @@ def _legendre(ctx, params):
     return lhs, half_pi, {"worst_k": worst_k, "grid_size": len(grid)}
 
 
-def _khintchine_stability(ctx, params):
+def _khintchine_stability(ctx):
     res = khintchine.khintchine_accelerated(ctx)
     return res.value, khintchine.zeta_series_value(), {"terms_used": res.terms_used}
 
@@ -185,18 +183,18 @@ def _khintchine_stability(ctx, params):
 _TABLE = {
     "PARSEVAL_DOUBLE_SERIES": _Row(
         "boxed double series = pi/16 - ln^2(1+sqrt(2))/4",
-        lambda ctx, p: (series.double_series(ctx).value,
-                        mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4, {})),
+        lambda ctx: (series.double_series(ctx).value,
+                     mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4, {})),
     "PARSEVAL_CLOSURE": _Row(
         "a0^2/2 + sum a_n^2 = 8/pi (Parseval for 1/cos(x/4))",
-        lambda ctx, p: (series.parseval_closure(ctx).value, 8 / mp.pi, {})),
+        lambda ctx: (series.parseval_closure(ctx).value, 8 / mp.pi, {})),
     "KG_DEFINITION": _Row("K_G = pi/(2 ln(1+sqrt(2)))", _kg_definition),
     # the paper's other boxed form, V = (pi/16)(1 - pi/K_G^2), is this
     # equation solved for V: its residual is this one's times about pi^2/(8 K_G^3)
     "KG_FROM_SERIES": _Row(
         "K_G = pi/sqrt(pi - 16 * double series)",
-        lambda ctx, p: (const_KG(ctx),
-                        mp.pi / mp.sqrt(mp.pi - 16 * series.double_series(ctx).value), {})),
+        lambda ctx: (const_KG(ctx),
+                     mp.pi / mp.sqrt(mp.pi - 16 * series.double_series(ctx).value), {})),
     "RECURRENCE": _Row(
         "a_n - a_{n-1} = (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]", _recurrence),
     "COEFF_VS_QUADRATURE": _Row(
@@ -204,9 +202,9 @@ _TABLE = {
     "APPENDIX_A1": _appendix("arcsinh(csch x)", _tail_integral),
     "APPENDIX_A2_CORRECTED": _Row(
         "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)",
-        lambda ctx, p: (mp.pi ** 2 + 4 * const_L(ctx) ** 2,
-                        8 * _head_integral(ctx),
-                        {"as_printed": "ambiguous"})),
+        lambda ctx: (mp.pi ** 2 + 4 * const_L(ctx) ** 2,
+                     8 * _head_integral(ctx),
+                     {"as_printed": "ambiguous"})),
     "APPENDIX_A3": _appendix("arccosh(coth x)", _chi2_tail, _CHI2_ROUTE),
     "APPENDIX_A4": _appendix("arctanh(sech x)", _chi2_tail, _CHI2_ROUTE),
     "FIXED_POINT_1": _Row(
@@ -223,8 +221,8 @@ _TABLE = {
         _kg_fixed_point(_chi2_tail, True)),
     "HAAGERUP_CONSISTENCY": _Row(
         "1/(2K(i)-E(i)) vs 1/int cos^2/sqrt(1+sin^2)",
-        lambda ctx, p: (elliptic.haagerup_bound(ctx),
-                        elliptic.haagerup_bound_quadrature(ctx), {})),
+        lambda ctx: (elliptic.haagerup_bound(ctx),
+                     elliptic.haagerup_bound_quadrature(ctx), {})),
     "KRIVINE_COMPLEX_MIDDLE_EQUALITY": _Row(
         "x int cos^2/sqrt(1-x^2 sin^2) = (1/x)[E(x)-(1-x^2)K(x)]", _krivine_middle),
     "LEGENDRE_RELATION": _Row("E K' + E' K - K K' = pi/2", _legendre),
@@ -260,7 +258,7 @@ def verify(identity, ctx: PrecisionContext, **params) -> IdentityReport:
     start = time.perf_counter()
     with ctx.workprec():
         try:
-            lhs, rhs, extra = row.sides(ctx, params)
+            lhs, rhs, extra = row.sides(ctx, **params)
             residual = abs(lhs - rhs)
             passed = bool(residual < tol)
             digits = _digits_agreed(residual, lhs, rhs, ctx.digits)

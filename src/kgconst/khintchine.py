@@ -56,14 +56,17 @@ def _log_sum(marks) -> list:
 
 def partial_products(marks, ctx: PrecisionContext) -> list:
     """The partial products over the first N factors for each N of the
-    ascending marks (the n = 1 factor is unity), in one pass.
+    marks, which ascend from 1 (the n = 1 factor is unity), in one pass.
 
     Up to EXACT_TERMS factors the log-series terms are taken once at working
     precision and mp.fsum adds each prefix exactly; the longer products come
     from one _log_sum pass over their marks.
     """
-    if marks[0] < 1:
-        raise DomainError(f"N must be >= 1, got {marks[0]}")
+    marks = list(marks)
+    if not marks:
+        return []
+    if marks != sorted(marks) or marks[0] < 1:
+        raise DomainError(f"factor counts must ascend from 1, got {marks}")
     exact = [N for N in marks if N <= EXACT_TERMS]
     binary = marks[len(exact):]
     with ctx.workprec():

@@ -58,6 +58,13 @@ class QuadratureResult(NamedTuple):
     evaluations: int
 
 
+def rule_precision(ctx: PrecisionContext):
+    """Context manager switching mpmath to the precision both rules evaluate
+    and sum at, RULE_EXTRA_DPS digits beyond ctx.working_dps; a caller takes
+    the constants of its integrand and its limits there."""
+    return mp.workdps(ctx.working_dps + RULE_EXTRA_DPS)
+
+
 def _table_bits(prec: int) -> int:
     return prec + GUARD_BITS + TABLE_EXTRA_BITS
 
@@ -237,7 +244,7 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext, bounds) -> QuadratureResu
     FEJER_MAX_INTERVALS intervals, and NonFiniteEvaluation if f returns a
     non-finite value.
     """
-    with mp.workdps(ctx.working_dps + RULE_EXTRA_DPS):
+    with rule_precision(ctx):
         a = mpf(a)
         b = mpf(b)
         if not a < b:
@@ -277,7 +284,7 @@ def integrate_even_periodic(g, ctx: PrecisionContext, bounds) -> QuadratureResul
     PERIODIC_MAX_INTERVALS intervals, and NonFiniteEvaluation if g returns a
     non-finite value.
     """
-    with mp.workdps(ctx.working_dps + RULE_EXTRA_DPS):
+    with rule_precision(ctx):
         n, err = _intervals("periodic trapezoid",
                             lambda n, width, M: mp.pi * M / mp.expm1(4 * n * width),
                             bounds, 0, PERIODIC_MAX_INTERVALS, ctx)

@@ -290,7 +290,7 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
     if n < 0:
         raise DomainError(f"coefficient index must be >= 0, got {n}")
     with ctx.workprec():
-        with mp.workdps(ctx.working_dps + quadrature.RULE_EXTRA_DPS):
+        with quadrature.rule_precision(ctx):
             root2 = mp.sqrt(2)
             r = mp.tan(mp.pi / 16) / 2
             sign = (-1) ** n

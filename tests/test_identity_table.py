@@ -41,6 +41,9 @@ SPELLINGS = {
     (IdentityId.COEFF_VS_QUADRATURE, {"n": "x"}, "TypeError: "),
     (IdentityId.RECURRENCE, {"n": 0},
      "DomainError: recurrence index must be >= 1, got 0"),
+    # a row takes only its own keywords
+    (IdentityId.RECURRENCE, {"N": 9}, "TypeError: "),
+    (IdentityId.PARSEVAL_CLOSURE, {"n": 3}, "TypeError: "),
 ])
 def test_bad_params_become_failed_reports(ident, params, error):
     r = verify(ident, PrecisionContext(digits=20), **params)

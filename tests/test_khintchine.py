@@ -51,6 +51,16 @@ class TestPartialProduct:
         with pytest.raises(DomainError):
             khintchine_partial(0, ctx15)
 
+    def test_no_marks(self, ctx15):
+        assert partial_products([], ctx15) == []
+
+    @pytest.mark.parametrize("marks", [[1, 5000, 2000], [2000, 10]])
+    def test_marks_must_ascend_from_one(self, ctx15, marks):
+        # out of order, the largest mark is not the last one and the split
+        # at EXACT_TERMS falls in the wrong place
+        with pytest.raises(DomainError):
+            partial_products(marks, ctx15)
+
     def test_one_pass_gives_each_partial_product(self, ctx15, monkeypatch):
         # marks on both sides of the switch to binary64 above 1000 factors,
         # those above it from one _log_sum pass
