@@ -6,13 +6,13 @@ arctanh(sech x).  Rearranged, each becomes a fixed-point equation satisfied
 by K_G = pi/(2L).
 
 For x > 0 the three integrands are one function, 2 atanh(e^-x).  So the
-library integrates arcsinh(csch x) only, by Fejer's second rule: over
-(L, inf) as int_0^L s/sinh s ds, since arcsinh(csch x) is an involution
-with fixed point L, and over (0, L), where the log singularity -ln(x/2) at
-0 is subtracted and integrated in closed form.  It gives the arccosh and arctanh rows the tail
-in closed form instead:
-integrating the series of 2 atanh(e^-x) term by term,
-int_L^inf = 2 chi_2(sqrt(2)-1), Legendre's chi function, summed as a series.
+library integrates arcsinh(csch x) only: over (L, inf) by Fejer's second
+rule, as int_0^L s/sinh s ds, since arcsinh(csch x) is an involution with
+fixed point L, and over (0, L), where it has a log singularity at 0, as
+L^2 plus a series of exact Chebyshev log moments.  It gives the arccosh and
+arctanh rows the tail in closed form instead: integrating the series of
+2 atanh(e^-x) term by term, int_L^inf = 2 chi_2(sqrt(2)-1), Legendre's chi
+function, summed as a series.
 """
 
 from mpmath import mp, mpf
@@ -23,16 +23,16 @@ ctx = PrecisionContext(digits=30)
 
 FEJER_TAIL = ("Fejer's second rule on arcsinh(csch x) over (L, inf), "
               "as int_0^L s/sinh s ds through x = arcsinh(csch s)")
-FEJER_HEAD = ("Fejer's second rule on arcsinh(csch x) + ln(x/2) over (0, L), "
-              "plus int_0^L -ln(x/2) dx = L - L ln(L/2)")
+HEAD_SERIES = ("L^2 + int_0^1 -ln u 2z/(1 - z^2 u^2) du, z = sqrt(2) - 1, "
+               "by Chebyshev log moments")
 CHI2_SERIES = "2 chi_2(sqrt(2)-1) series, arccosh(coth x) = arctanh(sech x) = 2 atanh(e^-x)"
 ROUTES = {
     IdentityId.APPENDIX_A1: FEJER_TAIL,
-    IdentityId.APPENDIX_A2_CORRECTED: FEJER_HEAD,
+    IdentityId.APPENDIX_A2_CORRECTED: HEAD_SERIES,
     IdentityId.APPENDIX_A3: CHI2_SERIES,
     IdentityId.APPENDIX_A4: CHI2_SERIES,
     IdentityId.FIXED_POINT_1: FEJER_TAIL,
-    IdentityId.FIXED_POINT_2: FEJER_HEAD,
+    IdentityId.FIXED_POINT_2: HEAD_SERIES,
     IdentityId.FIXED_POINT_3: CHI2_SERIES,
     IdentityId.FIXED_POINT_4: CHI2_SERIES,
 }

@@ -14,11 +14,12 @@ quadrature module, serve as independent cross-checks of the AGM values.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .core import BigReal, PrecisionContext
+from .core import GUARD_BITS, BigReal, PrecisionContext
 from .errors import BracketFailure, DomainError, NoConvergence
 from . import quadrature
 
@@ -49,22 +50,33 @@ def _agm_KE(k):
     E = K (1 - k^2/2 - s) and E - k'^2 K = K (k^2/2 - s), with
     s = sum_{n>=1} 2^(n-1) c_n^2.  As k -> 0, c_1 = (1 - k')/2 is about
     k^2/4, so s is about k^4/16 and the difference keeps its relative
-    precision, where E - (1 - k^2) K would cancel.  The two sums are kept
-    apart so that E is formed as before.
+    precision, where E - (1 - k^2) K would cancel.
+
+    The run is on integers scaled by 2^P, square roots by math.isqrt: k is
+    read exactly, k' = sqrt((1 - k)(1 + k)) is floored, a, b and c_n stay
+    within a few units 2^-P, and 2s is summed exactly at 2^-2P.  The run
+    stops when c_n reaches 0, at a - b < 2 units, since
+    floor(sqrt(ab)) <= floor((a + b)/2) keeps b <= a.  2s is then off by
+    under about 4 c_1, that is k^2, units, against k^2/2 - s of about
+    k^4/16, and k' > 2^(mag(1 - k)/2 - 1) is read to one unit, so
+    P = prec + GUARD_BITS + 2 max(0, -mag k) + max(0, -mag(1 - k)) keeps all
+    three values relative.  K = pi/(2a) and the two E forms are then formed
+    once in mpf.
     """
-    a, b, c = mpf(1), _complement(k), k
-    csum = c * c / 2
-    s = mpf(0)
-    power = mpf(1)
-    eps = mpf(10) ** (-(mp.dps - 2))
-    while abs(c) > eps:
-        a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
-        term = power * c * c
-        csum += term
-        s += term
-        power *= 2
-    K = mp.pi / (2 * a)
-    return K, K * (1 - csum), K * (k * k / 2 - s)
+    P = mp.prec + GUARD_BITS + (2 * max(0, -mp.mag(k)) if k else 0) + max(0, -mp.mag(1 - k))
+    one = 1 << P
+    ki = int(mp.ldexp(k, P))
+    a, b, c = one, isqrt((one - ki) * (one + ki)), ki
+    s = 0  # 2 s, at 2^-2P
+    n = 1
+    while c:
+        a, b, c = (a + b) >> 1, isqrt(a * b), (a - b) >> 1
+        s += c * c << n
+        n += 1
+    K = mp.pi / mp.ldexp(a, 1 - P)
+    k2 = ki * ki
+    return (K, K * mp.ldexp((2 << 2 * P) - k2 - s, -(2 * P + 1)),
+            K * mp.ldexp(k2 - s, -(2 * P + 1)))
 
 
 def ellip_K(k, ctx: PrecisionContext) -> BigReal:
@@ -114,6 +126,27 @@ def _periodic(g, kappa, bound, ctx):
 def _cos2_over_root(low, high, a):
     # cos^2 t / sqrt(q), with |cos t|^2 = cos^2 Re t + sinh^2 Im t <= cosh^2 a
     return mp.cosh(a) ** 2 / mp.sqrt(low)
+
+
+def _cos2_over_root_q(kappa, ctx):
+    """The integrand c2/sqrt(q), q = c2 + kappa s2, kappa > 0, of _periodic, on
+    integers scaled by 2^W, with prec the rule's precision: q by one
+    product, its root by math.isqrt and the quotient by one division, rounded
+    once to an mpf.
+
+    c2, s2 and kappa are read to under one unit 2^-W, so q is off by under
+    3 units and sqrt(q) by under 1 + 2/sqrt(q); q >= min(1, kappa) and
+    c2 <= q, so the quotient is off by under 3 + 2/sqrt(kappa) units, and
+    W = prec + GUARD_BITS + max(0, -mag kappa) keeps that under
+    2^-(prec + GUARD_BITS - 3)."""
+    with quadrature.rule_precision(ctx):
+        W = mp.prec + GUARD_BITS + max(0, -mp.mag(kappa))
+    kappa = int(mp.ldexp(kappa, W))
+
+    def g(s2, c2):
+        c2 = int(mp.ldexp(c2, W)) << W
+        return mp.ldexp(c2 // isqrt(c2 + kappa * int(mp.ldexp(s2, W))), -W)
+    return g
 
 
 def ellip_K_quadrature(k, ctx: PrecisionContext) -> BigReal:
@@ -196,8 +229,7 @@ def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:
     over (0, pi/2), by the periodic trapezoid rule."""
     with ctx.workprec():
         # 1 + sin^2 t = cos^2 t + 2 sin^2 t
-        integral = _periodic(lambda s2, c2: c2 / mp.sqrt(1 + s2), mpf(2),
-                             _cos2_over_root, ctx).value
+        integral = _periodic(_cos2_over_root_q(2, ctx), mpf(2), _cos2_over_root, ctx).value
         return 1 / integral
 
 
@@ -228,8 +260,7 @@ def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:
         if not (0 < x < 1):
             raise DomainError(f"middle expression requires 0 < x < 1, got {x}")
         xp2 = (1 - x) * (1 + x)
-        return x * _periodic(lambda s2, c2: c2 / mp.sqrt(c2 + xp2 * s2), xp2,
-                             _cos2_over_root, ctx).value
+        return x * _periodic(_cos2_over_root_q(xp2, ctx), xp2, _cos2_over_root, ctx).value
 
 
 def solve_x0(ctx: PrecisionContext) -> RootResult:

@@ -11,6 +11,7 @@ the row's tolerance, or else the context tolerance.
 
 from __future__ import annotations
 
+import math
 import time
 from enum import Enum
 from functools import lru_cache
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 
-from .core import BigReal, PrecisionContext, const_KG, const_L
+from .core import GUARD_BITS, BigReal, PrecisionContext, const_KG, const_L
 from .errors import DomainError
 from . import elliptic, khintchine, quadrature, series
 
@@ -68,45 +69,89 @@ def _tail_integral(ctx: PrecisionContext) -> BigReal:
                                              [(11, 12)]).value
 
 
-def _head_regular(x):
-    """arcsinh(csch x) + ln(x/2) = ln((x/2)(1 + y)/(1 - y)), y = e^-x, for
-    x > 0, since tanh(x/2) = (1 - y)/(1 + y): one exp and one log.
+def _log_moment_series(prec: int) -> series.SeriesResult:
+    """J = int_0^1 -ln u 2z/(1 - z^2 u^2) du, z = sqrt(2) - 1, as a series of
+    Chebyshev log moments, rounded once to the current precision; prec is the
+    number of bits it is summed to.
 
-    1 - y cancels about log2(1/x) bits and the log, whose argument is
-    1 + x^2/12 + O(x^4), about 2 log2(1/x) more, so 3 log2(1/x) + 8 extra
-    bits keep the value's relative precision as x -> 0.  That is what
-    expm1(-x) would do for 1 - y, at 1.7 times the cost of exp (mpmath
-    evaluates expm1 as exp(-x) - 1 summed with a cancellation check).
+    With x = 2u - 1, 2z/(1 - z^2 u^2) = 2/(a - x) + 2/(b + x), where
+    a = 2/z - 1 = 2 sqrt(2) + 1 and b = 2/z + 1 = 2 sqrt(2) + 3, and
+    1/(c - x) = (2/sqrt(c^2 - 1)) sum' rho_c^-k T_k(x), rho_c = c + sqrt(c^2 - 1),
+    the first term halved.  So J = -sum' c_k M_k, with
+    c_k = alpha rho_a^-k + beta (-rho_b)^-k, alpha = 2/sqrt(a^2 - 1)
+    = 1/sqrt(2 + sqrt(2)), beta = 1/sqrt(4 + 3 sqrt(2)), rho_a = 7.52,
+    rho_b = 11.66, and the log moments M_k = int_{-1}^{1} ln((1+x)/2) T_k(x) dx
+    (Piessens & Branders, "The evaluation and application of some modified
+    moments", BIT 13, 1973).  With D_j = int_{-1}^{1} (T_j(x) - (-1)^j)/(1 + x) dx,
+    D_0 = 0, D_1 = 2 and D_{j+1} = 2 I_j - 2 D_j - D_{j-1}, where
+    I_j = int T_j = 2/(1 - j^2) for even j and 0 for odd j (from
+    T_{j+1} = 2x T_j - T_{j-1}).  Integrating by parts against the
+    antiderivative of T_k that vanishes at x = -1 gives M_0 = -2 and
+    M_k = (E_{k-1} - E_{k+1})/2 for k >= 1, E_j = D_j/j, E_0 = 0.  Hence
+    J = alpha + beta + (1/2) sum_{k>=1} c_k (E_{k+1} - E_{k-1}).
+
+    |M_k| <= int |ln((1+x)/2)| dx = 2 and |c_k| <= (alpha + beta) rho_a^-k, so
+    the terms from k = K on sum to at most
+    2 (alpha + beta) rho_a^-K/(1 - 1/rho_a).  K is the fewest that puts this
+    below 2^-(prec + GUARD_BITS), from float logarithms whose quotient is
+    within 1e-9, which the ceiling allows for: 256 terms at the 220 digits
+    at which a 200-digit context takes the integral.
+
+    The sum runs on integers scaled by 2^W, W = prec + 2 bitlength(K)
+    + GUARD_BITS.  alpha, beta, 1/rho_a and 1/rho_b come from math.isqrt and
+    one quotient each, within 2 units 2^-W; the powers alpha rho_a^-k and
+    beta rho_b^-k are carried as floor(p R/2^W), within 3 units, since
+    R/2^W < 1/7; the products c_k (E_{k+1} - E_{k-1}) are summed exactly at
+    2^-2W and the sum is rounded once.  2 I_j is floored, under one unit a
+    step, and the recurrence's homogeneous solutions are (-1)^j and
+    j (-1)^j, so D_j is off by under j^2/2 units, E_j by under j/2 + 1 and
+    E_{k+1} - E_{k-1} by under k + 2.  With |E_{k+1} - E_{k-1}| = 2|M_k| <= 4,
+    the sum is off by under sum_k (|c_k| (k + 2) + 6 * 4) + 4 < 32 K units,
+    so by under (32/K) 2^-(prec + GUARD_BITS), as 2^bitlength(K) > K: the
+    returned tail_bound, with the truncation.
     """
-    with mp.workprec(mp.prec + max(0, -3 * mp.mag(x)) + 8):
-        y = mp.exp(-x)
-        return mp.log(x / 2 * (1 + y) / (1 - y))
+    r2 = math.sqrt(2)
+    rho = 2 * r2 + 1 + 2 * math.sqrt(2 + r2)
+    gamma = 2 * (1 / math.sqrt(2 + r2) + 1 / math.sqrt(4 + 3 * r2)) / (1 - 1 / rho)
+    K = math.ceil((prec + GUARD_BITS + math.log2(gamma)) / math.log2(rho) + 1e-9)
+    W = prec + 2 * K.bit_length() + GUARD_BITS
+    one = 1 << W
+    root2 = math.isqrt(2 << 2 * W)
+    qa = math.isqrt((2 << 2 * W) + (root2 << W))          # sqrt(2 + sqrt(2))
+    qb = math.isqrt((4 << 2 * W) + (3 * root2 << W))      # sqrt(4 + 3 sqrt(2))
+    alpha, beta = (one << W) // qa, (one << W) // qb
+    ra = (one << W) // (2 * root2 + one + 2 * qa)         # 1/rho_a
+    rb = (one << W) // (2 * root2 + 3 * one + 2 * qb)     # 1/rho_b
+    pa, pb = alpha, beta
+    d_prev, d = 0, 2 * one     # D_0, D_1
+    e_prev, e = 0, d           # E_0, E_1
+    acc = 0
+    four = 4 * one
+    for k in range(1, K):
+        d_prev, d = d, (0 if k & 1 else four // (1 - k * k)) - 2 * d - d_prev
+        e_next = d // (k + 1)
+        pa, pb = pa * ra >> W, pb * rb >> W
+        acc += (pa - pb if k & 1 else pa + pb) * (e_next - e_prev)
+        e_prev, e = e, e_next
+    value = mp.ldexp(((alpha + beta) << (W + 1)) + acc, -(2 * W + 1))
+    return series.SeriesResult(value=value, terms_used=K,
+                               tail_bound=mp.ldexp(1 + mpf(32) / K, -(prec + GUARD_BITS)),
+                               converged=True)
 
 
 @lru_cache(maxsize=None)
 def _head_integral(ctx: PrecisionContext) -> BigReal:
-    """int_0^L arcsinh(csch x) dx by Fejer's second rule.
+    """int_0^L arcsinh(csch x) dx = L^2 + J, J by _log_moment_series, at the
+    rules' precision, as the tail is taken.
 
-    Over (0, L) the only singularity is -ln(x/2) at 0, since
-    arcsinh(csch x) = -ln tanh(x/2): the rule integrates _head_regular, the
-    sum arcsinh(csch x) + ln(x/2), and int_0^L -ln(x/2) dx = L - L ln(L/2)
-    is added in closed form.  L and that closed form are taken at the rule's
-    precision.  Shared by APPENDIX_A2_CORRECTED and FIXED_POINT_2.
-
-    The sum is h(x) = ln(z coth z), z = x/2.  z coth z is analytic for
-    |x| < 2 pi, with zeros only at x = +-i pi, so h is analytic on |x| < pi,
-    with h(0) = 0; its nearest singularities lie on the Bernstein ellipse of
-    radius 14.46 about [0, L].  Every point of E_11 has
-    |x| <= r = L/2 + (L/4)(11 + 1/11) < 2.885.  On |x| = R = 3.13, where
-    |z| = 1.565 < pi/2, |cosh z| <= cosh|z| and
-    |sinh z/z| = prod_k |1 + z^2/(k pi)^2| >= sin|z|/|z|, so
-    Re h = ln|z coth z| <= ln(|z| cosh|z|/sin|z|) < 1.366, and the
-    Borel-Caratheodory theorem gives |h| <= 2 r 1.366/(R - r) < 33 on E_11.
+    arcsinh(csch x) = -ln tanh(x/2), and t = tanh(x/2) = z u, z = sqrt(2) - 1
+    = tanh(L/2), dx = 2 dt/(1 - t^2), turns the integral into
+    int_0^1 -(ln z + ln u) 2z/(1 - z^2 u^2) du = L 2 atanh(z) + J, with
+    -ln z = 2 atanh z = L.  Shared by APPENDIX_A2_CORRECTED and FIXED_POINT_2.
     """
     with quadrature.rule_precision(ctx):
         L = mp.log(1 + mp.sqrt(2))
-        regular = quadrature.integrate_analytic(_head_regular, 0, L, ctx, [(11, 33)]).value
-        return regular + L - L * mp.log(L / 2)
+        return L * L + _log_moment_series(mp.prec).value
 
 
 def _chi2_tail(ctx: PrecisionContext) -> BigReal:
@@ -124,6 +169,8 @@ def _chi2_tail(ctx: PrecisionContext) -> BigReal:
 
 # anchor suffix of the rows whose integrand is a rewrite of 2 atanh(e^-x)
 _CHI2_ROUTE = "; = 2 atanh(e^-x), int = 2 chi_2(sqrt(2)-1) by series"
+# anchor suffix of the rows that take int_0^L by _head_integral
+_HEAD_ROUTE = "; int = L^2 + Chebyshev log-moment series"
 
 
 def _appendix(spelling, tail_integral, route=""):
@@ -201,7 +248,7 @@ _TABLE = {
         "closed-form a_n vs (8/pi) int cos(4nt)/cos(t) dt", _coeff_vs_quadrature),
     "APPENDIX_A1": _appendix("arcsinh(csch x)", _tail_integral),
     "APPENDIX_A2_CORRECTED": _Row(
-        "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)",
+        "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)" + _HEAD_ROUTE,
         lambda ctx: (mp.pi ** 2 + 4 * const_L(ctx) ** 2,
                      8 * _head_integral(ctx),
                      {"as_printed": "ambiguous"})),
@@ -211,7 +258,7 @@ _TABLE = {
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arcsinh(csch))",
         _kg_fixed_point(_tail_integral, True)),
     "FIXED_POINT_2": _Row(
-        "K_G = 1/sqrt((8/pi^2) int_0^{pi/2K_G} arcsinh(csch) - 1)",
+        "K_G = 1/sqrt((8/pi^2) int_0^{pi/2K_G} arcsinh(csch) - 1)" + _HEAD_ROUTE,
         _kg_fixed_point(_head_integral, False)),
     "FIXED_POINT_3": _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arccosh(coth))" + _CHI2_ROUTE,

@@ -59,7 +59,7 @@ method"), so they replace those mpmath primitives here.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -230,27 +230,23 @@ def _inner_tail(n: int) -> BigReal:
     return mp.ldexp(mpf(acc // d), -P)
 
 
-def _chebyshev_t(m: int, c):
-    """T_m(c) for |c| <= 1, by doubling in integers scaled by 2^W: from the
-    pair (T_k, T_{k+1}), each bit of m, read from the top, gives
-    (T_2k, T_2k+1) or (T_2k+1, T_2k+2) by T_2k = 2 T_k^2 - 1 and
-    T_2k+1 = 2 T_k T_{k+1} - c, two integer products per bit of m.
-
-    c is read exactly.  Each step at most quadruples the error of the pair
-    and adds under one unit 2^-W, so after the k = bit_length(m) steps T_m
-    is off by under 4^k/3 units, and W = prec + 2k + GUARD_BITS makes that
-    under 2^-(prec + GUARD_BITS).
+def _chebyshev_t(m: int, c: int, W: int) -> int:
+    """T_m(c) for |c| <= 1, by doubling in integers scaled by 2^W: c and the
+    result are such integers.  From the pair (T_k, T_{k+1}), each bit of m,
+    read from the top, gives (T_2k, T_2k+1) or (T_2k+1, T_2k+2) by
+    T_2k = 2 T_k^2 - 1 and T_2k+1 = 2 T_k T_{k+1} - c, two integer products
+    per bit of m.  Each step at most quadruples the error of the pair and
+    adds under one unit 2^-W, so after the k = bit_length(m) steps T_m is off
+    by under 4^k/3 units.
     """
-    W = mp.prec + 2 * m.bit_length() + GUARD_BITS
     one = 1 << W
-    C = int(mp.ldexp(c, W))
-    t, t1 = one, C
+    t, t1 = one, c
     for bit in bin(m)[2:]:
         if bit == "1":
-            t, t1 = (t * t1 >> (W - 1)) - C, (t1 * t1 >> (W - 1)) - one
+            t, t1 = (t * t1 >> (W - 1)) - c, (t1 * t1 >> (W - 1)) - one
         else:
-            t, t1 = (t * t >> (W - 1)) - one, (t * t1 >> (W - 1)) - C
-    return mp.ldexp(t, -W)
+            t, t1 = (t * t >> (W - 1)) - one, (t * t1 >> (W - 1)) - c
+    return t
 
 
 def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
@@ -281,11 +277,16 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
     (r/2)|rho - rho_p|(1 - 1/(rho rho_p)) from the boundary of E_rho (with
     u = r + r (w + 1/w)/2, u - p = (r/2)(w - w_p)(1 - 1/(w w_p))), which
     bounds the two denominators there, and the maximum principle carries
-    the bound inside.  Near u = 0, c is close to 1, where |T_m'| <= m^2: the
-    rounding of c costs T up to 2 log10(4n) digits, about 6 at n = 200, out
-    of the RULE_EXTRA_DPS = 10 the rule works beyond ctx.working_dps, where
-    L, sqrt(2) and tan(pi/16) are taken; the doubling itself adds under
-    2^-GUARD_BITS units of the rule's precision.
+    the bound inside.
+
+    h_n runs on integers scaled by 2^W, W = prec + 2k + GUARD_BITS, with prec
+    the rule's precision and k = bitlength(4n), and is rounded once: u is
+    read to under one unit 2^-W, and 1 - u^2, c, T by _chebyshev_t and both
+    quotients are formed in integers, sqrt(2) by math.isqrt.  c is off by
+    under 4 units and |T_m'| <= m^2 < 4^k on [-1, 1], so with the doubling's
+    4^k/3 units T is off by under 5 4^k.  1 - u^2 > 0.96 and
+    1 + 2u - u^2 >= 1 on the interval, so h_n is off by under 2^5 4^k units,
+    under 2^-(prec + GUARD_BITS - 5).
     """
     if n < 0:
         raise DomainError(f"coefficient index must be >= 0, got {n}")
@@ -294,12 +295,16 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
             root2 = mp.sqrt(2)
             r = mp.tan(mp.pi / 16) / 2
             sign = (-1) ** n
+            W = mp.prec + 2 * (4 * n).bit_length() + GUARD_BITS
+            one = 1 << W
+            twice_root2 = 2 * isqrt(2 << 2 * W)
 
             def h(u):
-                u2 = u * u
-                p = 1 - u2
-                t = _chebyshev_t(4 * n, p / (1 + u2))
-                return 2 * (t - 1) / p + 2 * root2 * (sign * t - 1) / (p + 2 * u)
+                u = int(mp.ldexp(u, W))
+                p = one - (u * u >> W)
+                t = _chebyshev_t(4 * n, (p << W) // (2 * one - p), W)
+                return mp.ldexp(((t - one) << (W + 1)) // p
+                                + twice_root2 * (sign * t - one) // (p + 2 * u), -W)
 
             def gap(p, rho):
                 # a lower bound on the distance of the real point p from E_rho's boundary

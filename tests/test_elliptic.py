@@ -87,6 +87,21 @@ class TestAgmVsReferences:
         assert abs(ellip_K(mpf(k), ctx30) - ref_K) < mpf("1e-35")
         assert abs(ellip_E(mpf(k), ctx30) - ref_E) < mpf("1e-35")
 
+    @pytest.mark.parametrize("digits", [20, 60, 200])
+    @pytest.mark.parametrize("k", ["2^-60", "0.1", "1/sqrt(2)", "0.999", "1 - 2^-60"])
+    def test_integer_agm_keeps_relative_precision(self, k, digits):
+        # K, E and E - k'^2 K, each relative, at both ends: the last cancels
+        # as k -> 0, and k' = 2^-29.5 at 1 - 2^-60
+        ctx = PrecisionContext(digits=digits)
+        with ctx.workprec():
+            k = {"2^-60": mp.ldexp(1, -60), "1/sqrt(2)": 1 / mp.sqrt(2),
+                 "1 - 2^-60": 1 - mp.ldexp(1, -60)}.get(k) or mpf(k)
+            values = elliptic._agm_KE(k)
+        with mp.workdps(ctx.working_dps + 40):
+            K, E = mp.ellipk(k * k), mp.ellipe(k * k)
+            for value, reference in zip(values, (K, E, E - (1 - k) * (1 + k) * K)):
+                assert abs(value / reference - 1) < mpf(10) ** -(ctx.working_dps - 1)
+
     @pytest.mark.parametrize("k", ["0.3", "0.7", "0.999999"])
     def test_against_defining_integral(self, k, ctx30):
         kk = mpf(k)

@@ -59,7 +59,9 @@ class TestVerifyAll:
         reports = verify_all(PrecisionContext(digits=digits))
         failures = [(r.id.value, r.params.get("error")) for r in reports if not r.passed]
         assert failures == []
-        assert len(intervals) == 5
+        # Fejer for a_3 and the tail, the trapezoid for Haagerup and the
+        # Krivine middle; the head is a series
+        assert len(intervals) == 4
         assert all(n <= cap // 2 for n, cap in intervals), intervals
 
     @pytest.mark.parametrize("digits", [10, 12, 15])

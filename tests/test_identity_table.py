@@ -1,8 +1,9 @@
 """The identity table: failed reports instead of exceptions, an independent
 KG_DEFINITION side, a_n summed by one route without digamma values, the
 integrals shared by the appendix identities and their fixed-point forms,
-and the rewrite that gives A3, A4 and their fixed points the chi_2 series
-instead of a quadrature."""
+the rewrite that gives A3, A4 and their fixed points the chi_2 series
+instead of a quadrature, and the log-moment series that gives A2 and
+FIXED_POINT_2 the head."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from kgconst import (
     series,
     verify,
 )
+from kgconst.core import GUARD_BITS
 
 # each fixed-point form reads the integral of the appendix identity before it
 SHARED_INTEGRALS = [
@@ -26,8 +28,6 @@ SHARED_INTEGRALS = [
     (IdentityId.APPENDIX_A3, IdentityId.FIXED_POINT_3),
     (IdentityId.APPENDIX_A4, IdentityId.FIXED_POINT_4),
 ]
-# the rows that take the chi_2 series make no quadrature call
-CHI2_ROWS = {IdentityId.APPENDIX_A3, IdentityId.APPENDIX_A4}
 
 SPELLINGS = {
     "arcsinh(csch x)": lambda x: mp.asinh(1 / mp.sinh(x)),
@@ -121,42 +121,62 @@ def integrate_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def head_series_calls(monkeypatch):
+    """Record the result of each identities._log_moment_series call, the
+    head's series, starting from an empty integral cache."""
+    calls = []
+    head_series = identities._log_moment_series
+
+    def counting(prec):
+        res = head_series(prec)
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(identities, "_log_moment_series", counting)
+    identities._head_integral.cache_clear()
+    return calls
+
+
 @pytest.mark.parametrize("appendix, fixed_point", SHARED_INTEGRALS)
-def test_fixed_point_reuses_appendix_integral(appendix, fixed_point, integrate_calls):
+def test_fixed_point_reuses_appendix_integral(appendix, fixed_point, integrate_calls,
+                                              head_series_calls):
+    # A1's integral is one Fejer call, A2's one head series
     ctx = PrecisionContext(digits=23)
-    quadratures = 0 if appendix in CHI2_ROWS else 1
+    quadratures = 1 if appendix is IdentityId.APPENDIX_A1 else 0
+    head_series = 1 if appendix is IdentityId.APPENDIX_A2_CORRECTED else 0
     assert verify(appendix, ctx).passed
-    assert len(integrate_calls) == quadratures
+    assert (len(integrate_calls), len(head_series_calls)) == (quadratures, head_series)
     r = verify(fixed_point, ctx)
     assert r.passed, r.params
-    assert len(integrate_calls) == quadratures
+    assert (len(integrate_calls), len(head_series_calls)) == (quadratures, head_series)
 
 
-def test_fixed_point_alone_computes_its_integral(integrate_calls):
+def test_fixed_point_alone_computes_its_integral(integrate_calls, head_series_calls):
     r = verify(IdentityId.FIXED_POINT_2, PrecisionContext(digits=27))
     assert r.passed, r.params
     assert r.residual < mpf("1e-27")
-    assert len(integrate_calls) == 1
+    assert integrate_calls == []
+    assert len(head_series_calls) == 1
 
 
 def test_tanh_sinh_calls_at_200_digits(integrate_calls):
     # Fejer's second rule: a_3 for COEFF_VS_QUADRATURE and the
-    # arcsinh(csch x) integrals over (L, inf) and (0, L); no tanh-sinh rule
-    # is left in the package
+    # arcsinh(csch x) integral over (L, inf); the one over (0, L) is a
+    # series, and no tanh-sinh rule is left in the package
     reports = identities.verify_all(PrecisionContext(digits=200))
     assert all(r.passed for r in reports)
-    assert len(integrate_calls) == 3
+    assert len(integrate_calls) == 2
 
 
 @pytest.mark.parametrize("ident, max_evaluations", [
     (IdentityId.COEFF_VS_QUADRATURE, 255),
     (IdentityId.APPENDIX_A1, 255),
-    (IdentityId.APPENDIX_A2_CORRECTED, 255),
 ])
 def test_analytic_evaluations_at_200_digits(ident, max_evaluations, integrate_calls):
     # Fejer's second rule at n = 256 (a_3, folded about pi/8 and rational in
-    # u = tan(t/2), the tail as int_0^L s/sinh s and the head), where
-    # tanh-sinh took 1,495 evaluations for each
+    # u = tan(t/2), and the tail as int_0^L s/sinh s), where tanh-sinh took
+    # 1,495 evaluations for each
     r = verify(ident, PrecisionContext(digits=200))
     assert r.passed, r.params
     assert len(integrate_calls) == 1
@@ -164,8 +184,7 @@ def test_analytic_evaluations_at_200_digits(ident, max_evaluations, integrate_ca
 
 
 @pytest.mark.parametrize("ident", [IdentityId.COEFF_VS_QUADRATURE,
-                                   IdentityId.APPENDIX_A1,
-                                   IdentityId.APPENDIX_A2_CORRECTED])
+                                   IdentityId.APPENDIX_A1])
 def test_analytic_evaluations_at_500_digits(ident, integrate_calls):
     # n = 512 for each; a_3 folded in t and the tail in v = 1 - u took
     # 1,023 each
@@ -173,6 +192,45 @@ def test_analytic_evaluations_at_500_digits(ident, integrate_calls):
     assert r.passed, r.params
     assert len(integrate_calls) == 1
     assert integrate_calls[0].evaluations <= 511
+
+
+@pytest.mark.parametrize("digits, max_terms", [(200, 256), (500, 598)])
+def test_head_takes_its_series_not_a_quadrature(digits, max_terms, integrate_calls,
+                                                head_series_calls):
+    # the head, taken at the rule's precision, 10 digits beyond the working
+    # one: no Fejer node, and the log-moment series' terms fall as 7.52^-k
+    r = verify(IdentityId.APPENDIX_A2_CORRECTED, PrecisionContext(digits=digits))
+    assert r.passed, r.params
+    assert integrate_calls == []
+    [res] = head_series_calls
+    assert res.terms_used <= max_terms
+
+
+@pytest.mark.parametrize("digits", [10, 20, 50, 200, 500, 1000])
+def test_head_series_value_and_terms(digits):
+    # H = L^2 + J = pi^2/8 + L^2/2 to the rule's precision, and J within
+    # its tail_bound from K terms, the fewest whose tail bound
+    # 2 (alpha + beta) rho_a^-K/(1 - 1/rho_a) is below 2^-(prec + GUARD_BITS)
+    # (up to one more, for the float logarithms)
+    ctx = PrecisionContext(digits=digits)
+    identities._head_integral.cache_clear()
+    value = identities._head_integral(ctx)
+    with quadrature.rule_precision(ctx):
+        prec = mp.prec
+        res = identities._log_moment_series(prec)
+    with mp.workdps(ctx.working_dps + 40):
+        L = mp.log(1 + mp.sqrt(2))
+        H = mp.pi ** 2 / 8 + L ** 2 / 2
+        assert abs(value / H - 1) < mpf(10) ** -(ctx.working_dps + quadrature.RULE_EXTRA_DPS - 1)
+        ulp = mp.ldexp(1, -prec)
+        assert abs(res.value - (H - L ** 2)) <= res.tail_bound + ulp
+        r2 = mp.sqrt(2)
+        rho = 2 * r2 + 1 + 2 * mp.sqrt(2 + r2)
+        gamma = 2 * (1 / mp.sqrt(2 + r2) + 1 / mp.sqrt(4 + 3 * r2)) / (1 - 1 / rho)
+        target = mp.ldexp(1, -(prec + GUARD_BITS))
+        K = res.terms_used
+        assert gamma * rho ** -K < target <= gamma * rho ** -(K - 2)
+        assert res.tail_bound < 2 * target
 
 
 def test_appendix_tail_margin_at_66_digits():
@@ -184,20 +242,6 @@ def test_appendix_tail_margin_at_66_digits():
     assert r.passed, r.params
     with ctx.workprec():
         assert r.residual < ctx.tolerance * mpf(10) ** -9
-
-
-@given(x=st.floats(min_value=1e-8, max_value=0.88))
-@settings(max_examples=40, derandomize=True, deadline=None)
-def test_head_regular_keeps_relative_precision(x):
-    # arcsinh(csch x) + ln(x/2) = -ln(tanh(x/2)/(x/2)) is about x^2/12 near
-    # 0; the reference cancels up to 17 of its 40 extra digits
-    ctx = PrecisionContext(digits=30)
-    with ctx.workprec():
-        value = identities._head_regular(mpf(x))
-    with mp.workdps(ctx.working_dps + 40):
-        x = mpf(x)
-        reference = -mp.log(mp.tanh(x / 2)) + mp.log(x / 2)
-        assert abs(value / reference - 1) < mpf(10) ** -(ctx.working_dps - 1)
 
 
 @given(x=st.floats(min_value=0.01, max_value=300), digits=st.integers(12, 500))

@@ -62,11 +62,12 @@ class TestFiniteInterval:
 
 
 class TestEndpointSingularities:
-    """Neither rule integrates an endpoint singularity: the one the library
-    meets, the -ln(x/2) of arcsinh(csch x) at 0, is subtracted in closed form.
-    No Bernstein ellipse about [0, 1] avoids a singularity at 0, so the
-    narrowest one a caller could name, rho near 1, is refused before any
-    evaluation: its bound needs far more intervals than the cap."""
+    """Neither rule integrates an endpoint singularity: the library takes the
+    one it meets, the log singularity of arcsinh(csch x) at 0, by a series
+    instead (identities._head_integral).  No Bernstein ellipse about [0, 1]
+    avoids a singularity at 0, so the narrowest one a caller could name, rho
+    near 1, is refused before any evaluation: its bound needs far more
+    intervals than the cap."""
 
     def test_inverse_sqrt(self, ctx30):
         with pytest.raises(NoConvergence):
@@ -77,8 +78,8 @@ class TestEndpointSingularities:
             integrate_analytic(mp.log, 0, 1, ctx30, [(mpf("1.01"), 100)])
 
     def test_endpoints_never_evaluated(self, ctx30, monkeypatch):
-        # arcsinh(csch x) + ln(x/2), written through 1 - e^-x, divides by
-        # zero at 0, so the (0, L) integral must not evaluate it there
+        # the tail's s/sinh s is 0/0 at s = 0, so its (0, L) integral must
+        # not evaluate it there
         seen = []
         fejer = quadrature.integrate_analytic
 
@@ -86,11 +87,11 @@ class TestEndpointSingularities:
             return fejer(lambda x: (seen.append(x), f(x))[1], a, b, ctx, bounds)
 
         monkeypatch.setattr(quadrature, "integrate_analytic", recording)
-        identities._head_integral.cache_clear()
-        value = identities._head_integral(ctx30)
+        identities._tail_integral.cache_clear()
+        value = identities._tail_integral(ctx30)
         with ctx30.workprec():
             L = mp.log(1 + mp.sqrt(2))
-            assert abs(value - (mp.pi ** 2 / 8 + L ** 2 / 2)) < ctx30.tolerance
+            assert abs(value - (mp.pi ** 2 / 8 - L ** 2 / 2)) < ctx30.tolerance
             assert seen and all(0 < x < L for x in seen)
 
 
@@ -158,8 +159,7 @@ class TestClosedForms:
         _assert_relative(value, lambda: mp.pi ** 2 / 8 - _L() ** 2 / 2, ctx)
 
     def test_appendix_head(self, digits):
-        # arcsinh(csch x) + ln(x/2) by Fejer's second rule, plus the closed
-        # form of -ln(x/2)
+        # L^2 plus the log-moment series of identities._log_moment_series
         ctx = PrecisionContext(digits=digits)
         value = identities._head_integral(ctx)
         _assert_relative(value, lambda: mp.pi ** 2 / 8 + _L() ** 2 / 2, ctx)
@@ -414,13 +414,17 @@ def _oracle_reference(k, closed):
     return reference
 
 
+# the integrands of PROVED that run on integers, as formulas that hold off
+# the real axis
+INTEGER_INTEGRANDS = {
+    "Haagerup": lambda s2, c2: c2 / mp.sqrt(1 + s2),
+    "Krivine middle": lambda s2, c2: c2 / mp.sqrt(c2 + mpf(3) / 4 * s2),
+}
 # every quadrature of verify_all, with the test oracles K(i) and E(i) and
 # the K and E oracles at three moduli: each runs one rule call, and its
 # value against the closed form of what that call integrates
 PROVED = {
     "tail": (identities._tail_integral, lambda ctx: mp.pi ** 2 / 8 - _L() ** 2 / 2),
-    "head": (identities._head_integral,
-             lambda ctx: mp.pi ** 2 / 8 + _L() ** 2 / 2 - _L() + _L() * mp.log(_L() / 2)),
     "a_3": (lambda ctx: series.fourier_a_quadrature(3, ctx),
             lambda ctx: mp.pi / 8 * fourier_a(3, PrecisionContext(digits=ctx.digits + 20)) - _L()),
     "Haagerup": (elliptic.haagerup_bound_quadrature,
@@ -445,24 +449,33 @@ class TestProvedBounds:
     def test_declared_bounds_hold_on_the_boundary(self, monkeypatch):
         # |f| <= M at 64 points of the boundary of each declared ellipse or
         # strip, for every integrand of PROVED but a_n's (below); E's bound
-        # sqrt(A + |B| cosh 2a) is attained at Re t = 0, so up to rounding
+        # sqrt(A + |B| cosh 2a) is attained at Re t = 0, so up to rounding.
+        # An integer integrand runs on real nodes only: there it must match
+        # its formula in INTEGER_INTEGRANDS, which is sampled off the axis
         ctx = PrecisionContext(digits=30)
         calls = _recording(monkeypatch)
         identities._tail_integral.cache_clear()
-        identities._head_integral.cache_clear()
-        for name, (run, _) in PROVED.items():
-            if name != "a_3":
-                with ctx.workprec():
-                    run(ctx)
-        assert len(calls) == len(PROVED) - 1
         slack = mpf(10) ** -(ctx.working_dps - 2)
-        with mp.workdps(ctx.working_dps):
-            for name, args, _ in calls:
-                if name == "integrate_analytic":
+        for name, (run, _) in PROVED.items():
+            if name == "a_3":
+                continue
+            del calls[:]
+            with ctx.workprec():
+                run(ctx)
+            [(rule, args, _)] = calls
+            with mp.workdps(ctx.working_dps):
+                if rule == "integrate_analytic":
                     f, a, b, _, bounds = args
                     boundary = lambda p, a=a, b=b: _ellipse(a, b, p)
                 else:
                     g, _, bounds = args
+                    if name in INTEGER_INTEGRANDS:
+                        reference = INTEGER_INTEGRANDS[name]
+                        for t in (mp.pi / 7, 3 * mp.pi / 7):
+                            s2, c2 = mp.sin(t) ** 2, mp.cos(t) ** 2
+                            assert abs(g(s2, c2) - reference(s2, c2)) < (
+                                mpf(10) ** -(ctx.working_dps - 5)), name
+                        g = reference
                     f = lambda t, g=g: g(mp.sin(t) ** 2, mp.cos(t) ** 2)
                     boundary = _strip
                 for p, M in bounds:
@@ -495,7 +508,6 @@ class TestProvedBounds:
         ctx = PrecisionContext(digits=digits)
         calls = _recording(monkeypatch)
         identities._tail_integral.cache_clear()
-        identities._head_integral.cache_clear()
         rounding = mpf(10) ** -(ctx.working_dps + 5)
         for name, (run, closed) in PROVED.items():
             del calls[:]

@@ -234,14 +234,18 @@ class TestFourierCoefficients:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 12, 255, 800])
     def test_chebyshev_doubling_within_stated_bound(self, m):
-        # T_m(c) = cos(m arccos c), off by under 2^-(prec + GUARD_BITS)
+        # T_m(c) = cos(m arccos c) for c read exactly as an integer scaled by
+        # 2^W, W = prec + 2 bitlength(m) + GUARD_BITS, off by under 4^k/3
+        # units 2^-W, so under 2^-(prec + GUARD_BITS)
         with mp.workdps(60):
             prec = mp.prec
-            cs = [mpf(c) for c in ("-1", "-0.3", "0.5", "0.98", "0.9999", "1")]
-            values = [series._chebyshev_t(m, c) for c in cs]
+            W = prec + 2 * m.bit_length() + GUARD_BITS
+            cs = [int(mp.ldexp(mpf(c), W)) for c in ("-1", "-0.3", "0.5", "0.98", "0.9999", "1")]
+        values = [series._chebyshev_t(m, c, W) for c in cs]
         with mp.workdps(120):
             for c, v in zip(cs, values):
-                assert abs(v - mp.cos(m * mp.acos(c))) < mp.ldexp(1, -(prec + GUARD_BITS)), c
+                exact = mp.cos(m * mp.acos(mp.ldexp(c, -W)))
+                assert abs(mp.ldexp(v, -W) - exact) < mp.ldexp(1, -(prec + GUARD_BITS)), c
 
     @pytest.mark.parametrize("digits", [30, 120])
     @pytest.mark.parametrize("n", [64, 200])
