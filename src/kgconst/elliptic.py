@@ -99,28 +99,38 @@ def ellip_E(k, ctx: PrecisionContext) -> BigReal:
         return _agm_KE(k)[1]
 
 
-def _periodic(g, kappa, bound, ctx):
-    """integrate_even_periodic of g, an integrand in
-    q = cos^2 t + kappa sin^2 t = A + B cos 2t, A, B = (1 +- kappa)/2, whose
-    modulus is at most bound(low, high, a) on the strip |Im t| <= a wherever
-    low <= |q| <= high there.
+def _periodic(integrand, kappa, bound, ctx):
+    """integrate_even_periodic of integrand(K, W), an integrand on integers
+    scaled by 2^W in q = cos^2 t + kappa sin^2 t = A + B cos 2t,
+    A, B = (1 +- kappa)/2, kappa > 0, K = floor(kappa 2^W), whose modulus is
+    at most bound(low, high, a) on the strip |Im t| <= a wherever
+    low <= |q| <= high there.  W = prec + GUARD_BITS + 2 max(0, -mag kappa),
+    prec the rule's precision (see _inverse_root_q).
 
     |cos 2t| <= cosh 2a on that strip, so low = A - |B| cosh 2a and
-    high = A + |B| cosh 2a serve.  q vanishes at Im t = +-w,
-    w = atanh(min(k', 1/k')), k' = sqrt(kappa), since
-    cosh(2 atanh k') = (1 + kappa)/(1 - kappa) = A/B; so low > 0 for
-    a < w.  The strip a = 15w/16 is taken: for the integrals of verify_all
-    at 10, 20, 50, 200, 500 and 1000 digits its bound proves as few
-    intervals as the strips a = w/2, 3w/4 and 7w/8 together.  At kappa = 1
-    (k = 0, or x so small that 1 - x^2 rounds to 1) q = 1 and g is entire:
-    any w serves, and w = ctx.working_dps proves n = 4.
+    high = A + |B| cosh 2a serve, taken as min(1, kappa) - 2|B| sinh^2 a and
+    max(1, kappa) + 2|B| sinh^2 a, which cancel no digits as kappa -> 0.
+    q vanishes at Im t = +-w, w = atanh(min(k', 1/k')), k' = sqrt(kappa),
+    since cosh(2 atanh k') = (1 + kappa)/(1 - kappa) = A/B; so low > 0 for
+    a < w.  w is taken as ln((1 + k')/sqrt(2|B|)), which keeps its digits
+    as k' -> 1.  The strip a = 15w/16 is taken: for the integrals of
+    verify_all at 10, 20, 50, 200, 500 and 1000 digits its bound proves as
+    few intervals as the strips a = w/2, 3w/4 and 7w/8 together.  At
+    kappa = 1 (k = 0, or x so small that 1 - x^2 rounds to 1) q = 1 and the
+    integrand is entire: any w serves, and w = ctx.working_dps proves n = 4.
+    The bound is taken at 64 bits (quadrature.bound_precision), whose
+    roundings the rule's slack covers.
     """
-    A, B = (1 + kappa) / 2, abs(1 - kappa) / 2
-    kp = mp.sqrt(kappa)
-    w = mp.atanh(min(kp, 1 / kp)) if kappa != 1 else mpf(ctx.working_dps)
-    a = w * 15 / 16
-    return quadrature.integrate_even_periodic(
-        g, ctx, [(a, bound(A - B * mp.cosh(2 * a), A + B * mp.cosh(2 * a), a))])
+    with quadrature.rule_precision(ctx):
+        W = mp.prec + GUARD_BITS + 2 * max(0, -mp.mag(kappa))
+    with quadrature.bound_precision():
+        B = abs(1 - kappa) / 2
+        w = mp.log((1 + mp.sqrt(kappa)) / mp.sqrt(2 * B)) if B else mpf(ctx.working_dps)
+        a = w * 15 / 16
+        spread = 2 * B * mp.sinh(a) ** 2
+        M = bound(min(1, kappa) - spread, max(1, kappa) + spread, a)
+    return quadrature.integrate_even_periodic(integrand(int(mp.ldexp(kappa, W)), W), ctx,
+                                              [(a, M)], W)
 
 
 def _cos2_over_root(low, high, a):
@@ -128,25 +138,29 @@ def _cos2_over_root(low, high, a):
     return mp.cosh(a) ** 2 / mp.sqrt(low)
 
 
-def _cos2_over_root_q(kappa, ctx):
-    """The integrand c2/sqrt(q), q = c2 + kappa s2, kappa > 0, of _periodic, on
-    integers scaled by 2^W, with prec the rule's precision: q by one
-    product, its root by math.isqrt and the quotient by one division, rounded
-    once to an mpf.
+def _inverse_root_q(kappa, W):
+    """The integrand 1/sqrt(q), q = c2 + kappa s2, of _periodic, on integers
+    scaled by 2^W: q at 2^-2W by one product, its root by math.isqrt and the
+    quotient by one division; likewise sqrt(q) (_root_q) and c2/sqrt(q)
+    (_cos2_over_root_q).
 
-    c2, s2 and kappa are read to under one unit 2^-W, so q is off by under
-    3 units and sqrt(q) by under 1 + 2/sqrt(q); q >= min(1, kappa) and
-    c2 <= q, so the quotient is off by under 3 + 2/sqrt(kappa) units, and
-    W = prec + GUARD_BITS + max(0, -mag kappa) keeps that under
-    2^-(prec + GUARD_BITS - 3)."""
-    with quadrature.rule_precision(ctx):
-        W = mp.prec + GUARD_BITS + max(0, -mp.mag(kappa))
-    kappa = int(mp.ldexp(kappa, W))
+    c2 and s2 are within half a unit 2^-W and kappa within one, so q is off
+    by under 2 + kappa units, sqrt(q) by under 1 + (2 + kappa)/(2 sqrt(q))
+    and, since c2 <= q, c2/sqrt(q) by under 3 + (2 + kappa)/sqrt(q).  For
+    kappa <= 1, q >= kappa and 1/sqrt(q) is off by under
+    1 + (1 + 1.5/sqrt(kappa))/kappa < 2^(1.5 m + 3) units,
+    m = max(0, -mag kappa); for kappa = 2, the Haagerup integrand's, q >= 1
+    and c2/sqrt(q) is off by under 7.  So W = prec + GUARD_BITS + 2m keeps
+    each integrand within 2^-(prec + GUARD_BITS - 3)."""
+    return lambda s2, c2: (1 << 2 * W) // isqrt((c2 << W) + kappa * s2)
 
-    def g(s2, c2):
-        c2 = int(mp.ldexp(c2, W)) << W
-        return mp.ldexp(c2 // isqrt(c2 + kappa * int(mp.ldexp(s2, W))), -W)
-    return g
+
+def _root_q(kappa, W):
+    return lambda s2, c2: isqrt((c2 << W) + kappa * s2)
+
+
+def _cos2_over_root_q(kappa, W):
+    return lambda s2, c2: (c2 << W) // isqrt((c2 << W) + kappa * s2)
 
 
 def ellip_K_quadrature(k, ctx: PrecisionContext) -> BigReal:
@@ -158,8 +172,7 @@ def ellip_K_quadrature(k, ctx: PrecisionContext) -> BigReal:
     with ctx.workprec():
         k = mpf(k)
         _check_modulus(k, "ellip_K_quadrature")
-        kp2 = (1 - k) * (1 + k)
-        return _periodic(lambda s2, c2: 1 / mp.sqrt(c2 + kp2 * s2), kp2,
+        return _periodic(_inverse_root_q, (1 - k) * (1 + k),
                          lambda low, high, a: 1 / mp.sqrt(low), ctx).value
 
 
@@ -170,8 +183,7 @@ def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
     with ctx.workprec():
         k = mpf(k)
         _check_modulus(k, "ellip_E_quadrature")
-        kp2 = (1 - k) * (1 + k)
-        return _periodic(lambda s2, c2: mp.sqrt(c2 + kp2 * s2), kp2,
+        return _periodic(_root_q, (1 - k) * (1 + k),
                          lambda low, high, a: mp.sqrt(high), ctx).value
 
 
@@ -229,7 +241,7 @@ def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:
     over (0, pi/2), by the periodic trapezoid rule."""
     with ctx.workprec():
         # 1 + sin^2 t = cos^2 t + 2 sin^2 t
-        integral = _periodic(_cos2_over_root_q(2, ctx), mpf(2), _cos2_over_root, ctx).value
+        integral = _periodic(_cos2_over_root_q, mpf(2), _cos2_over_root, ctx).value
         return 1 / integral
 
 
@@ -260,7 +272,7 @@ def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:
         if not (0 < x < 1):
             raise DomainError(f"middle expression requires 0 < x < 1, got {x}")
         xp2 = (1 - x) * (1 + x)
-        return x * _periodic(_cos2_over_root_q(xp2, ctx), xp2, _cos2_over_root, ctx).value
+        return x * _periodic(_cos2_over_root_q, xp2, _cos2_over_root, ctx).value
 
 
 def solve_x0(ctx: PrecisionContext) -> RootResult:

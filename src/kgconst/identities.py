@@ -37,8 +37,10 @@ class IdentityReport(NamedTuple):
 
 # k = 0 is excluded: its complement k' = 1 makes K(k') diverge, so the
 # Legendre combination is undefined there
-LEGENDRE_GRID = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8",
-                 "0.9", "0.999")  # plus 1/sqrt(2), added at working precision
+# 0.8 is left out: it is the complement of 0.6, whose run gives the same
+# lhs bit for bit
+LEGENDRE_GRID = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.9",
+                 "0.999")  # plus 1/sqrt(2), added at working precision
 
 
 class _Row(NamedTuple):
@@ -54,19 +56,53 @@ def _tail_integral(ctx: PrecisionContext) -> BigReal:
 
     phi(x) = arcsinh(csch x) = -ln tanh(x/2) is an involution, with
     phi'(x) = -1/sinh x and fixed point L, so x = phi(s) maps s in (0, L) onto
-    x in (L, inf) and turns phi(x) dx into -s/sinh s ds; one sinh per node.
+    x in (L, inf) and turns phi(x) dx into -s/sinh s ds.
     The nearest poles of s/sinh s, +-i pi, lie on the Bernstein ellipse of
     radius 14.46 about [0, L].  On E_11 every point has
     |s| <= R = L/2 + (L/4)(11 + 1/11) < 2.885 < pi, and there
     |sinh s/s| = prod_k |1 + s^2/(k pi)^2| >= prod_k (1 - R^2/(k pi)^2)
-    = sin R/R, so |s/sinh s| <= R/sin R < 11.4.  L is taken at the rule's
-    precision.  Shared by APPENDIX_A1 and FIXED_POINT_1, whose limit
-    pi/(2 K_G) is L by definition.
+    = sin R/R, so |s/sinh s| <= R/sin R < 11.4.  Shared by APPENDIX_A1 and
+    FIXED_POINT_1, whose limit pi/(2 K_G) is L by definition.
+
+    The rule hands the integrand the distance X = x 2^W, W = prec +
+    GUARD_BITS, of the pair of nodes s = x and s = L - x from the ends,
+    0 < x < 1/2, and it returns the sum of s/sinh s at both, scaled by 2^W,
+    from one exp: with E = e^-x, 2 sinh x = 1/E - E and, since
+    e^L = 1 + sqrt(2), 2 sinh(L - x) = (1 + sqrt(2)) E - (sqrt(2) - 1)/E.
+    E is read to V = 2W - bitlength(X) + 4 >= W + 5 bits, floored from an
+    exp at V + 2 bits, within 1.25 units 2^-V; 1/E < 1.65 by one division,
+    within 4.5; sqrt(2) by math.isqrt, within one.  So 2 sinh x is off by
+    under 6 units, against 2 sinh x >= 2x >= 2^(bitlength(X) - W), and
+    x/sinh x <= 1 by under 6 2^(2W - bitlength(X) - V) < 1/2 unit 2^-W,
+    plus one for the division: V spends bitlength(X) - W, at most
+    2 log2(n) + 1 bits since x >= L/n^2, beyond W + 4 on the cancellation
+    of 1/E - E near s = 0.  2 sinh(L - x) >= 2 sinh(L/2) > 0.9 is off by
+    under 9 units, and L - x is read to one unit 2^-W, from L taken 10
+    bits beyond W, so
+    (L - x)/sinh(L - x) is off by under
+    1/sinh(L/2) + 10 2^(W - V) + 1 < 4 units.  The pair's sum is off by
+    under 6 units, and the rule's weights of the pairs sum to L/2, so the
+    integral by under 2^-(prec + GUARD_BITS - 2).  The second node is
+    L - x for the exact L, which e^L = 1 + sqrt(2) fixes, not the rule's
+    b - x, b = L rounded to the rule's precision: that moves the integral
+    by under 2^-prec, as the rule's own rounding does.
     """
     with quadrature.rule_precision(ctx):
+        W = mp.prec + GUARD_BITS
+    with mp.workprec(W + 10):
         L = mp.log(1 + mp.sqrt(2))
-        return quadrature.integrate_analytic(lambda s: s / mp.sinh(s), 0, L, ctx,
-                                             [(11, 12)]).value
+        end = int(mp.ldexp(L, W))
+    root2 = math.isqrt(2 << 4 * W)  # sqrt(2) 2^(2W); V <= 2W reads it shifted
+
+    def f(X):
+        V = 2 * W - X.bit_length() + 4
+        one = 1 << V
+        E = int(mp.ldexp(mp.exp(mpf((-X, -W), prec=W), prec=V + 2), V))
+        inverse = (one << V) // E
+        r2 = root2 >> (2 * W - V)
+        return ((X << (V + 1)) // (inverse - E)
+                + ((end - X) << (V + 1)) // (((r2 + one) * E - (r2 - one) * inverse) >> V))
+    return quadrature.integrate_analytic(f, 0, L, ctx, [(11, 12)], W).value
 
 
 def _log_moment_series(prec: int) -> series.SeriesResult:

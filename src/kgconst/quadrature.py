@@ -14,6 +14,11 @@ a concurrent miss may build an entry twice, with identical integers.
 mpmath's precision is process-global, so the package is not safe to call
 from two threads at once in any case.
 
+Both rules run in fixed point end to end.  The caller names the fraction
+bits W of its integrand, which takes its nodes as integers scaled by 2^W
+and returns its value as an integer at the same scale; the rule forms its
+weighted sum exactly from the integer weights and rounds it once.
+
 Neither rule judges its own convergence.  Its caller proves where the
 integrand is analytic and how large it is there, as pairs (rho, M) for a
 Bernstein ellipse about [a, b] (integrate_analytic) or (width, M) for a strip
@@ -23,9 +28,10 @@ the smallest power of 2, n >= 4, at which some pair's bound falls below
 ctx.working_tolerance = ctx.tolerance 10^-GUARD_DIGITS, raises NoConvergence
 before any evaluation if that n is beyond its cap, and otherwise evaluates
 the rule on n intervals once and returns the bound as its error_bound.  The
-bound is the rule's error in exact arithmetic; the rule works RULE_EXTRA_DPS
-digits beyond the working precision, and the rounding of its nodes and
-weights is bounded at _sine_table and _fejer_rule.
+bound is the rule's error in exact arithmetic, computed at 64 bits with
+slack (_intervals); the rule works RULE_EXTRA_DPS digits beyond the working
+precision, and the rounding of its nodes and weights is bounded at
+_sine_table and _fejer_rule.
 """
 
 from __future__ import annotations
@@ -159,74 +165,95 @@ def _weight_sums(n: int, prec: int) -> list:
 @lru_cache(maxsize=None)
 def _fejer_rule(n: int, prec: int):
     """Fejer's second rule with n intervals (n a power of 2, n >= 4) on
-    [-1, 1]: its weights and distances rounded to prec bits.
+    [-1, 1]: its distances and weights as integers, for j = 1 .. n/2.
 
     Its nodes are cos(theta_j), theta_j = j pi/n for j = 1 .. n-1, and its
     weights w_j = (4 sin theta_j / n) S_j, with S_j from _weight_sums.  Both
-    are symmetric about j = n/2, so the rule is returned as lists indexed by
-    j = 0 .. n/2 (entry 0 unused): the distance
+    are symmetric about j = n/2, so the rule is returned as the distance
     d_j = 1 - cos(theta_j) = 2 sin^2(theta_j/2) of the nodes +-cos(theta_j)
     from the nearer endpoint, which keeps every digit of the nodes close to
-    an endpoint, and the weight w_j of each.
+    an endpoint, and the weight w_j of each: d_j 2^(2P) and w_j n 2^(2P),
+    P = _table_bits(prec), the exact products 2 (entry j)^2 (d_(n/2) = 1
+    exactly) and 4 (entry 2j) S_j.
 
     sin(theta_j/2) and sin(theta_j) are entries j and 2j of
     _sine_table(n, prec), integers scaled by 2^P off by under e = 2 log2(n)
     units 2^-P.  With the error bound of _weight_sums, each weight is off by
     under (4/n)(e + (n + 1)(sqrt(2) e H + 2)) < 2^10 units for
     n <= FEJER_MAX_INTERVALS, and the n - 1 weights together by under
-    2^(10+11) 2^-P = 2^-(prec + GUARD_BITS + 3).  2 (entry j)^2 2^-2P is off
-    by under 2 e n 2^-P < 2^-(prec + GUARD_BITS + 7) of d_j, since
-    sin(theta_j/2) >= 1/n, and rounding it to prec bits adds under 2^-prec of
-    d_j, so each node a + r d_j multiplies two prec-bit mantissas.
+    2^(10+11) 2^-P = 2^-(prec + GUARD_BITS + 3).  Each distance is off by
+    under 2 e n 2^-P < 2^-(prec + GUARD_BITS + 7) of d_j, since
+    sin(theta_j/2) >= 1/n.
     """
     P = _table_bits(prec)
     table = _sine_table(n, prec)
     sums = _weight_sums(n, prec)
-    distances, weights = [None], [None]
-    with mp.workprec(prec):
-        for j in range(1, n // 2 + 1):
-            distances.append(mp.ldexp(mpf(2 * table[j] ** 2), -2 * P))
-            weights.append(mp.ldexp(4 * table[2 * j] * sums[j], -2 * P) / n)
+    h = n // 2
+    distances = [2 * table[j] ** 2 for j in range(1, h)] + [1 << 2 * P]
+    weights = [4 * table[2 * j] * sums[j] for j in range(1, h + 1)]
     return distances, weights
 
 
-def _checked(f, *x):
-    v = f(*x)
-    if not mp.isfinite(v):
-        raise NonFiniteEvaluation(f"integrand returned {v} at {x}")
-    return v
+def bound_precision():
+    """Context manager switching mpmath to the 64 bits at which the rules,
+    and the callers that prove their bounds, compute error bounds (see
+    _intervals)."""
+    return mp.workprec(64)
 
 
 def _intervals(rule, error, bounds, least, max_intervals, ctx):
     """(n, error bound) for the smallest power of 2, n >= 4, at which
     error(n, p, M) falls below ctx.working_tolerance for some pair (p, M) of
-    bounds.  Called at the rule's working precision.  Raises DomainError
-    unless every p exceeds least and every M is positive and finite, and
-    NoConvergence naming the rule, before any evaluation, beyond
-    max_intervals."""
-    pairs = [(mpf(p), mpf(M)) for p, M in bounds]
-    if not pairs or not all(p > least and 0 < M < mp.inf for p, M in pairs):
-        raise DomainError(f"{rule} requires bounds (p, M) with p > {least} and "
-                          f"finite M > 0, got {pairs}")
+    bounds.  Raises DomainError unless every p exceeds least and every M is
+    positive and finite, and NoConvergence naming the rule, before any
+    evaluation, beyond max_intervals.
+
+    The bound only chooses n and is reported; no digit of the integral
+    depends on it, so it is computed at 64 bits (bound_precision), with
+    slack that can only loosen it: each p is rounded down and each M up,
+    which enlarges error, the target is rounded down, and the bound is taken
+    1 + 2^-20 times as large.  That factor covers relative errors of up to
+    2^-21 in error's own roundings and in an M that its caller computed at
+    64 bits, each a few units 2^-64 times the condition of its expression.
+    """
     tol = ctx.working_tolerance
-    n = 4
-    while (err := min(error(n, p, M) for p, M in pairs)) >= tol:
-        n *= 2
-    if n > max_intervals:
-        raise NoConvergence(
-            f"{rule} cannot reach tolerance {mp.nstr(tol, 3)} within {max_intervals} "
-            f"intervals: its error bound needs about {n} intervals")
+    with bound_precision():
+        pairs = [(mpf(p, rounding="d"), mpf(M, rounding="u")) for p, M in bounds]
+        if not pairs or not all(p > least and 0 < M < mp.inf for p, M in pairs):
+            raise DomainError(f"{rule} requires bounds (p, M) with p > {least} and "
+                              f"finite M > 0, got {pairs}")
+        tol = mpf(tol, rounding="d")
+        slack = 1 + mp.ldexp(1, -20)
+        n = 4
+        while (err := slack * min(error(n, p, M) for p, M in pairs)) >= tol:
+            n *= 2
+        if n > max_intervals:
+            raise NoConvergence(
+                f"{rule} cannot reach tolerance {mp.nstr(tol, 3)} within {max_intervals} "
+                f"intervals: its error bound needs about {n} intervals")
     return n, err
 
 
-def integrate_analytic(f, a, b, ctx: PrecisionContext, bounds) -> QuadratureResult:
-    """Integrate f over (a, b), for f analytic on the closed interval [a, b],
+def _scaled(v: int, shift: int) -> int:
+    """v 2^-shift, rounded to the nearest integer for shift > 0."""
+    return (v + (1 << (shift - 1))) >> shift if shift > 0 else v << -shift
+
+
+def _exact_sum(total, rule):
+    if not isinstance(total, int):
+        raise NonFiniteEvaluation(f"{rule}: the integrand returned a value that is not an "
+                                  f"integer; the weighted sum is {total}")
+    return total
+
+
+def integrate_analytic(f, a, b, ctx: PrecisionContext, bounds, bits: int) -> QuadratureResult:
+    """Integrate F over (a, b), for F analytic on the closed interval [a, b],
     by Fejer's second rule (see _fejer_rule) on n intervals.
 
-    bounds holds pairs (rho, M), rho > 1, each stating that f is analytic in
+    bounds holds pairs (rho, M), rho > 1, each stating that F is analytic in
     the Bernstein ellipse E_rho about [a, b] (foci a and b, semi-axes summing
-    to r rho, r = (b - a)/2) with |f| <= M there.  Then
-    f(a + r(1 + x)) = sum_k c_k T_k(x) with |c_k| <= 2 M rho^-k (Trefethen,
+    to r rho, r = (b - a)/2) with |F| <= M there.  Then
+    F(a + r(1 + x)) = sum_k c_k T_k(x) with |c_k| <= 2 M rho^-k (Trefethen,
     Approximation Theory and Approximation Practice, 2013, Theorem 8.1).
     The rule's n - 1 nodes are symmetric about the midpoint, so for even n it
     is exact through degree n - 1; its weights are positive and sum to 2, so
@@ -237,12 +264,19 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext, bounds) -> QuadratureResu
     Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
     Review 50, 2008, Theorem 5.1, for Clenshaw-Curtis).
 
-    The points are the interior Chebyshev points a + r d_j and b - r d_j,
-    with d_j from the rule: no endpoint is evaluated, and a point near an
-    endpoint keeps every digit of its distance from it.  Raises DomainError
-    for a >= b or a bad pair, NoConvergence if the bounds need more than
-    FEJER_MAX_INTERVALS intervals, and NonFiniteEvaluation if f returns a
-    non-finite value.
+    The rule runs on integers scaled by 2^bits.  Its points, the interior
+    Chebyshev points, pair off as a + x_j and b - x_j, x_j = r d_j with d_j
+    from the rule, j = 1 .. n/2; x_(n/2) = r puts the last pair at the
+    midpoint.  f is called once per pair, with x_j 2^bits rounded to the
+    nearest integer X, and returns (F(a + x) + F(b - x)) 2^bits as an
+    integer, x = X 2^-bits: no endpoint is evaluated, and f reads each
+    point's distance from its endpoint, not the point.  x_j is off by under
+    half a unit 2^-bits and 2^-(prec + GUARD_BITS + 7) x_j (see _fejer_rule).
+    The weighted sum, with the midpoint's weight halved, is formed exactly
+    from the rule's integer weights and rounded once, with r, to the rule's
+    precision.  Raises DomainError for a >= b or a bad pair, NoConvergence
+    if the bounds need more than FEJER_MAX_INTERVALS intervals, and
+    NonFiniteEvaluation if f returns anything but integers.
     """
     with rule_precision(ctx):
         a = mpf(a)
@@ -255,13 +289,19 @@ def integrate_analytic(f, a, b, ctx: PrecisionContext, bounds) -> QuadratureResu
             lambda n, rho, M: r * 64 * M * rho ** (1 - n) / (15 * (rho - 1)),
             bounds, 1, FEJER_MAX_INTERVALS, ctx)
         distances, weights = _fejer_rule(n, mp.prec)
-        # f at the one or two points of each index j = 1 .. n/2, summed
-        values = [_checked(f, a + r * d) + _checked(f, b - r * d) for d in distances[1:-1]]
-        values.append(_checked(f, a + r * distances[-1]))
-        return QuadratureResult(r * mp.fdot(weights[1:], values), err, n - 1)
+        # r = m 2^e exactly, so x_j 2^bits = m d_j 2^(2P) 2^-shift
+        m, e = r.man_exp
+        P2 = 2 * _table_bits(mp.prec)
+        shift = P2 - bits - e
+        values = [f(_scaled(m * d, shift)) for d in distances]
+        total = _exact_sum(2 * sum(w * v for w, v in zip(weights, values))
+                           - weights[-1] * values[-1], "Fejer's second rule")
+        # r total / (2 n 2^(2P + bits))
+        return QuadratureResult(mp.ldexp(m * total, e - P2 - bits - n.bit_length()),
+                                err, n - 1)
 
 
-def integrate_even_periodic(g, ctx: PrecisionContext, bounds) -> QuadratureResult:
+def integrate_even_periodic(g, ctx: PrecisionContext, bounds, bits: int) -> QuadratureResult:
     """Integrate G(t) = g(sin^2 t, cos^2 t) over (0, pi/2), by the trapezoid
     rule on n intervals with halved end weights.
 
@@ -275,22 +315,26 @@ def integrate_even_periodic(g, ctx: PrecisionContext, bounds) -> QuadratureResul
     the error is at most pi M/(e^(4n width) - 1), the bound by which the
     module docstring's choice of n is made.
 
-    At t_j = j pi/(2n), sin t_j and cos t_j = sin((n - j) pi/(2n)) are
-    entries j and n - j of _sine_table(n, prec), so each square is off by
-    under 2^-(prec + GUARD_BITS + 2) of itself (see TABLE_EXTRA_BITS) and
-    both are exact at the ends.  Write g so that it cancels no digits: for
-    example 1 - k^2 sin^2 t as cos^2 t + (1 - k)(1 + k) sin^2 t.  Raises
-    DomainError for a bad pair, NoConvergence if the bounds need more than
-    PERIODIC_MAX_INTERVALS intervals, and NonFiniteEvaluation if g returns a
-    non-finite value.
+    The rule runs on integers scaled by 2^bits: g takes sin^2 t and cos^2 t
+    so scaled and returns G(t) 2^bits as an integer.  At t_j = j pi/(2n),
+    sin t_j and cos t_j = sin((n - j) pi/(2n)) are entries j and n - j of
+    _sine_table(n, prec), so each square is off by under
+    2^-(prec + GUARD_BITS + 2) of itself (see TABLE_EXTRA_BITS) and half a
+    unit 2^-bits, and both are exact at the ends.  The sum is exact and is
+    rounded once before it is scaled by pi/(2n).  Write g so that it cancels
+    no digits: for example 1 - k^2 sin^2 t as
+    cos^2 t + (1 - k)(1 + k) sin^2 t.  Raises DomainError for a bad pair,
+    NoConvergence if the bounds need more than PERIODIC_MAX_INTERVALS
+    intervals, and NonFiniteEvaluation if g returns anything but integers.
     """
     with rule_precision(ctx):
         n, err = _intervals("periodic trapezoid",
                             lambda n, width, M: mp.pi * M / mp.expm1(4 * n * width),
                             bounds, 0, PERIODIC_MAX_INTERVALS, ctx)
-        P2 = 2 * _table_bits(mp.prec)
-        table = _sine_table(n, mp.prec)
-        values = [_checked(g, mp.ldexp(table[j] ** 2, -P2), mp.ldexp(table[n - j] ** 2, -P2))
-                  for j in range(n + 1)]
-        raw_sum = mp.fsum(values[1:-1]) + (values[0] + values[-1]) / 2
-        return QuadratureResult(mp.pi / (2 * n) * raw_sum, err, n + 1)
+        shift = 2 * _table_bits(mp.prec) - bits
+        squares = [_scaled(t * t, shift) for t in _sine_table(n, mp.prec)]
+        values = [g(squares[j], squares[n - j]) for j in range(n + 1)]
+        total = _exact_sum(2 * sum(values) - values[0] - values[-1], "periodic trapezoid")
+        # pi/(2n) (total/2) 2^-bits
+        return QuadratureResult(mp.pi * mp.ldexp(total, -(bits + 1 + n.bit_length())),
+                                err, n + 1)

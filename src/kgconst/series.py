@@ -279,45 +279,55 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
     bounds the two denominators there, and the maximum principle carries
     the bound inside.
 
+    The bounds are taken at 64 bits (quadrature.bound_precision), whose
+    roundings the rule's slack covers.
+
     h_n runs on integers scaled by 2^W, W = prec + 2k + GUARD_BITS, with prec
-    the rule's precision and k = bitlength(4n), and is rounded once: u is
-    read to under one unit 2^-W, and 1 - u^2, c, T by _chebyshev_t and both
+    the rule's precision and k = bitlength(4n), and the rule sums its integer
+    values exactly: it hands h_n the distance X of a pair of points from the
+    ends, and h_n returns its sum at u = X and u = floor(tan(pi/16) 2^W) - X,
+    each within 1.5 units 2^-W of its point (see
+    quadrature.integrate_analytic).  1 - u^2, c, T by _chebyshev_t and both
     quotients are formed in integers, sqrt(2) by math.isqrt.  c is off by
-    under 4 units and |T_m'| <= m^2 < 4^k on [-1, 1], so with the doubling's
-    4^k/3 units T is off by under 5 4^k.  1 - u^2 > 0.96 and
-    1 + 2u - u^2 >= 1 on the interval, so h_n is off by under 2^5 4^k units,
-    under 2^-(prec + GUARD_BITS - 5).
+    under 3 units at u and under 5 at the point, since |dc/du| < 3/4, and
+    |T_m'| <= m^2 < 4^k on [-1, 1], so with the doubling's 4^k/3 units T is
+    off by under 6 4^k.  1 - u^2 > 0.96 and 1 + 2u - u^2 >= 1 on the
+    interval, so h_n is off by under 2^5 4^k units, under
+    2^-(prec + GUARD_BITS - 5).
     """
     if n < 0:
         raise DomainError(f"coefficient index must be >= 0, got {n}")
     with ctx.workprec():
         with quadrature.rule_precision(ctx):
-            root2 = mp.sqrt(2)
-            r = mp.tan(mp.pi / 16) / 2
+            width = mp.tan(mp.pi / 16)
             sign = (-1) ** n
             W = mp.prec + 2 * (4 * n).bit_length() + GUARD_BITS
             one = 1 << W
             twice_root2 = 2 * isqrt(2 << 2 * W)
+            end = int(mp.ldexp(width, W))
 
             def h(u):
-                u = int(mp.ldexp(u, W))
                 p = one - (u * u >> W)
                 t = _chebyshev_t(4 * n, (p << W) // (2 * one - p), W)
-                return mp.ldexp(((t - one) << (W + 1)) // p
-                                + twice_root2 * (sign * t - one) // (p + 2 * u), -W)
+                return (((t - one) << (W + 1)) // p
+                        + twice_root2 * (sign * t - one) // (p + 2 * u))
 
-            def gap(p, rho):
-                # a lower bound on the distance of the real point p from E_rho's boundary
-                x = abs(p / r - 1)
-                rho_p = x + mp.sqrt(x * x - 1)
-                return r / 2 * abs(rho - rho_p) * (1 - 1 / (rho * rho_p))
+            with quadrature.bound_precision():
+                root2 = mp.sqrt(2)
+                r = width / 2
 
-            bounds = [(rho, (1 + mp.cosh(8 * n * mp.atanh(r * (rho - mpf(1) / rho) / 2)))
-                       * (2 / (gap(1, rho) * gap(-1, rho))
-                          + 2 * root2 / (gap(1 - root2, rho) * gap(1 + root2, rho))))
-                      for rho in (2, 4, 8, 16)]
-            integral = mp.log(1 + root2) + quadrature.integrate_analytic(
-                h, 0, 2 * r, ctx, bounds).value
+                def gap(p, rho):
+                    # a lower bound on the distance of the real point p from E_rho's boundary
+                    x = abs(p / r - 1)
+                    rho_p = x + mp.sqrt(x * x - 1)
+                    return r / 2 * abs(rho - rho_p) * (1 - 1 / (rho * rho_p))
+
+                bounds = [(rho, (1 + mp.cosh(8 * n * mp.atanh(r * (rho - mpf(1) / rho) / 2)))
+                           * (2 / (gap(1, rho) * gap(-1, rho))
+                              + 2 * root2 / (gap(1 - root2, rho) * gap(1 + root2, rho))))
+                          for rho in (2, 4, 8, 16)]
+            integral = mp.log(1 + mp.sqrt(2)) + quadrature.integrate_analytic(
+                lambda x: h(x) + h(end - x), 0, width, ctx, bounds, W).value
         return 8 / mp.pi * integral
 
 

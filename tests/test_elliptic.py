@@ -26,6 +26,8 @@ from kgconst.elliptic import (
     legendre_residual,
 )
 
+from integrands import on_integers
+
 K_GRID = ["0.05", "0.3", "0.5", "0.7", "0.9", "0.99"]
 
 
@@ -35,14 +37,16 @@ K_GRID = ["0.05", "0.3", "0.5", "0.7", "0.9", "0.99"]
 # 1 + sin^2 t = cos^2 t + 2 sin^2 t, bounded on strips by elliptic._periodic
 def ellip_K_imag_quadrature(ctx):
     with ctx.workprec():
-        return elliptic._periodic(lambda s2, c2: 1 / mp.sqrt(1 + s2), mpf(2),
-                                  lambda low, high, a: 1 / mp.sqrt(low), ctx).value
+        return elliptic._periodic(
+            lambda K, W: on_integers(lambda s2, c2: 1 / mp.sqrt(1 + s2), W), mpf(2),
+            lambda low, high, a: 1 / mp.sqrt(low), ctx).value
 
 
 def ellip_E_imag_quadrature(ctx):
     with ctx.workprec():
-        return elliptic._periodic(lambda s2, c2: mp.sqrt(1 + s2), mpf(2),
-                                  lambda low, high, a: mp.sqrt(high), ctx).value
+        return elliptic._periodic(
+            lambda K, W: on_integers(lambda s2, c2: mp.sqrt(1 + s2), W), mpf(2),
+            lambda low, high, a: mp.sqrt(high), ctx).value
 
 
 class TestSpecialValues:

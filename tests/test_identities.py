@@ -63,6 +63,11 @@ class TestVerifyAll:
         # Krivine middle; the head is a series
         assert len(intervals) == 4
         assert all(n <= cap // 2 for n, cap in intervals), intervals
+        # the counts the bounds proved before the rules ran on integers and
+        # took their bounds at 64 bits
+        assert [n for n, _ in intervals] == {100: [128, 128, 128, 64],
+                                             200: [256, 256, 256, 128],
+                                             500: [512, 512, 512, 256]}[digits]
 
     @pytest.mark.parametrize("digits", [10, 12, 15])
     def test_everything_passes_at_low_precision(self, digits):

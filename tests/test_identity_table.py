@@ -233,6 +233,33 @@ def test_head_series_value_and_terms(digits):
         assert res.tail_bound < 2 * target
 
 
+@pytest.mark.parametrize("digits, exps", [(200, 128), (500, 256)])
+def test_tail_takes_one_exp_per_pair_of_nodes(digits, exps, monkeypatch):
+    # n = 2 exps intervals: n/2 - 1 pairs of nodes s and L - s and the
+    # midpoint, one exp each, where one sinh per node took n - 1
+    calls = {"exp": 0, "sinh": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(mp, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(mp, name, counting)
+    identities._tail_integral.cache_clear()
+    identities._tail_integral(PrecisionContext(digits=digits))
+    assert calls == {"exp": exps, "sinh": 0}
+
+
+@pytest.mark.parametrize("digits", [10, 50, 200, 500, 1000])
+def test_tail_value_across_the_ladder(digits):
+    # the tail's integer integrand (identities._tail_integral) within the
+    # rule's error bound and rounding of pi^2/8 - L^2/2
+    ctx = PrecisionContext(digits=digits)
+    identities._tail_integral.cache_clear()
+    value = identities._tail_integral(ctx)
+    with mp.workdps(ctx.working_dps + 40):
+        L = mp.log(1 + mp.sqrt(2))
+        assert abs(value - (mp.pi ** 2 / 8 - L ** 2 / 2)) < mpf(10) ** -(ctx.working_dps + 9)
+
+
 def test_appendix_tail_margin_at_66_digits():
     # at 66 digits the tail's Fejer error on 64 intervals, 2.7e-76, lies
     # above the target of 1e-76, so the rule must take 128 (its bound on
@@ -267,6 +294,17 @@ def test_periodic_integrands_make_no_tanh_sinh_call(ident, integrate_calls):
     r = verify(ident, PrecisionContext(digits=200))
     assert r.passed, r.params
     assert integrate_calls == []
+
+
+def test_no_legendre_modulus_is_anothers_complement():
+    # k and k' give the same lhs, with K and K' swapped, so a grid holding
+    # both runs the same two AGMs twice
+    with mp.workdps(60):
+        grid = [mpf(k) for k in identities.LEGENDRE_GRID] + [1 / mp.sqrt(2)]
+        for i, k in enumerate(grid):
+            kp = mp.sqrt((1 - k) * (1 + k))
+            assert all(abs(kp - other) > mpf(10) ** -50
+                       for j, other in enumerate(grid) if j != i), k
 
 
 def test_legendre_relation_computes_each_value_once(monkeypatch):
