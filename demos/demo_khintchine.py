@@ -3,7 +3,7 @@
 The log-space terms decay like ln(n)/n^2, so the raw partial product crawls:
 a million factors buy barely six digits.  The Euler-Maclaurin tail, a series
 in 1/N in closed form, reaches the 15 digits the binary64 explicit sums carry
-from twenty thousand factors, certified by stability across a doubling of
+from two thousand factors, certified by stability across a doubling of
 the explicit range.
 """
 

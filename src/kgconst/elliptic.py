@@ -219,16 +219,6 @@ def legendre_lhs(k, ctx: PrecisionContext) -> BigReal:
         return E * Kp + Ep * K - K * Kp
 
 
-def legendre_residual(k, ctx: PrecisionContext) -> BigReal:
-    """|legendre_lhs(k) - pi/2|.
-
-    The Legendre relation is an independent correctness certificate for the
-    AGM implementation.
-    """
-    with ctx.workprec():
-        return abs(legendre_lhs(k, ctx) - mp.pi / 2)
-
-
 def haagerup_bound(ctx: PrecisionContext) -> BigReal:
     """Haagerup's suggested complex upper limit 1/(2K(i) - E(i))."""
     with ctx.workprec():

@@ -6,6 +6,8 @@ evaluated in log space.  The log-series term f(n) = (ln n/ln 2) ln(1+1/(n(n+2)))
 decays like ln(n)/n^2, so brute force stalls near five digits; the accelerated
 route adds a closed-form Euler-Maclaurin tail to binary64 explicit sums of
 1000 and 2000 terms, and is certified by stability across that doubling.
+Every explicit sum is one binary64 pass, so every partial product carries
+PRODUCT_DIGITS at every working precision.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .errors import DomainError, NoConvergence
 # the fixed tolerance of the desk-scale Khintchine checks, whatever the digits
 STABILITY_TOLERANCE = mpf("1e-8")
 ACCEL_BASE_TERMS = 1_000
-# partial products up to this many factors are summed at working precision,
-# longer ones in binary64
-EXACT_TERMS = 1_000
 # the tail and the zeta-series reference run at TAIL_CTX's 30 working digits
 TAIL_CTX = PrecisionContext(digits=20)
 # the digits the values carry: a binary64 log-series term takes five roundings
@@ -56,24 +55,16 @@ def _log_sum(marks) -> list:
 
 def partial_products(marks, ctx: PrecisionContext) -> list:
     """The partial products over the first N factors for each N of the
-    marks, which ascend from 1 (the n = 1 factor is unity), in one pass.
-
-    Up to EXACT_TERMS factors the log-series terms are taken once at working
-    precision and mp.fsum adds each prefix exactly; the longer products come
-    from one _log_sum pass over their marks.
+    marks, which ascend from 1 (the n = 1 factor is unity), from one
+    _log_sum pass; each carries PRODUCT_DIGITS at every ctx.
     """
     marks = list(marks)
     if not marks:
         return []
     if marks != sorted(marks) or marks[0] < 1:
         raise DomainError(f"factor counts must ascend from 1, got {marks}")
-    exact = [N for N in marks if N <= EXACT_TERMS]
-    binary = marks[len(exact):]
     with ctx.workprec():
-        terms = [mp.log(n) / mp.log(2) * mp.log1p(mpf(1) / (n * (n + 2)))
-                 for n in range(1, max(exact, default=0) + 1)]
-        return ([mp.exp(mp.fsum(terms[:N])) for N in exact]
-                + [mp.exp(mpf(log_sum)) for log_sum in (_log_sum(binary) if binary else ())])
+        return [mp.exp(mpf(log_sum)) for log_sum in _log_sum(marks)]
 
 
 def log_tail_bound(N: int, ctx: PrecisionContext) -> BigReal:
@@ -85,7 +76,8 @@ def log_tail_bound(N: int, ctx: PrecisionContext) -> BigReal:
 
 
 def khintchine_partial(N: int, ctx: PrecisionContext) -> ProductResult:
-    """Partial product over the first N factors (the n = 1 factor is unity)."""
+    """Partial product over the first N factors (the n = 1 factor is unity),
+    to PRODUCT_DIGITS at every ctx."""
     value = partial_products([N], ctx)[0]
     with ctx.workprec():
         tail = value * mp.expm1(log_tail_bound(N, ctx))

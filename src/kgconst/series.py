@@ -373,10 +373,7 @@ def double_series(ctx: PrecisionContext) -> SeriesResult:
     sums are taken N digits deeper, as the integers of _fixed_point_sums,
     floored to the P bits they carry, and _richardson applies the weights to
     them exactly and rounds once.  tail_bound is its distance from the
-    extrapolate of order N - 10 from the same sums.  V_n ascends, so the
-    branch of mp.richardson that extrapolates only the even-index terms of a
-    sequence whose last three do not move monotonically has no use here, nor
-    has the sum V_{2N+1} that it read.
+    extrapolate of order N - 10 from the same sums.
     """
     with ctx.workprec():
         N = ctx.working_dps + 10

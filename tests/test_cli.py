@@ -11,7 +11,6 @@ from kgconst import (
     PrecisionContext,
     elliptic,
     khintchine,
-    khintchine_partial,
     series,
 )
 from kgconst.cli import (
@@ -233,13 +232,12 @@ class TestDigitLadder:
     rounding of the sides, which that deeper run does not reproduce.
 
     The Khintchine trace rows print 15 digits at every --digits, so their
-    references come from the library: the partial product at 2d + 20 digits
-    up to 1000 factors, where it is summed at working precision, and above,
-    where it is summed in binary64, the constant less the Euler-Maclaurin
-    tail (whose next term is below 5e-21 at 10^4 factors).  Each trace
-    residual is held to the distance of the row's reference from the
-    same-precision limit, except the accelerated row's, whose reference is
-    the constant itself.  The series traces print no rows where they need
+    references are 40-digit values: up to 1000 factors, the exponential of
+    the mp.fsum of the mp.log terms, and above, the constant less the
+    Euler-Maclaurin tail (whose next term is below 5e-21 at 10^4 factors).
+    Each trace residual is held to the distance of the row's reference from
+    the same-precision limit, except the accelerated row's, whose reference
+    is the constant itself.  The series traces print no rows where they need
     more than --max-terms terms.
     """
 
@@ -287,7 +285,9 @@ class TestDigitLadder:
             if target == "khintchine_partial":
                 final = khinchin
                 with mp.workdps(40):
-                    references = [khintchine_partial(n, deeper_ctx).value if n <= 1000
+                    terms = [mp.log(n) / mp.log(2) * mp.log1p(mpf(1) / (n * (n + 2)))
+                             for n in range(1, 1001)]
+                    references = [mp.exp(mp.fsum(terms[:n])) if n <= 1000
                                   else khinchin / mp.exp(khintchine._em_log_tail(n))
                                   for n in marks] + [khinchin]
             else:
@@ -371,20 +371,21 @@ class TestTrace:
         assert_digits_of_khinchin(rows[-1][1])
 
     def test_khintchine_rows_take_one_log_sum_pass(self, capsys, monkeypatch):
-        # the binary64 rows come from one pass over their marks, 10^6 terms
-        # in all; the accelerated row is khintchine_accelerated's own pass
+        # every partial-product row comes from one pass over all its marks,
+        # 10^6 terms in all; the accelerated row is khintchine_accelerated's
+        # own pass
         calls = []
         log_sum = khintchine._log_sum
         monkeypatch.setattr(khintchine, "_log_sum",
                             lambda marks: (calls.append(list(marks)), log_sum(marks))[1])
         assert invoke(capsys, "trace", "khintchine_partial")[0] == EXIT_OK
-        assert calls == [[10 ** 4, 10 ** 5, 10 ** 6],
+        assert calls == [[1, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6],
                          [khintchine.ACCEL_BASE_TERMS, 2 * khintchine.ACCEL_BASE_TERMS]]
         # below the accelerated row's factor count, the one pass is all
         calls.clear()
         code = invoke(capsys, "trace", "khintchine_partial", "--max-terms", "1999")[0]
         assert code == EXIT_NOT_CONVERGED
-        assert calls == [[1999]]
+        assert calls == [[1, 10, 100, 1000, 1999]]
 
     def test_khintchine_max_terms_below_accelerated(self, capsys):
         # the accelerated row sums 2 * ACCEL_BASE_TERMS factors, so a cap of
