@@ -30,7 +30,6 @@ class RootResult(NamedTuple):
     x0: BigReal
     residual: BigReal
     iterations: int
-    bracket: tuple
 
 
 def _complement(k):
@@ -301,8 +300,7 @@ def solve_x0(ctx: PrecisionContext) -> RootResult:
             raise NoConvergence(
                 f"root residual {residual} did not reach tolerance {ctx.tolerance}"
             )
-        return RootResult(x0=x0, residual=residual, iterations=evaluations,
-                          bracket=(lo, hi))
+        return RootResult(x0=x0, residual=residual, iterations=evaluations)
 
 
 def kc_upper(ctx: PrecisionContext) -> BigReal:

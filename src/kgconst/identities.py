@@ -32,7 +32,7 @@ class IdentityReport(NamedTuple):
     digits_agreed: int
     passed: bool
     params: dict
-    runtime_ms: float = 0.0
+    runtime_ms: float
 
 
 # k = 0 is excluded: its complement k' = 1 makes K(k') diverge, so the
@@ -171,8 +171,7 @@ def _log_moment_series(prec: int) -> series.SeriesResult:
         e_prev, e = e, e_next
     value = mp.ldexp(((alpha + beta) << (W + 1)) + acc, -(2 * W + 1))
     return series.SeriesResult(value=value, terms_used=K,
-                               tail_bound=mp.ldexp(1 + mpf(32) / K, -(prec + GUARD_BITS)),
-                               converged=True)
+                               tail_bound=mp.ldexp(1 + mpf(32) / K, -(prec + GUARD_BITS)))
 
 
 @lru_cache(maxsize=None)

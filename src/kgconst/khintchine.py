@@ -6,7 +6,7 @@ evaluated in log space.  The log-series term f(n) = (ln n/ln 2) ln(1+1/(n(n+2)))
 decays like ln(n)/n^2, so brute force stalls near five digits; the accelerated
 route adds a closed-form Euler-Maclaurin tail to binary64 explicit sums of
 1000 and 2000 terms, and is certified by stability across that doubling.
-Every explicit sum is one binary64 pass, so every partial product carries
+Every explicit sum is one binary64 fsum, so every partial product carries
 PRODUCT_DIGITS at every working precision.
 """
 
@@ -38,25 +38,23 @@ class ProductResult(NamedTuple):
     value: BigReal
     terms_used: int
     tail_estimate: BigReal
-    accelerated: bool
 
 
 def _log_sum(marks) -> list:
     """sum_{n=1}^{N} (ln n/ln 2) ln(1 + 1/(n(n+2))) for each N of the
     ascending marks, each exactly rounded in binary64.
 
-    The terms up to the last mark are computed once, each a binary64 value,
-    and math.fsum adds each prefix without rounding error.
+    math.fsum adds each mark's prefix of binary64 terms from n = 1, without
+    rounding error, from a generator: no term list is kept.
     """
-    terms = [math.log(n) / _LN2 * math.log1p(1.0 / (n * (n + 2.0)))
-             for n in range(1, marks[-1] + 1)]
-    return [math.fsum(terms[:N]) for N in marks]
+    return [math.fsum(math.log(n) / _LN2 * math.log1p(1.0 / (n * (n + 2.0)))
+                      for n in range(1, N + 1)) for N in marks]
 
 
 def partial_products(marks, ctx: PrecisionContext) -> list:
     """The partial products over the first N factors for each N of the
     marks, which ascend from 1 (the n = 1 factor is unity), from one
-    _log_sum pass; each carries PRODUCT_DIGITS at every ctx.
+    _log_sum call; each carries PRODUCT_DIGITS at every ctx.
     """
     marks = list(marks)
     if not marks:
@@ -81,8 +79,7 @@ def khintchine_partial(N: int, ctx: PrecisionContext) -> ProductResult:
     value = partial_products([N], ctx)[0]
     with ctx.workprec():
         tail = value * mp.expm1(log_tail_bound(N, ctx))
-        return ProductResult(value=value, terms_used=N, tail_estimate=tail,
-                             accelerated=False)
+        return ProductResult(value=value, terms_used=N, tail_estimate=tail)
 
 
 def _em_log_tail(N: int) -> BigReal:
@@ -130,7 +127,7 @@ def khintchine_accelerated(ctx: PrecisionContext) -> ProductResult:
                 f"exceeds {STABILITY_TOLERANCE}"
             )
         return ProductResult(value=values[1], terms_used=2 * ACCEL_BASE_TERMS,
-                             tail_estimate=spread, accelerated=True)
+                             tail_estimate=spread)
 
 
 def zeta_series_value() -> BigReal:

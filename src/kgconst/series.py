@@ -65,15 +65,16 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .core import GUARD_BITS, BigReal, PrecisionContext
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 from . import quadrature
 
 
 class SeriesResult(NamedTuple):
+    """A series value, the terms or partial sums it took, and a bound or
+    estimate of its error; a function returns one only if it met its target."""
     value: BigReal
     terms_used: int
     tail_bound: BigReal
-    converged: bool
 
 
 def inner_term(k: int, ctx: PrecisionContext) -> BigReal:
@@ -373,7 +374,9 @@ def double_series(ctx: PrecisionContext) -> SeriesResult:
     sums are taken N digits deeper, as the integers of _fixed_point_sums,
     floored to the P bits they carry, and _richardson applies the weights to
     them exactly and rounds once.  tail_bound is its distance from the
-    extrapolate of order N - 10 from the same sums.
+    extrapolate of order N - 10 from the same sums; NoConvergence is raised
+    unless it is below ctx.working_tolerance, as for sums without an
+    expansion in powers of 1/n.
     """
     with ctx.workprec():
         N = ctx.working_dps + 10
@@ -384,8 +387,10 @@ def double_series(ctx: PrecisionContext) -> SeriesResult:
             value = _richardson(sums, N)
             bound = abs(value - _richardson(sums, N - 10))
         value, bound = mp.ldexp(mpf(value), -shift), mp.ldexp(mpf(bound), -shift)
-        return SeriesResult(value=value, terms_used=2 * N, tail_bound=bound,
-                            converged=bool(bound < ctx.working_tolerance))
+        if bound >= ctx.working_tolerance:
+            raise NoConvergence(f"double series tail bound {bound} is not below "
+                                f"working tolerance {ctx.working_tolerance}")
+        return SeriesResult(value=value, terms_used=2 * N, tail_bound=bound)
 
 
 def _richardson_weights(N: int) -> list:
@@ -414,8 +419,7 @@ def parseval_closure(ctx: PrecisionContext) -> SeriesResult:
         scale = 128 / mp.pi ** 2
         return SeriesResult(value=a0 ** 2 / 2 + scale * ds.value,
                             terms_used=ds.terms_used,
-                            tail_bound=scale * ds.tail_bound,
-                            converged=ds.converged)
+                            tail_bound=scale * ds.tail_bound)
 
 
 def legendre_chi2(z, ctx: PrecisionContext) -> SeriesResult:
@@ -463,5 +467,4 @@ def legendre_chi2(z, ctx: PrecisionContext) -> SeriesResult:
         j += 1
     with ctx.workprec():
         return SeriesResult(value=mp.ldexp(acc, -P), terms_used=j,
-                            tail_bound=(j + slack) * mp.ldexp(1, -P),
-                            converged=True)
+                            tail_bound=(j + slack) * mp.ldexp(1, -P))

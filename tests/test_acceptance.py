@@ -54,7 +54,7 @@ def test_criterion_1_double_series_identity():
         elapsed = time.perf_counter() - start
         brute = double_series_partial(10 ** 5, ctx)
         cross = abs(ds.value - brute)
-        ok = (residual < mpf("1e-30") and ds.converged
+        ok = (residual < mpf("1e-30") and ds.tail_bound < ctx.working_tolerance
               and ds.tail_bound < ctx.tolerance
               and elapsed < 30 and cross < mpf("1e-15"))
         _report(1, ok,

@@ -371,9 +371,9 @@ class TestTrace:
         assert_digits_of_khinchin(rows[-1][1])
 
     def test_khintchine_rows_take_one_log_sum_pass(self, capsys, monkeypatch):
-        # every partial-product row comes from one pass over all its marks,
-        # 10^6 terms in all; the accelerated row is khintchine_accelerated's
-        # own pass
+        # every partial-product row comes from one _log_sum call over all its
+        # marks, up to 10^6 factors; the accelerated row is
+        # khintchine_accelerated's own call
         calls = []
         log_sum = khintchine._log_sum
         monkeypatch.setattr(khintchine, "_log_sum",
@@ -381,7 +381,7 @@ class TestTrace:
         assert invoke(capsys, "trace", "khintchine_partial")[0] == EXIT_OK
         assert calls == [[1, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6],
                          [khintchine.ACCEL_BASE_TERMS, 2 * khintchine.ACCEL_BASE_TERMS]]
-        # below the accelerated row's factor count, the one pass is all
+        # below the accelerated row's factor count, the one call is all
         calls.clear()
         code = invoke(capsys, "trace", "khintchine_partial", "--max-terms", "1999")[0]
         assert code == EXIT_NOT_CONVERGED

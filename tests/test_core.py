@@ -1,7 +1,17 @@
 import pytest
 from mpmath import mp, mpf
 
-from kgconst import InvalidPrecision, PrecisionContext, const_KG, const_L, const_pi
+from kgconst import (
+    IdentityReport,
+    InvalidPrecision,
+    PrecisionContext,
+    ProductResult,
+    RootResult,
+    SeriesResult,
+    const_KG,
+    const_L,
+    const_pi,
+)
 
 
 def machin_pi(dps):
@@ -74,3 +84,12 @@ def test_tolerance_default_and_override():
     # the digit count is the only setting: the tolerance derives from it
     with pytest.raises(TypeError):
         PrecisionContext(digits=12, tolerance=mpf("1e-8"))
+
+
+def test_records_carry_only_results():
+    # each record holds what the call computed, not what the caller passed or
+    # chose; accelerated results meet their target or raise
+    assert SeriesResult._fields == ("value", "terms_used", "tail_bound")
+    assert ProductResult._fields == ("value", "terms_used", "tail_estimate")
+    assert RootResult._fields == ("x0", "residual", "iterations")
+    assert IdentityReport._field_defaults == {}

@@ -169,7 +169,7 @@ class TestRootSolve:
         assert mp.nstr(root.x0, 16) == "0.8125578588214724"
         assert root.residual < ctx40.tolerance
         assert root.iterations > 0
-        lo, hi = root.bracket
+        lo, hi = elliptic.ROOT_BRACKET
         assert lo < root.x0 < hi
         assert abs(lo - mpf("0.01")) < mpf("1e-15")
         assert abs(hi - mpf("0.99")) < mpf("1e-15")
@@ -277,7 +277,7 @@ def record_solve(monkeypatch, digits):
 
 def test_solve_computes_bracket_ends_once(monkeypatch):
     root, points = record_solve(monkeypatch, 50)
-    lo, hi = root.bracket
+    lo, hi = elliptic.ROOT_BRACKET
     assert points.count(lo) == 1
     assert points.count(hi) == 1
     # every evaluation computed, except the residual gate's at x0

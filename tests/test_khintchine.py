@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from mpmath import mp, mpf
 
@@ -29,7 +31,6 @@ class TestPartialProduct:
         # the binary64 log sum holds the product to 2e-15 (PRODUCT_DIGITS)
         assert abs(p2.value - mpf(9) / 8) < mpf("2e-15")
         assert p2.terms_used == 2
-        assert not p2.accelerated
 
     def test_monotone_increasing(self, ctx15):
         values = [khintchine_partial(N, ctx15).value
@@ -57,13 +58,13 @@ class TestPartialProduct:
 
     @pytest.mark.parametrize("marks", [[1, 5000, 2000], [2000, 10]])
     def test_marks_must_ascend_from_one(self, ctx15, marks):
-        # out of order, the largest mark is not the last one, so the one
-        # pass would stop short of it
+        # marks are factor counts ascending from 1, as the trace's
+        # checkpoints are; a list out of order is refused, not reordered
         with pytest.raises(DomainError):
             partial_products(marks, ctx15)
 
     def test_one_pass_gives_each_partial_product(self, ctx15, monkeypatch):
-        # every mark, short or long, from one _log_sum pass
+        # every mark, short or long, from one _log_sum call
         marks = [1, 2, 10, 1000, 1001, 5000, 20_000]
         expected = [khintchine_partial(N, ctx15).value for N in marks]
         calls = []
@@ -71,6 +72,17 @@ class TestPartialProduct:
                             lambda m: (calls.append(list(m)), _log_sum(m))[1])
         assert partial_products(marks, ctx15) == expected
         assert calls == [marks]
+
+    def test_keeps_no_term_list(self, ctx15):
+        # each prefix is summed from a generator, so memory does not grow
+        # with the factor count
+        tracemalloc.start()
+        try:
+            partial_products([1, 10 ** 5], ctx15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
 
 class TestTailBound:
@@ -89,7 +101,6 @@ class TestTailBound:
 class TestAccelerated:
     def test_eight_digit_value(self, ctx15):
         res = khintchine_accelerated(ctx15)
-        assert res.accelerated
         assert abs(res.value - KNOWN) < mpf("1e-8")
         assert mp.nstr(res.value, 7) == "2.685452"
 
@@ -148,7 +159,7 @@ def test_product_with_tail_carries_fifteen_digits(N):
 
 
 def test_stability_row_sums_at_most_two_thousand_terms(monkeypatch):
-    # one binary64 pass, up to 2 ACCEL_BASE_TERMS, per KHINTCHINE_STABILITY row
+    # one _log_sum call, up to 2 ACCEL_BASE_TERMS factors, per KHINTCHINE_STABILITY row
     lengths = []
     monkeypatch.setattr(khintchine, "_log_sum",
                         lambda marks: (lengths.append(marks[-1]), _log_sum(marks))[1])

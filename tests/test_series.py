@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 from kgconst import (
     DomainError,
     IdentityId,
+    NoConvergence,
     PrecisionContext,
     const_L,
     const_pi,
@@ -22,8 +23,9 @@ from kgconst import (
     partial_sum_S,
     partial_sums,
     verify,
+    verify_all,
 )
-from kgconst import quadrature, series
+from kgconst import cli, quadrature, series
 from kgconst.series import _terms_to_tolerance, inner_term_magnitude
 from kgconst.core import GUARD_BITS
 
@@ -314,12 +316,29 @@ class TestRecurrence:
         assert verify(IdentityId.RECURRENCE, ctx40, n=n).residual < mpf("1e-30")
 
 
+@pytest.fixture
+def perturbed_sums(monkeypatch):
+    """Adds (-1)^n/n^5 to every fixed-point partial sum at n, with the
+    double_series memo cleared on entry and exit."""
+    kernel = series._fixed_point_sums
+
+    def perturbed(marks, *, squared=False):
+        sums, shift = kernel(marks, squared=squared)
+        return [v + (-1) ** n * (1 << shift) // n ** 5
+                for n, v in zip(marks, sums)], shift
+
+    monkeypatch.setattr(series, "_fixed_point_sums", perturbed)
+    double_series.cache_clear()
+    yield
+    double_series.cache_clear()
+
+
 class TestDoubleSeries:
     def test_value_against_boxed_closed_form(self, ctx30):
         ds = double_series(ctx30)
         with ctx30.workprec():
             closed = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
-        assert ds.converged
+        assert ds.tail_bound < ctx30.working_tolerance
         assert ds.tail_bound < ctx30.tolerance
         assert abs(ds.value - closed) < ctx30.tolerance
 
@@ -348,7 +367,7 @@ class TestDoubleSeries:
         ds = double_series(ctx)
         with ctx.workprec():
             closed = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
-        assert ds.converged
+        assert ds.tail_bound < ctx.working_tolerance
         assert abs(ds.value - closed) < ctx.tolerance
 
     def test_miss_makes_no_quadrature_call(self, monkeypatch):
@@ -361,7 +380,7 @@ class TestDoubleSeries:
 
         monkeypatch.setattr(quadrature, "integrate_analytic", counting)
         double_series.cache_clear()
-        assert double_series(PrecisionContext(digits=45)).converged
+        double_series(PrecisionContext(digits=45))
         assert calls == []
 
     @pytest.mark.parametrize("digits", [10, 20, 50, 200, 500, 1000])
@@ -370,7 +389,6 @@ class TestDoubleSeries:
         ds = double_series(ctx)
         with mp.workdps(ctx.working_dps + 40):
             closed = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
-            assert ds.converged
             assert ds.tail_bound < ctx.working_tolerance
             assert abs(ds.value - closed) < ctx.working_tolerance
 
@@ -390,28 +408,29 @@ class TestDoubleSeries:
 
         monkeypatch.setattr(series, "_richardson_weights", recording)
         double_series.cache_clear()
-        assert double_series(ctx).converged
+        double_series(ctx)
         assert calls
         for weight, extra in calls:
             assert 1 < weight < mpf(10) ** extra
 
     @pytest.mark.parametrize("digits", [30, 100])
-    def test_perturbed_sums_not_converged(self, digits, monkeypatch):
+    def test_perturbed_sums_not_converged(self, digits, perturbed_sums):
         # a (-1)^n/n^5 component has no expansion in powers of 1/n, so the
-        # extrapolates of two orders disagree
-        kernel = series._fixed_point_sums
+        # extrapolates of two orders disagree by more than working tolerance
+        with pytest.raises(NoConvergence, match="not below working tolerance"):
+            double_series(PrecisionContext(digits=digits))
 
-        def perturbed(marks, *, squared=False):
-            sums, shift = kernel(marks, squared=squared)
-            return [v + (-1) ** n * (1 << shift) // n ** 5
-                    for n, v in zip(marks, sums)], shift
-
-        monkeypatch.setattr(series, "_fixed_point_sums", perturbed)
-        double_series.cache_clear()
-        ds = double_series(PrecisionContext(digits=digits))
-        double_series.cache_clear()
-        assert not ds.converged
-        assert ds.tail_bound >= PrecisionContext(digits=digits).working_tolerance
+    def test_perturbed_sums_fail_only_the_double_series_rows(self, perturbed_sums):
+        # the raise becomes a failed report in each row that reads V, and the
+        # CLI exits as not converged
+        reports = verify_all(PrecisionContext(digits=30))
+        failed = {r.id for r in reports if not r.passed}
+        assert failed == {IdentityId.PARSEVAL_DOUBLE_SERIES,
+                          IdentityId.PARSEVAL_CLOSURE, IdentityId.KG_FROM_SERIES}
+        for r in reports:
+            if r.id in failed:
+                assert r.params["error"].startswith("NoConvergence")
+        assert cli.run(["verify", "all", "--digits", "30"]) == cli.EXIT_NOT_CONVERGED
 
     @pytest.mark.parametrize("digits", [10, 50, 200])
     def test_integer_richardson_matches_mpmath(self, digits):
