@@ -205,8 +205,7 @@ def _run_verify(ns) -> int:
     _write(ns, records, [f"{'PASS' if rec['passed'] else 'FAIL'} {rec['target']}: "
                          f"residual={rec['residual']} digits_agreed={rec['digits_agreed']}"
                          for rec in records])
-    not_converged = any("error" in r.params and "NoConvergence" in r.params["error"]
-                        for r in reports)
+    not_converged = any(r.error and r.error.startswith("NoConvergence") for r in reports)
     if not all(r.passed for r in reports):
         return EXIT_NOT_CONVERGED if not_converged else EXIT_IDENTITY_FAILED
     return EXIT_OK

@@ -1,7 +1,7 @@
 """Registry of every verifiable identity, with residual reports.
 
 Each identity is one row of ``_TABLE``, keyed by its name: its paper anchor,
-a ``sides`` callable returning ``(lhs, rhs, extra)`` from independent routes
+``lhs`` and ``rhs`` callables giving its two sides by independent routes
 through the owning modules, and a fixed tolerance where the check is
 intrinsically desk-scale (the 15-digit Khintchine product).  The table is
 the registry: ``IdentityId`` is built from its keys.  ``verify`` reports the
@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 from mpmath import mp, mpf
 
 from .core import GUARD_BITS, BigReal, PrecisionContext, const_KG, const_L
-from .errors import DomainError
 from . import elliptic, khintchine, quadrature, series
 
 
@@ -31,7 +30,7 @@ class IdentityReport(NamedTuple):
     residual: BigReal
     digits_agreed: int
     passed: bool
-    params: dict
+    error: str | None  # "<Type>: <message>" when a route raised
     runtime_ms: float
 
 
@@ -41,11 +40,15 @@ class IdentityReport(NamedTuple):
 # lhs bit for bit
 LEGENDRE_GRID = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.9",
                  "0.999")  # plus 1/sqrt(2), added at working precision
+RECURRENCE_N = 7  # the index n of RECURRENCE
+COEFF_N = 3  # the index n of COEFF_VS_QUADRATURE
+KRIVINE_X = mpf("0.5")  # the modulus x of KRIVINE_COMPLEX_MIDDLE_EQUALITY
 
 
 class _Row(NamedTuple):
     anchor: str
-    sides: Callable  # (ctx, **the row's own keywords) -> (lhs, rhs, extra)
+    lhs: Callable  # ctx -> the side at working precision; a route looks up
+    rhs: Callable  # the public functions it calls when it runs
     tolerance: BigReal | None = None  # None: ctx.tolerance
 
 
@@ -208,109 +211,93 @@ _CHI2_ROUTE = "; = 2 atanh(e^-x), int = 2 chi_2(sqrt(2)-1) by series"
 _HEAD_ROUTE = "; int = L^2 + Chebyshev log-moment series"
 
 
+def _kg(ctx):
+    return const_KG(ctx)
+
+
 def _appendix(spelling, tail_integral, route=""):
     """Row of the appendix identity pi^2 = 4L^2 + 8 int_L^inf f."""
     return _Row(f"pi^2 = 4L^2 + 8 int_L^inf {spelling} dx{route}",
-                lambda ctx: (mp.pi ** 2,
-                             4 * const_L(ctx) ** 2 + 8 * tail_integral(ctx), {}))
+                lambda ctx: mp.pi ** 2,
+                lambda ctx: 4 * const_L(ctx) ** 2 + 8 * tail_integral(ctx))
 
 
 def _kg_fixed_point(integral, tail):
     """K_G = 1/sqrt(+-(1 - (8/pi^2) int f)), the integral limit being pi/(2 K_G) = L."""
-    def sides(ctx):
+    def rhs(ctx):
         inner = 8 / mp.pi ** 2 * integral(ctx)
-        return const_KG(ctx), 1 / mp.sqrt(1 - inner if tail else inner - 1), {}
-    return sides
+        return 1 / mp.sqrt(1 - inner if tail else inner - 1)
+    return rhs
 
 
-def _kg_definition(ctx):
-    # rhs takes L from its defining property sinh(L) = 1 (exp path, no log)
-    L = mp.findroot(lambda x: mp.sinh(x) - 1, mpf("0.88"))
-    return const_KG(ctx), mp.pi / (2 * L), {}
-
-
-def _recurrence(ctx, n=7):
-    if n < 1:
-        # fourier_a(n - 1) would name index n - 1 in its error, not n
-        raise DomainError(f"recurrence index must be >= 1, got {n}")
-    sign = 1 if n % 2 == 0 else -1
-    lhs = series.fourier_a(n, ctx) - series.fourier_a(n - 1, ctx)
-    rhs = 8 * mp.sqrt(2) / mp.pi * sign * (mpf(1) / (4 * n - 3) - mpf(1) / (4 * n - 1))
-    return lhs, rhs, {"n": n}
-
-
-def _coeff_vs_quadrature(ctx, n=3):
-    return series.fourier_a(n, ctx), series.fourier_a_quadrature(n, ctx), {"n": n}
-
-
-def _krivine_middle(ctx, x="0.5"):
-    x = mpf(x)
-    return (elliptic.krivine_complex_lhs(x, ctx),
-            elliptic.krivine_complex_middle(x, ctx), {"x": x})
-
-
-def _legendre(ctx):
-    grid = [mpf(k) for k in LEGENDRE_GRID] + [1 / mp.sqrt(2)]
+def _legendre_worst(ctx):
+    """The Legendre combination farthest from pi/2 over the grid."""
     half_pi = mp.pi / 2
-    worst_k, lhs = max(((k, elliptic.legendre_lhs(k, ctx)) for k in grid),
-                       key=lambda pair: abs(pair[1] - half_pi))
-    return lhs, half_pi, {"worst_k": worst_k, "grid_size": len(grid)}
-
-
-def _khintchine_stability(ctx):
-    res = khintchine.khintchine_accelerated(ctx)
-    return res.value, khintchine.zeta_series_value(), {"terms_used": res.terms_used}
+    grid = [mpf(k) for k in LEGENDRE_GRID] + [1 / mp.sqrt(2)]
+    return max((elliptic.legendre_lhs(k, ctx) for k in grid),
+               key=lambda lhs: abs(lhs - half_pi))
 
 
 _TABLE = {
     "PARSEVAL_DOUBLE_SERIES": _Row(
         "boxed double series = pi/16 - ln^2(1+sqrt(2))/4",
-        lambda ctx: (series.double_series(ctx).value,
-                     mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4, {})),
+        lambda ctx: series.double_series(ctx).value,
+        lambda ctx: mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4),
     "PARSEVAL_CLOSURE": _Row(
         "a0^2/2 + sum a_n^2 = 8/pi (Parseval for 1/cos(x/4))",
-        lambda ctx: (series.parseval_closure(ctx).value, 8 / mp.pi, {})),
-    "KG_DEFINITION": _Row("K_G = pi/(2 ln(1+sqrt(2)))", _kg_definition),
+        lambda ctx: series.parseval_closure(ctx).value, lambda ctx: 8 / mp.pi),
+    # the rhs takes L from its defining property sinh(L) = 1 (exp path, no log)
+    "KG_DEFINITION": _Row(
+        "K_G = pi/(2 ln(1+sqrt(2)))", _kg,
+        lambda ctx: mp.pi / (2 * mp.findroot(lambda x: mp.sinh(x) - 1, mpf("0.88")))),
     # the paper's other boxed form, V = (pi/16)(1 - pi/K_G^2), is this
     # equation solved for V: its residual is this one's times about pi^2/(8 K_G^3)
     "KG_FROM_SERIES": _Row(
-        "K_G = pi/sqrt(pi - 16 * double series)",
-        lambda ctx: (const_KG(ctx),
-                     mp.pi / mp.sqrt(mp.pi - 16 * series.double_series(ctx).value), {})),
+        "K_G = pi/sqrt(pi - 16 * double series)", _kg,
+        lambda ctx: mp.pi / mp.sqrt(mp.pi - 16 * series.double_series(ctx).value)),
     "RECURRENCE": _Row(
-        "a_n - a_{n-1} = (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]", _recurrence),
+        "a_n - a_{n-1} = (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]",
+        lambda ctx: (series.fourier_a(RECURRENCE_N, ctx)
+                     - series.fourier_a(RECURRENCE_N - 1, ctx)),
+        lambda ctx: (8 * mp.sqrt(2) / mp.pi * (-1) ** RECURRENCE_N
+                     * (mpf(1) / (4 * RECURRENCE_N - 3) - mpf(1) / (4 * RECURRENCE_N - 1)))),
     "COEFF_VS_QUADRATURE": _Row(
-        "closed-form a_n vs (8/pi) int cos(4nt)/cos(t) dt", _coeff_vs_quadrature),
+        "closed-form a_n vs (8/pi) int cos(4nt)/cos(t) dt",
+        lambda ctx: series.fourier_a(COEFF_N, ctx),
+        lambda ctx: series.fourier_a_quadrature(COEFF_N, ctx)),
     "APPENDIX_A1": _appendix("arcsinh(csch x)", _tail_integral),
     "APPENDIX_A2_CORRECTED": _Row(
         "pi^2 + 4L^2 = 8 int_0^L arcsinh(csch x) dx (corrected)" + _HEAD_ROUTE,
-        lambda ctx: (mp.pi ** 2 + 4 * const_L(ctx) ** 2,
-                     8 * _head_integral(ctx),
-                     {"as_printed": "ambiguous"})),
+        lambda ctx: mp.pi ** 2 + 4 * const_L(ctx) ** 2,
+        lambda ctx: 8 * _head_integral(ctx)),
     "APPENDIX_A3": _appendix("arccosh(coth x)", _chi2_tail, _CHI2_ROUTE),
     "APPENDIX_A4": _appendix("arctanh(sech x)", _chi2_tail, _CHI2_ROUTE),
     "FIXED_POINT_1": _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arcsinh(csch))",
-        _kg_fixed_point(_tail_integral, True)),
+        _kg, _kg_fixed_point(_tail_integral, True)),
     "FIXED_POINT_2": _Row(
         "K_G = 1/sqrt((8/pi^2) int_0^{pi/2K_G} arcsinh(csch) - 1)" + _HEAD_ROUTE,
-        _kg_fixed_point(_head_integral, False)),
+        _kg, _kg_fixed_point(_head_integral, False)),
     "FIXED_POINT_3": _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arccosh(coth))" + _CHI2_ROUTE,
-        _kg_fixed_point(_chi2_tail, True)),
+        _kg, _kg_fixed_point(_chi2_tail, True)),
     "FIXED_POINT_4": _Row(
         "K_G = 1/sqrt(1 - (8/pi^2) int_{pi/2K_G}^inf arctanh(sech))" + _CHI2_ROUTE,
-        _kg_fixed_point(_chi2_tail, True)),
+        _kg, _kg_fixed_point(_chi2_tail, True)),
     "HAAGERUP_CONSISTENCY": _Row(
         "1/(2K(i)-E(i)) vs 1/int cos^2/sqrt(1+sin^2)",
-        lambda ctx: (elliptic.haagerup_bound(ctx),
-                     elliptic.haagerup_bound_quadrature(ctx), {})),
+        lambda ctx: elliptic.haagerup_bound(ctx),
+        lambda ctx: elliptic.haagerup_bound_quadrature(ctx)),
     "KRIVINE_COMPLEX_MIDDLE_EQUALITY": _Row(
-        "x int cos^2/sqrt(1-x^2 sin^2) = (1/x)[E(x)-(1-x^2)K(x)]", _krivine_middle),
-    "LEGENDRE_RELATION": _Row("E K' + E' K - K K' = pi/2", _legendre),
+        "x int cos^2/sqrt(1-x^2 sin^2) = (1/x)[E(x)-(1-x^2)K(x)]",
+        lambda ctx: elliptic.krivine_complex_lhs(KRIVINE_X, ctx),
+        lambda ctx: elliptic.krivine_complex_middle(KRIVINE_X, ctx)),
+    "LEGENDRE_RELATION": _Row("E K' + E' K - K K' = pi/2", _legendre_worst,
+                              lambda ctx: mp.pi / 2),
     "KHINTCHINE_STABILITY": _Row(
         "Gauss-Kuz'min product (Euler-Maclaurin tail) = zeta-series value (mpmath)",
-        _khintchine_stability, khintchine.STABILITY_TOLERANCE),
+        lambda ctx: khintchine.khintchine_accelerated(ctx).value,
+        lambda ctx: khintchine.zeta_series_value(), khintchine.STABILITY_TOLERANCE),
 }
 
 IdentityId = Enum("IdentityId", [(name, name) for name in _TABLE], type=str)
@@ -328,28 +315,29 @@ def _digits_agreed(residual, lhs, rhs, cap):
     return max(0, min(d, cap))
 
 
-def verify(identity, ctx: PrecisionContext, **params) -> IdentityReport:
+def verify(identity, ctx: PrecisionContext) -> IdentityReport:
     """Evaluate both sides of one identity and report the residual.
 
     An unknown id raises ValueError; any error while evaluating a registered
-    identity (a library error or a bad parameter) becomes a failed report.
+    identity becomes a failed report, its error named in ``error``.
     """
     identity = IdentityId(identity)
     row = _TABLE[identity]
     tol = ctx.tolerance if row.tolerance is None else row.tolerance
+    error = None
     start = time.perf_counter()
     with ctx.workprec():
         try:
-            lhs, rhs, extra = row.sides(ctx, **params)
+            lhs, rhs = row.lhs(ctx), row.rhs(ctx)
             residual = abs(lhs - rhs)
             passed = bool(residual < tol)
             digits = _digits_agreed(residual, lhs, rhs, ctx.digits)
         except Exception as exc:
             lhs = rhs = mpf(0)
             residual, digits, passed = mp.inf, 0, False
-            extra = {"error": f"{type(exc).__name__}: {exc}"}
+            error = f"{type(exc).__name__}: {exc}"
     return IdentityReport(id=identity, lhs=lhs, rhs=rhs, residual=residual,
-                          digits_agreed=digits, passed=passed, params=dict(extra),
+                          digits_agreed=digits, passed=passed, error=error,
                           runtime_ms=(time.perf_counter() - start) * 1000)
 
 

@@ -59,8 +59,8 @@ def partial_products(marks, ctx: PrecisionContext) -> list:
     marks = list(marks)
     if not marks:
         return []
-    if marks != sorted(marks) or marks[0] < 1:
-        raise DomainError(f"factor counts must ascend from 1, got {marks}")
+    if not all(isinstance(m, int) for m in marks) or marks != sorted(marks) or marks[0] < 1:
+        raise DomainError(f"factor counts must be integers ascending from 1, got {marks}")
     with ctx.workprec():
         return [mp.exp(mpf(log_sum)) for log_sum in _log_sum(marks)]
 

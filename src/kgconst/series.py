@@ -145,8 +145,10 @@ def partial_sums(indices, ctx: PrecisionContext, *, squared: bool = False) -> li
     indices = list(indices)
     if not indices:
         return []
-    if indices != sorted(indices) or indices[0] < int(squared):
-        raise DomainError(f"indices must ascend from {int(squared)}, got {indices}")
+    if (not all(isinstance(n, int) for n in indices) or indices != sorted(indices)
+            or indices[0] < int(squared)):
+        raise DomainError(f"indices must be integers ascending from {int(squared)}, "
+                          f"got {indices}")
     with ctx.workprec():
         sums, shift = _fixed_point_sums(indices, squared=squared)
         return [mp.ldexp(v if squared else mpf(v), -shift) for v in sums]
@@ -154,8 +156,6 @@ def partial_sums(indices, ctx: PrecisionContext, *, squared: bool = False) -> li
 
 def partial_sum_S(n: int, ctx: PrecisionContext) -> BigReal:
     """S_n = sum_{k=1}^{n} (-1)^{k-1} (1/(4k-3) - 1/(4k-1)); S_0 = 0."""
-    if n < 0:
-        raise DomainError(f"partial sum index must be >= 0, got {n}")
     return partial_sums([n], ctx)[0]
 
 
@@ -173,8 +173,8 @@ def fourier_a(n: int, ctx: PrecisionContext) -> BigReal:
     inner terms by _inner_tail, so the cost does not grow with n and no
     partial sum S_n is formed.
     """
-    if n < 0:
-        raise DomainError(f"coefficient index must be >= 0, got {n}")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"coefficient index must be an integer >= 0, got {n!r}")
     with ctx.workprec():
         if n == 0:
             return 8 / mp.pi * mp.log(1 + mp.sqrt(2))
@@ -296,8 +296,8 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
     interval, so h_n is off by under 2^5 4^k units, under
     2^-(prec + GUARD_BITS - 5).
     """
-    if n < 0:
-        raise DomainError(f"coefficient index must be >= 0, got {n}")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"coefficient index must be an integer >= 0, got {n!r}")
     with ctx.workprec():
         with quadrature.rule_precision(ctx):
             width = mp.tan(mp.pi / 16)
@@ -358,8 +358,6 @@ def _terms_to_tolerance(digits: int, *, squared: bool = False) -> int:
 def double_series_partial(N: int, ctx: PrecisionContext) -> BigReal:
     """Brute-force partial sum sum_{n=1}^{N} T_n^2, the independent
     cross-check route for double_series."""
-    if N < 1:
-        raise DomainError(f"partial sum length must be >= 1, got {N}")
     return partial_sums([N], ctx, squared=True)[0]
 
 

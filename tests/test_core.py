@@ -11,6 +11,7 @@ from kgconst import (
     const_KG,
     const_L,
     const_pi,
+    verify,
 )
 
 
@@ -92,4 +93,8 @@ def test_records_carry_only_results():
     assert SeriesResult._fields == ("value", "terms_used", "tail_bound")
     assert ProductResult._fields == ("value", "terms_used", "tail_estimate")
     assert RootResult._fields == ("x0", "residual", "iterations")
+    assert IdentityReport._fields == ("id", "lhs", "rhs", "residual", "digits_agreed",
+                                      "passed", "error", "runtime_ms")
     assert IdentityReport._field_defaults == {}
+    # a report names an error only when a route raised
+    assert verify("KG_DEFINITION", PrecisionContext(digits=20)).error is None

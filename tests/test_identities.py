@@ -57,7 +57,7 @@ class TestVerifyAll:
         identities._head_integral.cache_clear()
         series.double_series.cache_clear()
         reports = verify_all(PrecisionContext(digits=digits))
-        failures = [(r.id.value, r.params.get("error")) for r in reports if not r.passed]
+        failures = [(r.id.value, r.error) for r in reports if not r.passed]
         assert failures == []
         # Fejer for a_3 and the tail, the trapezoid for Haagerup and the
         # Krivine middle; the head is a series
@@ -74,7 +74,7 @@ class TestVerifyAll:
         # the scaled series forms (PARSEVAL_CLOSURE, KG_FROM_SERIES) need V
         # beyond ctx.tolerance
         reports = verify_all(PrecisionContext(digits=digits))
-        failures = [(r.id.value, r.params.get("error")) for r in reports if not r.passed]
+        failures = [(r.id.value, r.error) for r in reports if not r.passed]
         assert failures == []
         short = [r.id.value for r in reports if r.digits_agreed < digits]
         assert short in ([], ["KHINTCHINE_STABILITY"])
@@ -85,7 +85,7 @@ class TestVerifyAll:
     @settings(max_examples=5, derandomize=True, deadline=None)
     def test_everything_passes_at_drawn_digit_counts(self, digits):
         reports = verify_all(PrecisionContext(digits=digits))
-        failures = [(r.id.value, r.params.get("error")) for r in reports if not r.passed]
+        failures = [(r.id.value, r.error) for r in reports if not r.passed]
         assert len(reports) == 18 and failures == []
 
     def test_everything_passes_at_20_digits(self, reports):
@@ -119,11 +119,6 @@ class TestSingleVerify:
         with pytest.raises(ValueError):
             verify("NOT_AN_IDENTITY", PrecisionContext(digits=20))
 
-    def test_params_recorded(self):
-        r = verify(IdentityId.RECURRENCE, PrecisionContext(digits=20), n=13)
-        assert r.params["n"] == 13
-        assert r.passed
-
     def test_library_errors_become_failed_reports(self, monkeypatch):
         # a NoConvergence from the series layer surfaces as a failed report,
         # not an exception
@@ -134,7 +129,7 @@ class TestSingleVerify:
         r = verify(IdentityId.PARSEVAL_DOUBLE_SERIES, PrecisionContext(digits=30))
         assert not r.passed
         assert r.residual == mp.inf
-        assert r.params["error"] == "NoConvergence: double series did not converge"
+        assert r.error == "NoConvergence: double series did not converge"
 
     def test_khintchine_uses_fixed_tolerance(self):
         # the product is desk-scale: it passes at high ctx digits because its
@@ -157,5 +152,5 @@ class TestSelectedIdentitiesAtThirtyDigits:
     ])
     def test_passes(self, ident, ctx30):
         r = verify(ident, ctx30)
-        assert r.passed, r.params
+        assert r.passed, r.error
         assert r.residual < mpf("1e-25")

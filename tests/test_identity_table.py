@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from kgconst import (
+    DomainError,
     IdentityId,
     PrecisionContext,
     elliptic,
@@ -36,20 +37,32 @@ SPELLINGS = {
 }
 
 
-@pytest.mark.parametrize("ident, params, error", [
-    (IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY, {"x": "0"}, "DomainError: "),
-    (IdentityId.COEFF_VS_QUADRATURE, {"n": "x"}, "TypeError: "),
-    (IdentityId.RECURRENCE, {"n": 0},
-     "DomainError: recurrence index must be >= 1, got 0"),
-    # a row takes only its own keywords
-    (IdentityId.RECURRENCE, {"N": 9}, "TypeError: "),
-    (IdentityId.PARSEVAL_CLOSURE, {"n": 3}, "TypeError: "),
-])
-def test_bad_params_become_failed_reports(ident, params, error):
-    r = verify(ident, PrecisionContext(digits=20), **params)
-    assert not r.passed
+@pytest.mark.parametrize("ident, module, name, exc", [
+    # a route of each side: a_n on RECURRENCE's lhs, the middle expression
+    # on the Krivine row's rhs
+    (IdentityId.RECURRENCE, series, "fourier_a", DomainError),
+    (IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY, elliptic, "krivine_complex_middle",
+     TypeError),
+], ids=["lhs", "rhs"])
+def test_route_errors_become_failed_reports(ident, module, name, exc, monkeypatch):
+    def raising(*args, **kwargs):
+        raise exc("route failed")
+
+    monkeypatch.setattr(module, name, raising)
+    r = verify(ident, PrecisionContext(digits=20))
+    assert r.passed is False
     assert r.residual == mp.inf
-    assert r.params["error"].startswith(error)
+    assert r.error == f"{exc.__name__}: route failed"
+
+
+def test_routes_call_the_patched_function(monkeypatch):
+    # each route looks up the function it calls when it runs, so a patched
+    # haagerup_bound fails its row, and only that row
+    haagerup_bound = elliptic.haagerup_bound
+    monkeypatch.setattr(elliptic, "haagerup_bound",
+                        lambda ctx: haagerup_bound(ctx) * (1 + mpf("1e-25")))
+    reports = identities.verify_all(PrecisionContext(digits=30))
+    assert [r.id for r in reports if not r.passed] == [IdentityId.HAAGERUP_CONSISTENCY]
 
 
 def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
@@ -87,7 +100,7 @@ def test_verify_all_without_digamma(monkeypatch):
     _clear_memos()
     reports = identities.verify_all(PrecisionContext(digits=50))
     assert len(reports) == 18
-    assert [(r.id, r.params.get("error")) for r in reports if not r.passed] == []
+    assert [(r.id, r.error) for r in reports if not r.passed] == []
 
 
 def test_shifted_accelerator_fails_only_its_rows(monkeypatch):
@@ -148,13 +161,13 @@ def test_fixed_point_reuses_appendix_integral(appendix, fixed_point, integrate_c
     assert verify(appendix, ctx).passed
     assert (len(integrate_calls), len(head_series_calls)) == (quadratures, head_series)
     r = verify(fixed_point, ctx)
-    assert r.passed, r.params
+    assert r.passed, r.error
     assert (len(integrate_calls), len(head_series_calls)) == (quadratures, head_series)
 
 
 def test_fixed_point_alone_computes_its_integral(integrate_calls, head_series_calls):
     r = verify(IdentityId.FIXED_POINT_2, PrecisionContext(digits=27))
-    assert r.passed, r.params
+    assert r.passed, r.error
     assert r.residual < mpf("1e-27")
     assert integrate_calls == []
     assert len(head_series_calls) == 1
@@ -178,7 +191,7 @@ def test_analytic_evaluations_at_200_digits(ident, max_evaluations, integrate_ca
     # u = tan(t/2), and the tail as int_0^L s/sinh s), where tanh-sinh took
     # 1,495 evaluations for each
     r = verify(ident, PrecisionContext(digits=200))
-    assert r.passed, r.params
+    assert r.passed, r.error
     assert len(integrate_calls) == 1
     assert integrate_calls[0].evaluations <= max_evaluations
 
@@ -189,7 +202,7 @@ def test_analytic_evaluations_at_500_digits(ident, integrate_calls):
     # n = 512 for each; a_3 folded in t and the tail in v = 1 - u took
     # 1,023 each
     r = verify(ident, PrecisionContext(digits=500))
-    assert r.passed, r.params
+    assert r.passed, r.error
     assert len(integrate_calls) == 1
     assert integrate_calls[0].evaluations <= 511
 
@@ -200,7 +213,7 @@ def test_head_takes_its_series_not_a_quadrature(digits, max_terms, integrate_cal
     # the head, taken at the rule's precision, 10 digits beyond the working
     # one: no Fejer node, and the log-moment series' terms fall as 7.52^-k
     r = verify(IdentityId.APPENDIX_A2_CORRECTED, PrecisionContext(digits=digits))
-    assert r.passed, r.params
+    assert r.passed, r.error
     assert integrate_calls == []
     [res] = head_series_calls
     assert res.terms_used <= max_terms
@@ -266,7 +279,7 @@ def test_appendix_tail_margin_at_66_digits():
     # E_11 is 5.6e-66 at 64 and 1.2e-132 at 128)
     ctx = PrecisionContext(digits=66)
     r = verify(IdentityId.APPENDIX_A1, ctx)
-    assert r.passed, r.params
+    assert r.passed, r.error
     with ctx.workprec():
         assert r.residual < ctx.tolerance * mpf(10) ** -9
 
@@ -292,7 +305,7 @@ def test_spellings_are_two_atanh_exp(x, digits):
                                    IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY])
 def test_periodic_integrands_make_no_tanh_sinh_call(ident, integrate_calls):
     r = verify(ident, PrecisionContext(digits=200))
-    assert r.passed, r.params
+    assert r.passed, r.error
     assert integrate_calls == []
 
 
@@ -312,10 +325,10 @@ def test_legendre_relation_computes_each_value_once(monkeypatch):
     agm = elliptic._agm_KE
     monkeypatch.setattr(elliptic, "_agm_KE", lambda k: (calls.append(k), agm(k))[1])
     r = verify(IdentityId.LEGENDRE_RELATION, PrecisionContext(digits=30))
-    assert r.passed, r.params
+    assert r.passed, r.error
     # one AGM run for K and E at each grid modulus and one at its complement,
     # nothing at the worst one again
-    assert len(calls) == 2 * r.params["grid_size"]
+    assert len(calls) == 2 * (len(identities.LEGENDRE_GRID) + 1)
 
 
 @pytest.mark.parametrize("ident", [IdentityId.HAAGERUP_CONSISTENCY,
@@ -326,5 +339,5 @@ def test_elliptic_side_runs_one_agm(ident, monkeypatch):
     agm = elliptic._agm_KE
     monkeypatch.setattr(elliptic, "_agm_KE", lambda k: (calls.append(k), agm(k))[1])
     r = verify(ident, PrecisionContext(digits=30))
-    assert r.passed, r.params
+    assert r.passed, r.error
     assert len(calls) == 1

@@ -17,6 +17,7 @@ from kgconst import (
     fourier_a,
     fourier_a_quadrature,
     inner_term,
+    khintchine_partial,
     legendre_chi2,
     limit_S,
     parseval_closure,
@@ -25,7 +26,7 @@ from kgconst import (
     verify,
     verify_all,
 )
-from kgconst import cli, quadrature, series
+from kgconst import cli, identities, quadrature, series
 from kgconst.series import _terms_to_tolerance, inner_term_magnitude
 from kgconst.core import GUARD_BITS
 
@@ -56,6 +57,15 @@ def _tail(n, ctx):
     """T_n = S - S_n, from the closed-form limit and the partial sum."""
     with ctx.workprec():
         return limit_S(ctx) - partial_sum_S(n, ctx)
+
+
+def _recurrence_residual(n, ctx):
+    """|a_n - a_{n-1} - (8 sqrt(2)/pi)(-1)^n [1/(4n-3) - 1/(4n-1)]| at the
+    working precision."""
+    with ctx.workprec():
+        step = fourier_a(n, ctx) - fourier_a(n - 1, ctx)
+        return abs(step - 8 * mp.sqrt(2) / mp.pi * (-1) ** n
+                   * (mpf(1) / (4 * n - 3) - mpf(1) / (4 * n - 1)))
 
 
 def _counting_loop_N(tol, ctx):
@@ -272,7 +282,7 @@ class TestFourierCoefficients:
             raise AssertionError("partial sums used")
 
         monkeypatch.setattr(series, "_fixed_point_sums", forbidden)
-        assert verify(IdentityId.RECURRENCE, ctx30, n=7).residual < ctx30.tolerance
+        assert _recurrence_residual(7, ctx30) < ctx30.tolerance
 
     @pytest.mark.parametrize("digits", [20, 200])
     @pytest.mark.parametrize("n", [1, 7, 10 ** 6, 10 ** 9])
@@ -313,7 +323,19 @@ class TestFourierCoefficients:
 class TestRecurrence:
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 100])
     def test_residual_below_tolerance(self, n, ctx40):
-        assert verify(IdentityId.RECURRENCE, ctx40, n=n).residual < mpf("1e-30")
+        assert _recurrence_residual(n, ctx40) < mpf("1e-30")
+
+    def test_row_checks_its_index(self, ctx40):
+        r = verify(IdentityId.RECURRENCE, ctx40)
+        assert r.residual == _recurrence_residual(identities.RECURRENCE_N, ctx40)
+
+
+@pytest.mark.parametrize("index", [2.5, "3"])
+@pytest.mark.parametrize("fn", [fourier_a, fourier_a_quadrature, partial_sum_S,
+                                double_series_partial, khintchine_partial])
+def test_non_integer_index_raises_domain_error(fn, index, ctx15):
+    with pytest.raises(DomainError):
+        fn(index, ctx15)
 
 
 @pytest.fixture
@@ -429,7 +451,7 @@ class TestDoubleSeries:
                           IdentityId.PARSEVAL_CLOSURE, IdentityId.KG_FROM_SERIES}
         for r in reports:
             if r.id in failed:
-                assert r.params["error"].startswith("NoConvergence")
+                assert r.error.startswith("NoConvergence")
         assert cli.run(["verify", "all", "--digits", "30"]) == cli.EXIT_NOT_CONVERGED
 
     @pytest.mark.parametrize("digits", [10, 50, 200])
