@@ -10,7 +10,6 @@ the explicit range.
 from mpmath import mp
 
 from kgconst import PrecisionContext, khintchine, khintchine_accelerated, khintchine_partial
-from kgconst.khintchine import log_tail_bound
 
 ctx = PrecisionContext(digits=15)
 
@@ -23,7 +22,8 @@ print()
 
 print("integral bound on the log-space tail:")
 for N in (1000, 100_000):
-    print(f"  N={N:8d}: {mp.nstr(log_tail_bound(N, ctx), 3)}")
+    p = khintchine_partial(N, ctx)  # tail_estimate = value (e^bound - 1)
+    print(f"  N={N:8d}: {mp.nstr(mp.log1p(p.tail_estimate / p.value), 3)}")
 print()
 
 res = khintchine_accelerated(ctx)

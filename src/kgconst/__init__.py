@@ -22,7 +22,6 @@ from .series import (
     double_series_partial,
     fourier_a,
     fourier_a_quadrature,
-    inner_term,
     legendre_chi2,
     limit_S,
     parseval_closure,
@@ -58,7 +57,6 @@ __all__ = [
     "MaxTermsExceeded",
     "BracketFailure",
     "SeriesResult",
-    "inner_term",
     "partial_sum_S",
     "partial_sums",
     "limit_S",

@@ -65,20 +65,14 @@ def partial_products(marks, ctx: PrecisionContext) -> list:
         return [mp.exp(mpf(log_sum)) for log_sum in _log_sum(marks)]
 
 
-def log_tail_bound(N: int, ctx: PrecisionContext) -> BigReal:
-    """Integral-comparison bound on the log-space tail: (ln N + 1)/(N ln 2)."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    with ctx.workprec():
-        return (mp.log(N) + 1) / (N * mp.log(2))
-
-
 def khintchine_partial(N: int, ctx: PrecisionContext) -> ProductResult:
     """Partial product over the first N factors (the n = 1 factor is unity),
-    to PRODUCT_DIGITS at every ctx."""
+    to PRODUCT_DIGITS at every ctx.  tail_estimate is value (e^B - 1), with
+    B = (ln N + 1)/(N ln 2) the integral-comparison bound on the log-space
+    tail."""
     value = partial_products([N], ctx)[0]
     with ctx.workprec():
-        tail = value * mp.expm1(log_tail_bound(N, ctx))
+        tail = value * mp.expm1((mp.log(N) + 1) / (N * mp.log(2)))
         return ProductResult(value=value, terms_used=N, tail_estimate=tail)
 
 

@@ -49,11 +49,7 @@ Both accelerators work in the same fixed point, because their weights are
 integers: Richardson's are (-1)^(k+N) C(N,k) (N+k)^N over N!, and those of
 CVZ Algorithm 1 are integers over d = T_N(3).  _richardson applies them to
 the integer sums V_n and _inner_tail to the floored terms, each dividing
-once and rounding once.  mp.richardson and mp.cohen_alt form the same
-weights as mpf products on every call (two (k+N)^N powers per Richardson
-weight, (3 + sqrt(8))^N per CVZ call) and round each product; the integer
-kernels are exact and several times faster (README, "Notes on
-method"), so they replace those mpmath primitives here.
+once and rounding once.
 """
 
 from __future__ import annotations
@@ -77,19 +73,10 @@ class SeriesResult(NamedTuple):
     tail_bound: BigReal
 
 
-def inner_term(k: int, ctx: PrecisionContext) -> BigReal:
-    """t_k = (-1)^k (1/(4k-1) - 1/(4k-3)), the k-th inner series term."""
-    if k < 1:
-        raise DomainError(f"inner term index starts at 1, got {k}")
-    with ctx.workprec():
-        sign = 1 if k % 2 == 0 else -1
-        return sign * (mpf(1) / (4 * k - 1) - mpf(1) / (4 * k - 3))
-
-
 def inner_term_magnitude(k: int, ctx: PrecisionContext) -> BigReal:
-    """|t_k| = 2/((4k-3)(4k-1))."""
-    if k < 1:
-        raise DomainError(f"inner term index starts at 1, got {k}")
+    """|t_k| = 2/((4k-3)(4k-1)), the magnitude of the k-th inner term."""
+    if not isinstance(k, int) or k < 1:
+        raise DomainError(f"inner term index must be an integer >= 1, got {k!r}")
     with ctx.workprec():
         return mpf(2) / ((4 * k - 3) * (4 * k - 1))
 

@@ -16,7 +16,6 @@ from kgconst.khintchine import (
     ACCEL_BASE_TERMS,
     _em_log_tail,
     _log_sum,
-    log_tail_bound,
     partial_products,
 )
 
@@ -87,15 +86,19 @@ class TestPartialProduct:
 
 class TestTailBound:
     def test_decreasing(self, ctx15):
-        bounds = [log_tail_bound(N, ctx15) for N in (10, 100, 1000, 10_000)]
-        assert all(a > b for a, b in zip(bounds, bounds[1:]))
+        estimates = [khintchine_partial(N, ctx15).tail_estimate
+                     for N in (10, 100, 1000, 10_000)]
+        assert all(a > b for a, b in zip(estimates, estimates[1:]))
 
     def test_actually_bounds_log_tail(self, ctx15):
-        # compare against a much larger explicit range
-        near = khintchine_partial(1000, ctx15).value
+        # compare against a much larger explicit range, in log space against
+        # the integral bound (ln N + 1)/(N ln 2) and as a product against
+        # the estimate formed from it
+        near = khintchine_partial(1000, ctx15)
         far = khintchine_partial(1_000_000, ctx15).value
-        log_gap = mp.log(far) - mp.log(near)
-        assert log_gap < log_tail_bound(1000, ctx15)
+        log_gap = mp.log(far) - mp.log(near.value)
+        assert log_gap < (mp.log(1000) + 1) / (1000 * mp.log(2))
+        assert far - near.value < near.tail_estimate
 
 
 class TestAccelerated:

@@ -16,7 +16,6 @@ from kgconst import (
     double_series_partial,
     fourier_a,
     fourier_a_quadrature,
-    inner_term,
     khintchine_partial,
     legendre_chi2,
     limit_S,
@@ -31,13 +30,18 @@ from kgconst.series import _terms_to_tolerance, inner_term_magnitude
 from kgconst.core import GUARD_BITS
 
 
+def _term(k):
+    """t_k = (-1)^k (1/(4k-1) - 1/(4k-3)), the k-th inner term, at the
+    current precision."""
+    return (-1) ** k * (mpf(1) / (4 * k - 1) - mpf(1) / (4 * k - 3))
+
+
 def _reference_sum(first, last, dps):
     """Plain mpf loop: sum_{k=first}^{last} t_k at dps digits."""
     with mp.workdps(dps):
         acc = mpf(0)
         for k in range(first, last + 1):
-            sign = 1 if k % 2 == 0 else -1
-            acc += sign * (mpf(1) / (4 * k - 1) - mpf(1) / (4 * k - 3))
+            acc += _term(k)
         return acc
 
 
@@ -47,8 +51,7 @@ def _reference_double_partial(N, dps):
         tail = mp.sqrt(2) / 2 * mp.log(1 + mp.sqrt(2))
         acc = mpf(0)
         for n in range(1, N + 1):
-            sign = 1 if n % 2 == 0 else -1
-            tail -= sign * (mpf(1) / (4 * n - 1) - mpf(1) / (4 * n - 3))
+            tail -= _term(n)
             acc += tail * tail
         return acc
 
@@ -78,20 +81,22 @@ def _counting_loop_N(tol, ctx):
 
 class TestInnerTerm:
     def test_first_terms_exact(self, ctx30):
-        assert abs(inner_term(1, ctx30) - mpf(2) / 3) < mpf("1e-38")
-        assert abs(inner_term(2, ctx30) - mpf(-2) / 35) < mpf("1e-38")
+        # the loop's first terms, t_1 = 2/3 and t_2 = -2/35
+        s1, s2 = partial_sums([1, 2], ctx30)
+        assert abs(s1 - mpf(2) / 3) < mpf("1e-38")
+        assert abs(s2 - s1 - mpf(-2) / 35) < mpf("1e-38")
 
     def test_index_zero_rejected(self, ctx30):
         with pytest.raises(DomainError):
-            inner_term(0, ctx30)
+            inner_term_magnitude(0, ctx30)
 
     @given(k=st.integers(min_value=1, max_value=100))
     @settings(max_examples=40, deadline=None)
     def test_magnitude_closed_form(self, k):
+        # |t_k| against the step S_k - S_{k-1} of the summation loop
         ctx = PrecisionContext(digits=30)
-        with mp.workdps(60):
-            expected = mpf(2) / ((4 * k - 3) * (4 * k - 1))
-            assert abs(abs(inner_term(k, ctx)) - expected) < mpf("1e-38")
+        previous, current = partial_sums([k - 1, k], ctx)
+        assert abs(abs(current - previous) - inner_term_magnitude(k, ctx)) < mpf("1e-38")
 
 
 class TestPartialSums:
@@ -173,7 +178,7 @@ class TestLimit:
             gap = S - partial_sum_S(n, ctx30)
             # remainder has the sign of the first omitted term and is
             # bounded by it in magnitude
-            first_omitted = inner_term(n + 1, ctx30)
+            first_omitted = _term(n + 1)
             assert abs(gap) <= abs(first_omitted)
             assert mp.sign(gap) == mp.sign(first_omitted)
 
@@ -332,7 +337,8 @@ class TestRecurrence:
 
 @pytest.mark.parametrize("index", [2.5, "3"])
 @pytest.mark.parametrize("fn", [fourier_a, fourier_a_quadrature, partial_sum_S,
-                                double_series_partial, khintchine_partial])
+                                double_series_partial, khintchine_partial,
+                                inner_term_magnitude])
 def test_non_integer_index_raises_domain_error(fn, index, ctx15):
     with pytest.raises(DomainError):
         fn(index, ctx15)
