@@ -8,13 +8,14 @@ a closed form, pinning down the Grothendieck-Krivine constant K_G.
 from mpmath import mp
 
 from kgconst import (
+    IdentityId,
     PrecisionContext,
     const_KG,
     double_series,
-    double_series_partial,
     fourier_a,
     limit_S,
-    parseval_closure,
+    partial_sums,
+    verify,
 )
 
 ctx = PrecisionContext(digits=30)
@@ -28,8 +29,9 @@ for n in range(0, 6):
 print()
 
 print("brute-force partial sums of sum_n T_n^2:")
-for N in (10, 100, 1000):
-    print(f"  N={N:5d}: {mp.nstr(double_series_partial(N, ctx), 20)}")
+marks = (10, 100, 1000)
+for N, V_N in zip(marks, partial_sums(marks, ctx, squared=True)):
+    print(f"  N={N:5d}: {mp.nstr(V_N, 20)}")
 
 ds = double_series(ctx)
 print(f"accelerated value ({ds.terms_used} partial sums, Richardson):")
@@ -41,9 +43,9 @@ with ctx.workprec():
     print("residual:", mp.nstr(abs(ds.value - closed), 3))
 print()
 
-pc = parseval_closure(ctx)
+closure = verify(IdentityId.PARSEVAL_CLOSURE, ctx).lhs
 with ctx.workprec():
-    print("Parseval closure a0^2/2 + sum a_n^2 =", mp.nstr(pc.value, 25))
+    print("Parseval closure a0^2/2 + sum a_n^2 =", mp.nstr(closure, 25))
     print("8/pi                               =", mp.nstr(8 / mp.pi, 25))
 print()
 

@@ -19,13 +19,10 @@ from .quadrature import QuadratureResult, integrate_analytic, integrate_even_per
 from .series import (
     SeriesResult,
     double_series,
-    double_series_partial,
     fourier_a,
     fourier_a_quadrature,
     legendre_chi2,
     limit_S,
-    parseval_closure,
-    partial_sum_S,
     partial_sums,
 )
 from .elliptic import (
@@ -57,14 +54,11 @@ __all__ = [
     "MaxTermsExceeded",
     "BracketFailure",
     "SeriesResult",
-    "partial_sum_S",
     "partial_sums",
     "limit_S",
     "fourier_a",
     "fourier_a_quadrature",
     "double_series",
-    "double_series_partial",
-    "parseval_closure",
     "legendre_chi2",
     "QuadratureResult",
     "integrate_analytic",

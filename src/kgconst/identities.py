@@ -243,9 +243,12 @@ _TABLE = {
         "boxed double series = pi/16 - ln^2(1+sqrt(2))/4",
         lambda ctx: series.double_series(ctx).value,
         lambda ctx: mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4),
+    # a_n = (8 sqrt(2)/pi) T_n for n >= 1, so sum a_n^2 = (128/pi^2) V
     "PARSEVAL_CLOSURE": _Row(
         "a0^2/2 + sum a_n^2 = 8/pi (Parseval for 1/cos(x/4))",
-        lambda ctx: series.parseval_closure(ctx).value, lambda ctx: 8 / mp.pi),
+        lambda ctx: (series.fourier_a(0, ctx) ** 2 / 2
+                     + 128 / mp.pi ** 2 * series.double_series(ctx).value),
+        lambda ctx: 8 / mp.pi),
     # the rhs takes L from its defining property sinh(L) = 1 (exp path, no log)
     "KG_DEFINITION": _Row(
         "K_G = pi/(2 ln(1+sqrt(2)))", _kg,

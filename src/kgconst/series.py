@@ -40,7 +40,8 @@ a moment sequence with a positive measure, the case that algorithm treats.
 Explicit summation
 ------------------
 Every term-by-term sum (S_n, sum T_n^2 and the CLI trace)
-runs through one fixed-point integer loop, ``_fixed_point_sums``: exact
+runs through one fixed-point integer loop, ``_fixed_point_sums``, whose one
+public entry is ``partial_sums``: exact
 Python-int accumulation of floor(2^(P+1) / ((4k-3)(4k-1))), in the manner of
 mpmath's own ``libelefun`` (Brent & Zimmermann, Modern Computer Arithmetic,
 2010, section 4.4).  legendre_chi2 sums its series the same way.
@@ -139,11 +140,6 @@ def partial_sums(indices, ctx: PrecisionContext, *, squared: bool = False) -> li
     with ctx.workprec():
         sums, shift = _fixed_point_sums(indices, squared=squared)
         return [mp.ldexp(v if squared else mpf(v), -shift) for v in sums]
-
-
-def partial_sum_S(n: int, ctx: PrecisionContext) -> BigReal:
-    """S_n = sum_{k=1}^{n} (-1)^{k-1} (1/(4k-3) - 1/(4k-1)); S_0 = 0."""
-    return partial_sums([n], ctx)[0]
 
 
 def limit_S(ctx: PrecisionContext) -> BigReal:
@@ -342,26 +338,20 @@ def _terms_to_tolerance(digits: int, *, squared: bool = False) -> int:
     return high
 
 
-def double_series_partial(N: int, ctx: PrecisionContext) -> BigReal:
-    """Brute-force partial sum sum_{n=1}^{N} T_n^2, the independent
-    cross-check route for double_series."""
-    return partial_sums([N], ctx, squared=True)[0]
-
-
 @lru_cache(maxsize=None)
 def double_series(ctx: PrecisionContext) -> SeriesResult:
     """V = sum_{n>=1} T_n^2, the double-series value (= pi/16 - L^2/4).
 
     Richardson's extrapolate of order N = working_dps + 10 from the partial
     sums V_N ... V_2N, off by about 10^(-1.14 N): below
-    ctx.working_tolerance, so that scaled forms such as parseval_closure
-    still meet ctx.tolerance.  Its weights grow to about 10^(0.93 N), so the
-    sums are taken N digits deeper, as the integers of _fixed_point_sums,
-    floored to the P bits they carry, and _richardson applies the weights to
-    them exactly and rounds once.  tail_bound is its distance from the
-    extrapolate of order N - 10 from the same sums; NoConvergence is raised
-    unless it is below ctx.working_tolerance, as for sums without an
-    expansion in powers of 1/n.
+    ctx.working_tolerance, so that V scaled, as in the PARSEVAL_CLOSURE and
+    KG_FROM_SERIES rows, still meets ctx.tolerance.  Its weights grow to
+    about 10^(0.93 N), so the sums are taken N digits deeper, as the
+    integers of _fixed_point_sums, floored to the P bits they carry, and
+    _richardson applies the weights to them exactly and rounds once.
+    tail_bound is its distance from the extrapolate of order N - 10 from the
+    same sums; NoConvergence is raised unless it is below
+    ctx.working_tolerance, as for sums without an expansion in powers of 1/n.
     """
     with ctx.workprec():
         N = ctx.working_dps + 10
@@ -390,21 +380,6 @@ def _richardson(sums, N: int) -> int:
     division by N! floors it, short by under one unit."""
     weighted = sum(w * v for w, v in zip(_richardson_weights(N), sums[N:2 * N + 1]))
     return weighted // factorial(N)
-
-
-def parseval_closure(ctx: PrecisionContext) -> SeriesResult:
-    """a_0^2/2 + sum_{n>=1} a_n^2, which must equal 8/pi.
-
-    Uses the same outer truncation discipline as double_series via the exact
-    substitution a_n = (8 sqrt(2)/pi) T_n.
-    """
-    with ctx.workprec():
-        ds = double_series(ctx)
-        a0 = fourier_a(0, ctx)
-        scale = 128 / mp.pi ** 2
-        return SeriesResult(value=a0 ** 2 / 2 + scale * ds.value,
-                            terms_used=ds.terms_used,
-                            tail_bound=scale * ds.tail_bound)
 
 
 def legendre_chi2(z, ctx: PrecisionContext) -> SeriesResult:

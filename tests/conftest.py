@@ -1,7 +1,15 @@
 import pytest
 from mpmath import mp
 
-from kgconst import PrecisionContext
+from kgconst import PrecisionContext, identities, series
+
+
+def clear_memos():
+    """Empty the process-wide memos of verify_all's routes: the double
+    series and the two appendix integrals."""
+    identities._tail_integral.cache_clear()
+    identities._head_integral.cache_clear()
+    series.double_series.cache_clear()
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from kgconst import (
     IdentityId,
     const_KG,
     double_series,
-    double_series_partial,
     ellip_E,
     ellip_K,
     fourier_a,
@@ -25,7 +24,7 @@ from kgconst import (
     khintchine_accelerated,
     khintchine_partial,
     krivine_complex_f,
-    parseval_closure,
+    partial_sums,
     solve_x0,
     verify,
 )
@@ -51,7 +50,7 @@ def test_criterion_1_double_series_identity():
         closed = mp.pi / 16 - mp.log(1 + mp.sqrt(2)) ** 2 / 4
         residual = abs(ds.value - closed)
         elapsed = time.perf_counter() - start
-        brute = double_series_partial(10 ** 5, ctx)
+        brute = partial_sums([10 ** 5], ctx, squared=True)[0]
         cross = abs(ds.value - brute)
         ok = (residual < mpf("1e-30") and ds.tail_bound < ctx.working_tolerance
               and ds.tail_bound < ctx.tolerance
@@ -65,7 +64,7 @@ def test_criterion_1_double_series_identity():
 def test_criterion_2_parseval_closure():
     ctx = PrecisionContext(digits=30)
     with mp.workdps(80):
-        residual = abs(parseval_closure(ctx).value - 8 / mp.pi)
+        residual = abs(verify(IdentityId.PARSEVAL_CLOSURE, ctx).lhs - 8 / mp.pi)
         _report(2, residual < mpf("1e-25"),
                 f"|a0^2/2 + sum a_n^2 - 8/pi| = {mp.nstr(residual, 3)} (<1e-25)")
 

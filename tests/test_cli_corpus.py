@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from kgconst import IdentityId, cli, identities, series
+from conftest import clear_memos
+from kgconst import IdentityId, cli
 
 CORPUS = Path(__file__).parent / "data" / "cli"
 STATUS = CORPUS / "status.json"
@@ -49,9 +50,7 @@ def file_name(argv):
 def run_cli(argv):
     """(exit code, stdout, stderr) of cli.run(argv) with the memos cleared,
     at mpmath's default precision, as in a fresh process."""
-    identities._tail_integral.cache_clear()
-    identities._head_integral.cache_clear()
-    series.double_series.cache_clear()
+    clear_memos()
     out, err = io.StringIO(), io.StringIO()
     with mp.workprec(53), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from conftest import clear_memos
 from kgconst import (
     IdentityId,
     NoConvergence,
     PrecisionContext,
-    identities,
     quadrature,
     series,
     verify,
@@ -53,9 +53,7 @@ class TestVerifyAll:
             quadrature.integrate_analytic, 1, quadrature.FEJER_MAX_INTERVALS))
         monkeypatch.setattr(quadrature, "integrate_even_periodic", recording(
             quadrature.integrate_even_periodic, -1, quadrature.PERIODIC_MAX_INTERVALS))
-        identities._tail_integral.cache_clear()
-        identities._head_integral.cache_clear()
-        series.double_series.cache_clear()
+        clear_memos()
         reports = verify_all(PrecisionContext(digits=digits))
         failures = [(r.id.value, r.error) for r in reports if not r.passed]
         assert failures == []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from conftest import clear_memos
 from kgconst import (
     DomainError,
     IdentityId,
@@ -85,19 +86,13 @@ def test_khintchine_fails_when_log_sum_is_wrong(monkeypatch):
     assert r.residual > mpf("1e-5")
 
 
-def _clear_memos():
-    identities._tail_integral.cache_clear()
-    identities._head_integral.cache_clear()
-    series.double_series.cache_clear()
-
-
 def test_verify_all_without_digamma(monkeypatch):
     # a_n is summed from the inner terms, not from four digamma values
     def forbidden(*args, **kwargs):
         raise AssertionError("mp.psi called")
 
     monkeypatch.setattr(mp, "psi", forbidden)
-    _clear_memos()
+    clear_memos()
     reports = identities.verify_all(PrecisionContext(digits=50))
     assert len(reports) == 18
     assert [(r.id, r.error) for r in reports if not r.passed] == []
@@ -110,7 +105,7 @@ def test_shifted_accelerator_fails_only_its_rows(monkeypatch):
     inner_tail = series._inner_tail
     monkeypatch.setattr(series, "_inner_tail",
                         lambda n: inner_tail(n) * (1 + mpf("1e-25")))
-    _clear_memos()
+    clear_memos()
     reports = identities.verify_all(PrecisionContext(digits=50))
     assert {r.id for r in reports if not r.passed} == {
         IdentityId.RECURRENCE, IdentityId.COEFF_VS_QUADRATURE}
@@ -173,10 +168,10 @@ def test_fixed_point_alone_computes_its_integral(integrate_calls, head_series_ca
     assert len(head_series_calls) == 1
 
 
-def test_tanh_sinh_calls_at_200_digits(integrate_calls):
+def test_fejer_calls_at_200_digits(integrate_calls):
     # Fejer's second rule: a_3 for COEFF_VS_QUADRATURE and the
     # arcsinh(csch x) integral over (L, inf); the one over (0, L) is a
-    # series, and no tanh-sinh rule is left in the package
+    # series
     reports = identities.verify_all(PrecisionContext(digits=200))
     assert all(r.passed for r in reports)
     assert len(integrate_calls) == 2
@@ -188,8 +183,7 @@ def test_tanh_sinh_calls_at_200_digits(integrate_calls):
 ])
 def test_analytic_evaluations_at_200_digits(ident, max_evaluations, integrate_calls):
     # Fejer's second rule at n = 256 (a_3, folded about pi/8 and rational in
-    # u = tan(t/2), and the tail as int_0^L s/sinh s), where tanh-sinh took
-    # 1,495 evaluations for each
+    # u = tan(t/2), and the tail as int_0^L s/sinh s)
     r = verify(ident, PrecisionContext(digits=200))
     assert r.passed, r.error
     assert len(integrate_calls) == 1
@@ -199,8 +193,7 @@ def test_analytic_evaluations_at_200_digits(ident, max_evaluations, integrate_ca
 @pytest.mark.parametrize("ident", [IdentityId.COEFF_VS_QUADRATURE,
                                    IdentityId.APPENDIX_A1])
 def test_analytic_evaluations_at_500_digits(ident, integrate_calls):
-    # n = 512 for each; a_3 folded in t and the tail in v = 1 - u took
-    # 1,023 each
+    # n = 512 for each
     r = verify(ident, PrecisionContext(digits=500))
     assert r.passed, r.error
     assert len(integrate_calls) == 1
@@ -249,7 +242,7 @@ def test_head_series_value_and_terms(digits):
 @pytest.mark.parametrize("digits, exps", [(200, 128), (500, 256)])
 def test_tail_takes_one_exp_per_pair_of_nodes(digits, exps, monkeypatch):
     # n = 2 exps intervals: n/2 - 1 pairs of nodes s and L - s and the
-    # midpoint, one exp each, where one sinh per node took n - 1
+    # midpoint, one exp each
     calls = {"exp": 0, "sinh": 0}
     for name in calls:
         def counting(*args, _f=getattr(mp, name), _name=name, **kwargs):
@@ -303,7 +296,7 @@ def test_spellings_are_two_atanh_exp(x, digits):
 
 @pytest.mark.parametrize("ident", [IdentityId.HAAGERUP_CONSISTENCY,
                                    IdentityId.KRIVINE_COMPLEX_MIDDLE_EQUALITY])
-def test_periodic_integrands_make_no_tanh_sinh_call(ident, integrate_calls):
+def test_periodic_integrands_make_no_fejer_call(ident, integrate_calls):
     r = verify(ident, PrecisionContext(digits=200))
     assert r.passed, r.error
     assert integrate_calls == []

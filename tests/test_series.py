@@ -13,14 +13,11 @@ from kgconst import (
     const_L,
     const_pi,
     double_series,
-    double_series_partial,
     fourier_a,
     fourier_a_quadrature,
     khintchine_partial,
     legendre_chi2,
     limit_S,
-    parseval_closure,
-    partial_sum_S,
     partial_sums,
     verify,
     verify_all,
@@ -59,7 +56,7 @@ def _reference_double_partial(N, dps):
 def _tail(n, ctx):
     """T_n = S - S_n, from the closed-form limit and the partial sum."""
     with ctx.workprec():
-        return limit_S(ctx) - partial_sum_S(n, ctx)
+        return limit_S(ctx) - partial_sums([n], ctx)[0]
 
 
 def _recurrence_residual(n, ctx):
@@ -101,14 +98,14 @@ class TestInnerTerm:
 
 class TestPartialSums:
     def test_small_sums_exact(self, ctx30):
-        assert partial_sum_S(0, ctx30) == 0
-        assert abs(partial_sum_S(1, ctx30) - mpf(2) / 3) < mpf("1e-38")
-        assert abs(partial_sum_S(2, ctx30) - mpf(64) / 105) < mpf("1e-38")
+        assert partial_sums([0], ctx30)[0] == 0
+        assert abs(partial_sums([1], ctx30)[0] - mpf(2) / 3) < mpf("1e-38")
+        assert abs(partial_sums([2], ctx30)[0] - mpf(64) / 105) < mpf("1e-38")
 
     def test_large_sum_within_remainder_bound(self, ctx30):
         n = 10 ** 4
         bound = mpf(2) / ((4 * n + 1) * (4 * n + 3))
-        assert abs(partial_sum_S(n, ctx30) - limit_S(ctx30)) <= bound
+        assert abs(partial_sums([n], ctx30)[0] - limit_S(ctx30)) <= bound
 
 
 class TestFixedPointKernel:
@@ -120,7 +117,7 @@ class TestFixedPointKernel:
     def test_partial_sum_matches_mpf_loop(self, digits, n):
         ctx = PrecisionContext(digits=digits)
         reference = _reference_sum(1, n, ctx.working_dps + 20)
-        assert abs(partial_sum_S(n, ctx) - reference) < mpf(10) ** -(ctx.working_dps - 1)
+        assert abs(partial_sums([n], ctx)[0] - reference) < mpf(10) ** -(ctx.working_dps - 1)
 
     @given(digits=st.integers(min_value=12, max_value=200),
            N=st.integers(min_value=1, max_value=3000))
@@ -128,7 +125,8 @@ class TestFixedPointKernel:
     def test_double_partial_matches_mpf_loop(self, digits, N):
         ctx = PrecisionContext(digits=digits)
         reference = _reference_double_partial(N, ctx.working_dps + 20)
-        assert abs(double_series_partial(N, ctx) - reference) < mpf(10) ** -(ctx.working_dps - 1)
+        value = partial_sums([N], ctx, squared=True)[0]
+        assert abs(value - reference) < mpf(10) ** -(ctx.working_dps - 1)
 
     def test_many_indices_in_one_pass(self, ctx30):
         # the fixed-point scale depends on the last index, so only the
@@ -139,9 +137,9 @@ class TestFixedPointKernel:
         squared = partial_sums(indices[1:], ctx30, squared=True)
         assert isinstance(plain, list) and isinstance(squared, list)
         for n, value in zip(indices, plain):
-            assert abs(value - partial_sum_S(n, ctx30)) < eps
+            assert abs(value - partial_sums([n], ctx30)[0]) < eps
         for N, value in zip(indices[1:], squared):
-            assert abs(value - double_series_partial(N, ctx30)) < eps
+            assert abs(value - partial_sums([N], ctx30, squared=True)[0]) < eps
 
     def test_indices_must_ascend(self, ctx30):
         with pytest.raises(DomainError):
@@ -175,7 +173,7 @@ class TestLimit:
     def test_alternating_envelope(self, ctx30):
         S = limit_S(ctx30)
         for n in range(1, 51):
-            gap = S - partial_sum_S(n, ctx30)
+            gap = S - partial_sums([n], ctx30)[0]
             # remainder has the sign of the first omitted term and is
             # bounded by it in magnitude
             first_omitted = _term(n + 1)
@@ -336,9 +334,13 @@ class TestRecurrence:
 
 
 @pytest.mark.parametrize("index", [2.5, "3"])
-@pytest.mark.parametrize("fn", [fourier_a, fourier_a_quadrature, partial_sum_S,
-                                double_series_partial, khintchine_partial,
-                                inner_term_magnitude])
+# the partial_sums ids name what one index gives: S_n, and the truncation V_N
+@pytest.mark.parametrize("fn", [
+    fourier_a, fourier_a_quadrature,
+    pytest.param(lambda n, ctx: partial_sums([n], ctx), id="partial_sum_S"),
+    pytest.param(lambda n, ctx: partial_sums([n], ctx, squared=True),
+                 id="double_series_partial"),
+    khintchine_partial, inner_term_magnitude])
 def test_non_integer_index_raises_domain_error(fn, index, ctx15):
     with pytest.raises(DomainError):
         fn(index, ctx15)
@@ -380,13 +382,13 @@ class TestDoubleSeries:
         assert ds.terms_used <= 10 ** 5
 
     def test_accelerated_vs_bruteforce_oracle(self, ctx30):
-        brute = double_series_partial(10 ** 5, ctx30)
+        brute = partial_sums([10 ** 5], ctx30, squared=True)[0]
         assert abs(double_series(ctx30).value - brute) < mpf("1e-15")
 
     def test_pure_and_accelerated_routes_agree(self):
         # the partial sum up to the bound-driven N that the CLI trace uses
         ctx = PrecisionContext(digits=14)
-        pure = double_series_partial(_terms_to_tolerance(14, squared=True), ctx)
+        pure = partial_sums([_terms_to_tolerance(14, squared=True)], ctx, squared=True)[0]
         accel = double_series(PrecisionContext(digits=30))
         assert abs(pure - accel.value) < ctx.tolerance
 
@@ -484,16 +486,16 @@ class TestDoubleSeries:
 
 class TestParsevalClosure:
     def test_equals_8_over_pi(self, ctx30):
-        pc = parseval_closure(ctx30)
-        assert mp.nstr(pc.value, 12) == "2.54647908947"
-        assert abs(pc.value - 8 / const_pi(ctx30)) < mpf("1e-25")
+        closure = verify(IdentityId.PARSEVAL_CLOSURE, ctx30).lhs
+        assert mp.nstr(closure, 12) == "2.54647908947"
+        assert abs(closure - 8 / const_pi(ctx30)) < mpf("1e-25")
 
     def test_exact_relation_to_double_series(self, ctx30):
-        pc = parseval_closure(ctx30)
+        closure = verify(IdentityId.PARSEVAL_CLOSURE, ctx30).lhs
         a0 = fourier_a(0, ctx30)
         with ctx30.workprec():
             combined = a0 ** 2 / 2 + 128 / mp.pi ** 2 * double_series(ctx30).value
-        assert abs(pc.value - combined) < ctx30.tolerance
+        assert abs(closure - combined) < ctx30.tolerance
 
 
 class TestLegendreChi2:
