@@ -17,19 +17,19 @@ print("raw partial products (strictly increasing, slowly):")
 for N in (10, 100, 1000, 10_000, 100_000, 1_000_000):
     p = khintchine_partial(N, ctx)
     print(f"  N={N:8d}: {mp.nstr(p.value, 12)}   "
-          f"tail estimate {mp.nstr(p.tail_estimate, 3)}")
+          f"tail estimate {mp.nstr(p.tail_bound, 3)}")
 print()
 
 print("integral bound on the log-space tail:")
 for N in (1000, 100_000):
-    p = khintchine_partial(N, ctx)  # tail_estimate = value (e^bound - 1)
-    print(f"  N={N:8d}: {mp.nstr(mp.log1p(p.tail_estimate / p.value), 3)}")
+    p = khintchine_partial(N, ctx)  # tail_bound = value (e^bound - 1)
+    print(f"  N={N:8d}: {mp.nstr(mp.log1p(p.tail_bound / p.value), 3)}")
 print()
 
 res = khintchine_accelerated(ctx)
 print("accelerated value:", mp.nstr(res.value, khintchine.PRODUCT_DIGITS))
 print(f"  explicit terms: {res.terms_used}")
-print(f"  spread across range doubling: {mp.nstr(res.tail_estimate, 3)}")
+print(f"  spread across range doubling: {mp.nstr(res.tail_bound, 3)}")
 print(f"(binary64 sums: {khintchine.PRODUCT_DIGITS} significant digits; "
       f"the check against mpmath's zeta series is held to "
       f"{mp.nstr(khintchine.STABILITY_TOLERANCE, 1)})")

@@ -6,11 +6,9 @@ integral identities.
 
 from .core import BigReal, PrecisionContext, const_KG, const_L, const_pi
 from .errors import (
-    BracketFailure,
     DomainError,
     InvalidPrecision,
     KgconstError,
-    MaxTermsExceeded,
     NoConvergence,
     NonFiniteEvaluation,
 )
@@ -36,7 +34,7 @@ from .elliptic import (
     krivine_complex_f,
     solve_x0,
 )
-from .khintchine import ProductResult, khintchine_accelerated, khintchine_partial
+from .khintchine import khintchine_accelerated, khintchine_partial
 
 __version__ = "0.1.0"
 
@@ -51,8 +49,6 @@ __all__ = [
     "DomainError",
     "NoConvergence",
     "NonFiniteEvaluation",
-    "MaxTermsExceeded",
-    "BracketFailure",
     "SeriesResult",
     "partial_sums",
     "limit_S",
@@ -72,7 +68,6 @@ __all__ = [
     "krivine_complex_f",
     "solve_x0",
     "kc_upper",
-    "ProductResult",
     "khintchine_partial",
     "khintchine_accelerated",
     "IdentityId",

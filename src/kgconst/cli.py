@@ -33,7 +33,7 @@ from mpmath import mp
 
 from . import elliptic, identities, khintchine, series
 from .core import GUARD_DIGITS, MIN_DIGITS, PrecisionContext, const_KG, const_L, const_pi
-from .errors import KgconstError, MaxTermsExceeded
+from .errors import KgconstError, NoConvergence
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -240,7 +240,7 @@ def _trace_rows(target, ctx, max_terms):
     rows, and the tolerance the last row's residual must meet.
 
     A series target sums up to the closed-form term count that meets
-    ctx.tolerance, and raises MaxTermsExceeded before summing when that
+    ctx.tolerance, and raises NoConvergence before summing when that
     count exceeds max_terms.  The Khintchine rows end with the accelerated
     value when max_terms covers its factor count, and their residuals are
     taken against khintchine.zeta_series_value, mpmath's zeta series.
@@ -256,7 +256,7 @@ def _trace_rows(target, ctx, max_terms):
         squared = target == "double_series"
         needed = series._terms_to_tolerance(ctx.digits, squared=squared)
         if needed > max_terms:
-            raise MaxTermsExceeded(
+            raise NoConvergence(
                 f"trace {target} needs N = {needed} terms to reach tolerance "
                 f"{ctx.tolerance}, more than --max-terms {max_terms}")
         final = series.double_series(ctx).value if squared else series.limit_S(ctx)

@@ -1,6 +1,6 @@
 """Complete elliptic integrals K and E via the arithmetic-geometric mean,
 their imaginary-modulus values K(i) and E(i), Haagerup's bound
-1/(2K(i) - E(i)), and the bracketed root solve for the complex-case
+1/(2K(i) - E(i)), and the root solve for the complex-case
 Krivine equation
 
     pi (x+1) / 8 = (1/x) [ E(x) - (1 - x^2) K(x) ].
@@ -20,7 +20,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .core import GUARD_BITS, BigReal, PrecisionContext
-from .errors import BracketFailure, DomainError, NoConvergence
+from .errors import DomainError, NoConvergence
 from . import quadrature
 
 ROOT_BRACKET = (mpf("0.01"), mpf("0.99"))
@@ -265,34 +265,25 @@ def krivine_complex_middle(x, ctx: PrecisionContext) -> BigReal:
 
 
 def solve_x0(ctx: PrecisionContext) -> RootResult:
-    """Root of krivine_complex_f on the bracket (0.01, 0.99).
+    """Root of krivine_complex_f, certified by its residual:
+    |f(x0)| < ctx.tolerance, or NoConvergence.
 
-    Endpoint signs are verified before iterating; the solve is bracketed and
-    derivative-free (mpmath's Pegasus regula falsi), with |f(x0)| <
-    ctx.tolerance on success.  ``iterations`` counts the evaluations of f
-    computed to find x0, the two sign checks included; the solver's repeat
-    probes of the bracket ends reuse those.
+    mpmath's Pegasus regula falsi, derivative-free, starts from the two
+    points of ROOT_BRACKET.  Their signs are not checked: the residual gate
+    is the acceptance test.  ``iterations`` counts the distinct points at
+    which f was computed to find x0; the solver's repeat probes reuse them.
     """
     with ctx.workprec():
-        lo, hi = ROOT_BRACKET
-        flo, fhi = krivine_complex_f(lo, ctx), krivine_complex_f(hi, ctx)
-        if not (flo * fhi < 0):
-            raise BracketFailure(
-                f"no sign change on ({lo}, {hi}): f(lo)={flo}, f(hi)={fhi}"
-            )
-        known = {lo: flo, hi: fhi}
-        evaluations = len(known)
+        known = {}
 
         def f(x):
-            nonlocal evaluations
-            if x in known:
-                return known[x]
-            evaluations += 1
-            return krivine_complex_f(x, ctx)
+            if x not in known:
+                known[x] = krivine_complex_f(x, ctx)
+            return known[x]
 
         try:
             # no verify probe: the residual gate below is the stricter test
-            x0 = +mp.findroot(f, (lo, hi), solver="pegasus", verify=False)
+            x0 = +mp.findroot(f, ROOT_BRACKET, solver="pegasus", verify=False)
         except ValueError as exc:
             raise NoConvergence(f"root solve failed: {exc}") from exc
         residual = abs(krivine_complex_f(x0, ctx))
@@ -300,7 +291,7 @@ def solve_x0(ctx: PrecisionContext) -> RootResult:
             raise NoConvergence(
                 f"root residual {residual} did not reach tolerance {ctx.tolerance}"
             )
-        return RootResult(x0=x0, residual=residual, iterations=evaluations)
+        return RootResult(x0=x0, residual=residual, iterations=len(known))
 
 
 def kc_upper(ctx: PrecisionContext) -> BigReal:

@@ -18,12 +18,5 @@ class NoConvergence(KgconstError):
 
 
 class NonFiniteEvaluation(KgconstError):
-    """An integrand returned a non-finite value at an interior node."""
-
-
-class MaxTermsExceeded(KgconstError):
-    """A series would need more terms than the configured cap."""
-
-
-class BracketFailure(KgconstError):
-    """Root bracket endpoints do not straddle a sign change."""
+    """An integrand returned a value that is not an int: the exact sum of
+    the quadrature rules takes integer values only."""

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 from mpmath import mp, mpf
 
 from .core import BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence
+from .series import SeriesResult
 
 # the fixed tolerance of the desk-scale Khintchine checks, whatever the digits
 STABILITY_TOLERANCE = mpf("1e-8")
@@ -32,12 +32,6 @@ TAIL_CTX = PrecisionContext(digits=20)
 PRODUCT_DIGITS = sys.float_info.dig
 REFERENCE_DIGITS = TAIL_CTX.working_dps
 _LN2 = math.log(2)
-
-
-class ProductResult(NamedTuple):
-    value: BigReal
-    terms_used: int
-    tail_estimate: BigReal
 
 
 def _log_sum(marks) -> list:
@@ -65,15 +59,15 @@ def partial_products(marks, ctx: PrecisionContext) -> list:
         return [mp.exp(mpf(log_sum)) for log_sum in _log_sum(marks)]
 
 
-def khintchine_partial(N: int, ctx: PrecisionContext) -> ProductResult:
+def khintchine_partial(N: int, ctx: PrecisionContext) -> SeriesResult:
     """Partial product over the first N factors (the n = 1 factor is unity),
-    to PRODUCT_DIGITS at every ctx.  tail_estimate is value (e^B - 1), with
+    to PRODUCT_DIGITS at every ctx.  tail_bound is value (e^B - 1), with
     B = (ln N + 1)/(N ln 2) the integral-comparison bound on the log-space
     tail."""
     value = partial_products([N], ctx)[0]
     with ctx.workprec():
         tail = value * mp.expm1((mp.log(N) + 1) / (N * mp.log(2)))
-        return ProductResult(value=value, terms_used=N, tail_estimate=tail)
+        return SeriesResult(value=value, terms_used=N, tail_bound=tail)
 
 
 def _em_log_tail(N: int) -> BigReal:
@@ -107,9 +101,10 @@ def _em_log_tail(N: int) -> BigReal:
         return total / mp.log(2)
 
 
-def khintchine_accelerated(ctx: PrecisionContext) -> ProductResult:
+def khintchine_accelerated(ctx: PrecisionContext) -> SeriesResult:
     """Product with tail correction over 2 ACCEL_BASE_TERMS factors, stable
-    to STABILITY_TOLERANCE against the one over ACCEL_BASE_TERMS."""
+    to STABILITY_TOLERANCE against the one over ACCEL_BASE_TERMS; tail_bound
+    is that spread, an estimate of the error."""
     marks = [ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS]
     with ctx.workprec():
         values = [mp.exp(mpf(log_sum) + _em_log_tail(N))
@@ -120,8 +115,8 @@ def khintchine_accelerated(ctx: PrecisionContext) -> ProductResult:
                 f"accelerated product unstable across doubling: spread {spread} "
                 f"exceeds {STABILITY_TOLERANCE}"
             )
-        return ProductResult(value=values[1], terms_used=2 * ACCEL_BASE_TERMS,
-                             tail_estimate=spread)
+        return SeriesResult(value=values[1], terms_used=2 * ACCEL_BASE_TERMS,
+                            tail_bound=spread)
 
 
 def zeta_series_value() -> BigReal:

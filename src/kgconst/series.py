@@ -256,10 +256,10 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
     that proves the fewest intervals.  With r = tan(pi/16)/2, E_rho has
     semi-minor axis b = r (rho - 1/rho)/2 < 1, and on it
     |Im atan u| = atanh(2 Im u/(1 + |u|^2))/2 <= atanh b, so
-    |T| = |cos(8n atan u)| <= cosh(8n atanh b).  A real point p at
-    Bernstein radius rho_p lies at distance at least
-    (r/2)|rho - rho_p|(1 - 1/(rho rho_p)) from the boundary of E_rho (with
-    u = r + r (w + 1/w)/2, u - p = (r/2)(w - w_p)(1 - 1/(w w_p))), which
+    |T| = |cos(8n atan u)| <= cosh(8n atanh b).  A real point p beyond the
+    foci 0 and 2r lies at distance ||p - r| - r (rho + 1/rho)/2| from the
+    boundary of E_rho, its distance from the nearer end of the major axis,
+    since every normal of E_rho meets the real axis between the foci; that
     bounds the two denominators there, and the maximum principle carries
     the bound inside.
 
@@ -301,10 +301,8 @@ def fourier_a_quadrature(n: int, ctx: PrecisionContext) -> BigReal:
                 r = width / 2
 
                 def gap(p, rho):
-                    # a lower bound on the distance of the real point p from E_rho's boundary
-                    x = abs(p / r - 1)
-                    rho_p = x + mp.sqrt(x * x - 1)
-                    return r / 2 * abs(rho - rho_p) * (1 - 1 / (rho * rho_p))
+                    # the distance of the real point p from E_rho's boundary
+                    return abs(abs(p - r) - r * (rho + mpf(1) / rho) / 2)
 
                 bounds = [(rho, (1 + mp.cosh(8 * n * mp.atanh(r * (rho - mpf(1) / rho) / 2)))
                            * (2 / (gap(1, rho) * gap(-1, rho))

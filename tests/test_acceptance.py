@@ -166,13 +166,13 @@ def test_criterion_8_khintchine_product():
         monotone = all(a <= b for a, b in zip(values, values[1:])) and \
             all(a < b for a, b in zip(values[1:], values[2:]))
         res = khintchine_accelerated(ctx)
-        spread = res.tail_estimate
-        # tail estimate of the partial product must respect the integral bound
+        spread = res.tail_bound
+        # tail bound of the partial product must respect the integral bound
         # and must dominate the true remaining growth
         p = khintchine_partial(1000, ctx)
         integral_cap = p.value * mp.expm1((mp.log(1000) + 1) / (1000 * mp.log(2)))
         true_gap = values[-1] - khintchine_partial(1000, ctx).value
-        bound_ok = bool(true_gap <= p.tail_estimate
+        bound_ok = bool(true_gap <= p.tail_bound
                         <= integral_cap * (1 + mpf("1e-10")))
         ok = monotone and spread < mpf("1e-6") and bound_ok
         _report(8, ok,

@@ -167,6 +167,17 @@ class TestVerify:
                               "--format", "json")
         assert first == second
 
+    def test_timings_fill_only_runtime_ms(self, capsys):
+        argv = ("verify", "all", "--digits", "20", "--format", "json")
+        code, out, _ = invoke(capsys, *argv, "--timings")
+        assert code == EXIT_OK
+        timed = json.loads(out)
+        assert len(timed) == 18
+        assert all(r.pop("runtime_ms") > 0 for r in timed)
+        _, out, _ = invoke(capsys, *argv)
+        assert timed == [{k: v for k, v in r.items() if k != "runtime_ms"}
+                         for r in json.loads(out)]
+
     def test_khintchine_printed_to_the_digits_it_carries(self, capsys):
         # the product carries the 15 digits of its binary64 sums and the
         # zeta-series reference 30; neither is padded to --digits with the

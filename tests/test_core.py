@@ -5,12 +5,13 @@ from kgconst import (
     IdentityReport,
     InvalidPrecision,
     PrecisionContext,
-    ProductResult,
     RootResult,
     SeriesResult,
     const_KG,
     const_L,
     const_pi,
+    khintchine_accelerated,
+    khintchine_partial,
     verify,
 )
 
@@ -91,7 +92,10 @@ def test_records_carry_only_results():
     # each record holds what the call computed, not what the caller passed or
     # chose; accelerated results meet their target or raise
     assert SeriesResult._fields == ("value", "terms_used", "tail_bound")
-    assert ProductResult._fields == ("value", "terms_used", "tail_estimate")
+    # the Khintchine products are series results: their error is a tail bound
+    for result in (khintchine_partial(10, PrecisionContext(digits=15)),
+                   khintchine_accelerated(PrecisionContext(digits=15))):
+        assert type(result) is SeriesResult
     assert RootResult._fields == ("x0", "residual", "iterations")
     assert IdentityReport._fields == ("id", "lhs", "rhs", "residual", "digits_agreed",
                                       "passed", "error", "runtime_ms")

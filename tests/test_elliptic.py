@@ -293,7 +293,21 @@ def test_solve_runs_one_agm_per_evaluation(monkeypatch):
     assert len(runs) == root.iterations + 1
 
 
-@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("digits", [10, 20, 50, 500])
 def test_solve_evaluates_no_point_twice(monkeypatch, digits):
-    _, points = record_solve(monkeypatch, digits)
+    root, points = record_solve(monkeypatch, digits)
     assert len(set(points)) == len(points)
+    # every call of f but the residual gate's at x0 found the root
+    assert root.iterations == len(points) - 1
+
+
+def test_bracket_ends_of_one_sign_reach_the_root(monkeypatch):
+    # the ends' signs are not checked: the residual gate certifies x0
+    ctx = PrecisionContext(digits=50)
+    x0 = solve_x0(ctx).x0
+    lo, hi = mpf("0.01"), mpf("0.02")
+    assert krivine_complex_f(lo, ctx) * krivine_complex_f(hi, ctx) > 0
+    monkeypatch.setattr(elliptic, "ROOT_BRACKET", (lo, hi))
+    root = solve_x0(ctx)
+    assert root.residual < ctx.tolerance
+    assert abs(root.x0 - x0) < ctx.tolerance

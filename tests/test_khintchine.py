@@ -37,10 +37,10 @@ class TestPartialProduct:
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < KNOWN for v in values)
 
-    def test_tail_estimate_brackets_limit(self, ctx15):
+    def test_tail_bound_brackets_limit(self, ctx15):
         for N in (1000, 10_000):
             p = khintchine_partial(N, ctx15)
-            assert p.value < KNOWN < p.value + p.tail_estimate
+            assert p.value < KNOWN < p.value + p.tail_bound
 
     def test_float_and_exact_paths_agree(self, ctx15):
         # adjacent factor counts give adjacent, increasing products
@@ -86,19 +86,19 @@ class TestPartialProduct:
 
 class TestTailBound:
     def test_decreasing(self, ctx15):
-        estimates = [khintchine_partial(N, ctx15).tail_estimate
-                     for N in (10, 100, 1000, 10_000)]
-        assert all(a > b for a, b in zip(estimates, estimates[1:]))
+        bounds = [khintchine_partial(N, ctx15).tail_bound
+                  for N in (10, 100, 1000, 10_000)]
+        assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
     def test_actually_bounds_log_tail(self, ctx15):
         # compare against a much larger explicit range, in log space against
         # the integral bound (ln N + 1)/(N ln 2) and as a product against
-        # the estimate formed from it
+        # the tail bound formed from it
         near = khintchine_partial(1000, ctx15)
         far = khintchine_partial(1_000_000, ctx15).value
         log_gap = mp.log(far) - mp.log(near.value)
         assert log_gap < (mp.log(1000) + 1) / (1000 * mp.log(2))
-        assert far - near.value < near.tail_estimate
+        assert far - near.value < near.tail_bound
 
 
 class TestAccelerated:
