@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -294,7 +295,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # the process is ending, and the collections the interpreter runs at exit
+    # would traverse every object it built (mpmath's, kgconst's, site's) only
+    # to find nothing to free; frozen objects are skipped.  atexit and the
+    # flush of stdout and stderr still run.  Only the process entry point
+    # freezes: in-process callers of run() keep normal collection.
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -192,17 +192,20 @@ def _head_integral(ctx: PrecisionContext) -> BigReal:
         return L * L + _log_moment_series(mp.prec).value
 
 
+@lru_cache(maxsize=None)
 def _chi2_tail(ctx: PrecisionContext) -> BigReal:
     """int_L^inf 2 atanh(e^-x) dx = 2 chi_2(sqrt(2) - 1), by the chi_2 series.
 
     For x > 0, arccosh(coth x) = arctanh(sech x) = 2 atanh(e^-x), since
     coth x + csch x = coth(x/2) and (1 + sech x)/(1 - sech x) = coth^2(x/2),
-    and e^-L = sqrt(2) - 1.  That is taken 10 digits deeper; the series
-    reads every bit of it.
+    and e^-L = sqrt(2) - 1.  That is taken 10 digits deeper than working
+    precision, whatever the caller's, since the value is memoized on ctx;
+    the series reads every bit of it.  Shared by APPENDIX_A3, APPENDIX_A4,
+    FIXED_POINT_3 and FIXED_POINT_4.
     """
-    with mp.extradps(10):
+    with mp.workdps(ctx.working_dps + 10):
         z = mp.sqrt(2) - 1
-    return 2 * series.legendre_chi2(z, ctx).value
+        return 2 * series.legendre_chi2(z, ctx).value
 
 
 # anchor suffix of the rows whose integrand is a rewrite of 2 atanh(e^-x)

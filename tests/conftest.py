@@ -6,9 +6,10 @@ from kgconst import PrecisionContext, identities, series
 
 def clear_memos():
     """Empty the process-wide memos of verify_all's routes: the double
-    series and the two appendix integrals."""
+    series and the three appendix integrals."""
     identities._tail_integral.cache_clear()
     identities._head_integral.cache_clear()
+    identities._chi2_tail.cache_clear()
     series.double_series.cache_clear()
 
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import sys
 import time
 
 import pytest
@@ -17,6 +19,7 @@ from kgconst.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_USAGE,
+    main,
     run,
 )
 
@@ -318,6 +321,32 @@ class TestList:
         for name in ("KG", "HAAGERUP", "KHINTCHINE"):
             assert name in out
         assert "KG_DEFINITION" in out
+
+
+class TestMain:
+    """main() is the process entry point, the kgconst script and
+    python -m kgconst.cli: it exits with run()'s code after one gc.freeze()."""
+
+    @pytest.fixture
+    def freezes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(True))
+        return calls
+
+    @pytest.mark.parametrize("argv, code", [(["list"], EXIT_OK),
+                                            (["compute", "NOPE"], EXIT_USAGE)])
+    def test_exits_with_the_code_of_run_after_one_freeze(
+            self, capsys, monkeypatch, freezes, argv, code):
+        monkeypatch.setattr(sys, "argv", ["kgconst", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
+        assert freezes == [True]
+        assert capsys.readouterr() == invoke(capsys, *argv)[1:]
+
+    def test_run_does_not_freeze(self, capsys, freezes):
+        assert invoke(capsys, "list")[0] == EXIT_OK
+        assert freezes == []
 
 
 class TestTrace:

@@ -5,8 +5,9 @@ The commands are `list`; every `compute` target at 20 and 200 digits;
 `verify all` at 20, 50, 200 and 500 digits in each format; each single
 `verify` and each `trace` at default flags; and two traces at other flags.
 Each command's stdout is the file tests/data/cli/<name>; status.json holds
-its exit code and stderr.  A change that moves a printed string rewrites
-the files with
+its exit code and stderr.  A few of them also run as python -m kgconst.cli
+processes, whose exit path (cli.main) no in-process call takes.  A change
+that moves a printed string rewrites the files with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
@@ -16,6 +17,9 @@ and says in its commit which files and fields moved, and why.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,7 @@ from conftest import clear_memos
 from kgconst import IdentityId, cli
 
 CORPUS = Path(__file__).parent / "data" / "cli"
+SRC = Path(__file__).parent.parent / "src"
 STATUS = CORPUS / "status.json"
 
 COMMANDS = [
@@ -70,6 +75,27 @@ def test_output_matches_corpus(argv):
     status = json.loads(STATUS.read_text())[file_name(argv)]
     assert out.encode() == (CORPUS / file_name(argv)).read_bytes()
     assert (code, err) == (status["exit"], status["stderr"])
+
+
+@pytest.mark.parametrize("argv, to_file", [
+    (["list"], False),
+    (["verify", "all", "--digits", "20", "--format", "json"], False),
+    (["trace", "partial_sum_S", "--max-terms", "100000"], False),
+    (["compute", "PI", "--digits", "20"], True),
+], ids=["list", "verify-all-json", "trace-over-its-cap", "compute-to-out-file"])
+def test_process_output_matches_corpus(argv, to_file, tmp_path):
+    out_file = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out_flag = ["--out", str(out_file)] if to_file else []
+    proc = subprocess.run([sys.executable, "-m", "kgconst.cli", *argv, *out_flag],
+                          capture_output=True, env=env, timeout=60)
+    status = json.loads(STATUS.read_text())[file_name(argv)]
+    printed = out_file.read_bytes() if to_file else proc.stdout
+    assert printed == (CORPUS / file_name(argv)).read_bytes()
+    if to_file:
+        assert proc.stdout == b""
+    assert (proc.returncode, proc.stderr.decode()) == (status["exit"], status["stderr"])
 
 
 if __name__ == "__main__":

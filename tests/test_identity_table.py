@@ -160,6 +160,22 @@ def test_fixed_point_reuses_appendix_integral(appendix, fixed_point, integrate_c
     assert (len(integrate_calls), len(head_series_calls)) == (quadratures, head_series)
 
 
+def test_chi2_series_summed_once_per_verify_all(monkeypatch):
+    # APPENDIX_A3, APPENDIX_A4, FIXED_POINT_3 and FIXED_POINT_4 share one
+    # chi_2(sqrt(2) - 1)
+    calls = []
+    chi2 = series.legendre_chi2
+
+    def counting(z, ctx):
+        calls.append(z)
+        return chi2(z, ctx)
+
+    monkeypatch.setattr(series, "legendre_chi2", counting)
+    clear_memos()
+    assert all(r.passed for r in identities.verify_all(PrecisionContext(digits=50)))
+    assert len(calls) == 1
+
+
 def test_fixed_point_alone_computes_its_integral(integrate_calls, head_series_calls):
     r = verify(IdentityId.FIXED_POINT_2, PrecisionContext(digits=27))
     assert r.passed, r.error
