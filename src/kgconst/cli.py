@@ -250,7 +250,7 @@ def _trace_rows(target, ctx, max_terms):
         final, tol = khintchine.zeta_series_value(), khintchine.STABILITY_TOLERANCE
         marks = _checkpoints(min(10 ** 6, max_terms))
         values = khintchine.partial_products(marks, ctx)
-        if max_terms >= 2 * khintchine.ACCEL_BASE_TERMS:
+        if max_terms >= khintchine.ACCEL_TERMS:
             marks.append("accelerated")
             values.append(khintchine.khintchine_accelerated(ctx).value)
     else:
@@ -282,7 +282,7 @@ def run(argv) -> int:
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+        return exc.code
     try:
         return ns.handler(ns)
     except OSError as exc:

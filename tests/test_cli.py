@@ -208,13 +208,43 @@ class TestVerify:
 
     def test_khintchine_failure_prints_infinite_residual(self, capsys, monkeypatch):
         def fail(ctx):
-            raise NoConvergence("accelerated product unstable")
+            raise NoConvergence("accelerated product did not converge")
 
         monkeypatch.setattr(khintchine, "khintchine_accelerated", fail)
         code, out, err = invoke(capsys, "verify", "KHINTCHINE_STABILITY", "--format", "json")
         assert code == EXIT_NOT_CONVERGED
         assert json.loads(out)["residual"] == "+inf"
         assert err == ""
+
+    @pytest.fixture
+    def haagerup_off(self, monkeypatch):
+        # the quadrature route off by a relative 10^-12, far beyond the
+        # tolerance, so HAAGERUP_CONSISTENCY fails with a finite residual
+        quadrature = elliptic.haagerup_bound_quadrature
+        monkeypatch.setattr(elliptic, "haagerup_bound_quadrature",
+                            lambda ctx: quadrature(ctx) * (1 + mpf(10) ** -12))
+
+    def test_failed_identity_exits_3(self, capsys, haagerup_off):
+        code, out, err = invoke(capsys, "verify", "all", "--digits", "20", "--format", "json")
+        assert code == EXIT_IDENTITY_FAILED
+        assert err == ""
+        records = json.loads(out)
+        assert [r["target"] for r in records if not r["passed"]] == ["HAAGERUP_CONSISTENCY"]
+        [record] = [r for r in records if not r["passed"]]
+        assert mpf("1e-12") < mpf(record["residual"]) < mpf("2e-12")
+        code, out, _ = invoke(capsys, "verify", "HAAGERUP_CONSISTENCY")
+        assert code == EXIT_IDENTITY_FAILED
+        assert out.startswith("FAIL HAAGERUP_CONSISTENCY:")
+
+    def test_not_converged_wins_over_failed(self, capsys, monkeypatch, haagerup_off):
+        def fail(ctx):
+            raise NoConvergence("accelerated product did not converge")
+
+        monkeypatch.setattr(khintchine, "khintchine_accelerated", fail)
+        code, out, _ = invoke(capsys, "verify", "all", "--digits", "20", "--format", "json")
+        assert code == EXIT_NOT_CONVERGED
+        assert {r["target"] for r in json.loads(out) if not r["passed"]} == {
+            "HAAGERUP_CONSISTENCY", "KHINTCHINE_STABILITY"}
 
     def test_unknown_identity(self, capsys):
         assert_unknown_target(*invoke(capsys, "verify", "MYSTERY"),
@@ -408,7 +438,7 @@ class TestTrace:
                             lambda marks: (calls.append(list(marks)), log_sum(marks))[1])
         assert invoke(capsys, "trace", "khintchine_partial")[0] == EXIT_OK
         assert calls == [[1, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6],
-                         [khintchine.ACCEL_BASE_TERMS, 2 * khintchine.ACCEL_BASE_TERMS]]
+                         [khintchine.ACCEL_TERMS]]
         # below the accelerated row's factor count, the one call is all
         calls.clear()
         code = invoke(capsys, "trace", "khintchine_partial", "--max-terms", "1999")[0]
@@ -416,7 +446,7 @@ class TestTrace:
         assert calls == [[1, 10, 100, 1000, 1999]]
 
     def test_khintchine_max_terms_below_accelerated(self, capsys):
-        # the accelerated row sums 2 * ACCEL_BASE_TERMS factors, so a cap of
+        # the accelerated row sums ACCEL_TERMS factors, so a cap of
         # one factor ends on the one-factor product, which is 1
         code, out, _ = invoke(capsys, "trace", "khintchine_partial", "--max-terms", "1")
         assert code == EXIT_NOT_CONVERGED
@@ -457,6 +487,14 @@ class TestUsage:
     def test_no_command(self, capsys):
         code, _, _ = invoke(capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [("--help",), ("trace", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        # argparse prints the help and exits 0; the text itself is not pinned
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.splitlines()[0].startswith("usage: kgconst")
+        assert err == ""
 
     def test_bad_format(self, capsys):
         code, _, _ = invoke(capsys, "compute", "PI", "--format", "xml")

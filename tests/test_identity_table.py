@@ -77,7 +77,7 @@ def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
 
 def test_khintchine_fails_when_log_sum_is_wrong(monkeypatch):
     # the rhs is mpmath's zeta series, so a shifted log-sum moves only the
-    # lhs; the shift leaves the spread across the doubling unchanged
+    # lhs, the accelerated product, by a factor e^(1e-5)
     log_sum = khintchine._log_sum
     monkeypatch.setattr(khintchine, "_log_sum",
                         lambda marks: [v + 1e-5 for v in log_sum(marks)])

@@ -13,7 +13,8 @@ from kgconst import (
     verify,
 )
 from kgconst.khintchine import (
-    ACCEL_BASE_TERMS,
+    ACCEL_TERMS,
+    PRODUCT_DIGITS,
     _em_log_tail,
     _log_sum,
     partial_products,
@@ -116,7 +117,7 @@ class TestAccelerated:
         # the tail runs at the 30 working digits of TAIL_CTX at every caller
         # precision, so the product does not move with the requested digits
         # beyond it
-        for N in (ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS):
+        for N in (ACCEL_TERMS // 2, ACCEL_TERMS):
             with mp.workdps(15):
                 low = _em_log_tail(N)
             with mp.workdps(300):
@@ -125,6 +126,29 @@ class TestAccelerated:
         high = khintchine_accelerated(PrecisionContext(digits=300))
         with mp.workdps(40):
             assert abs(high.value - low.value) < mpf("1e-28")
+
+    @pytest.mark.parametrize("digits", [10, 20, 50, 200, 500])
+    def test_tail_bound_covers_the_error(self, digits):
+        # the stated bound value 10^-PRODUCT_DIGITS (2.69e-15) covers the
+        # distance to the constant (5.03e-17 at every digit count)
+        res = khintchine_accelerated(PrecisionContext(digits=digits))
+        assert res.terms_used == ACCEL_TERMS
+        with mp.workdps(40):
+            assert mp.almosteq(res.tail_bound, res.value * mpf(10) ** -PRODUCT_DIGITS,
+                               rel_eps=mpf("1e-9"))
+            assert abs(res.value - mp.khinchin) <= res.tail_bound
+
+    def test_one_sum_and_one_tail(self, ctx15, monkeypatch):
+        # one product over ACCEL_TERMS factors: one _log_sum call and one
+        # _em_log_tail call, with no second product to compare it with
+        sums, tails = [], []
+        monkeypatch.setattr(khintchine, "_log_sum",
+                            lambda marks: (sums.append(list(marks)), _log_sum(marks))[1])
+        monkeypatch.setattr(khintchine, "_em_log_tail",
+                            lambda N: (tails.append(N), _em_log_tail(N))[1])
+        khintchine_accelerated(ctx15)
+        assert sums == [[ACCEL_TERMS]]
+        assert tails == [ACCEL_TERMS]
 
 
 def _log_term(x):
@@ -143,16 +167,16 @@ def em_tail_reference(N):
                 + mp.diff(_log_term, a, 3) / 720)
 
 
-@pytest.mark.parametrize("N", [ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS])
+@pytest.mark.parametrize("N", [ACCEL_TERMS // 2, ACCEL_TERMS])
 def test_closed_form_tail_matches_quadrature(N):
     # the series in 1/a against mpmath's quadrature and numerical
     # derivatives (they agree to about 4e-34)
     assert abs(_em_log_tail(N) - em_tail_reference(N)) < mpf("1e-30")
 
 
-@pytest.mark.parametrize("N", [ACCEL_BASE_TERMS, 2 * ACCEL_BASE_TERMS])
+@pytest.mark.parametrize("N", [ACCEL_TERMS // 2, ACCEL_TERMS])
 def test_product_with_tail_carries_fifteen_digits(N):
-    # the binary64 sum plus the tail at either end of the doubling, and the
+    # the binary64 sum plus the tail at 1000 and 2000 factors, and the
     # accelerated product, are within the product's 2e-15 of the constant
     with mp.workdps(40):
         product = mp.exp(mpf(_log_sum([N])[0]) + _em_log_tail(N))
@@ -162,10 +186,10 @@ def test_product_with_tail_carries_fifteen_digits(N):
 
 
 def test_stability_row_sums_at_most_two_thousand_terms(monkeypatch):
-    # one _log_sum call, up to 2 ACCEL_BASE_TERMS factors, per KHINTCHINE_STABILITY row
+    # one _log_sum call, up to ACCEL_TERMS factors, per KHINTCHINE_STABILITY row
     lengths = []
     monkeypatch.setattr(khintchine, "_log_sum",
                         lambda marks: (lengths.append(marks[-1]), _log_sum(marks))[1])
     assert verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=20)).passed
-    assert lengths == [2 * ACCEL_BASE_TERMS]
+    assert lengths == [ACCEL_TERMS]
     assert sum(lengths) <= 2000
