@@ -249,7 +249,7 @@ def _trace_rows(target, ctx, max_terms):
     if target == "khintchine_partial":
         final, tol = khintchine.zeta_series_value(), khintchine.STABILITY_TOLERANCE
         marks = _checkpoints(min(10 ** 6, max_terms))
-        values = khintchine.partial_products(marks, ctx)
+        values = [khintchine.khintchine_partial(N, ctx).value for N in marks]
         if max_terms >= khintchine.ACCEL_TERMS:
             marks.append("accelerated")
             values.append(khintchine.khintchine_accelerated(ctx).value)

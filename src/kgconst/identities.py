@@ -198,12 +198,13 @@ def _chi2_tail(ctx: PrecisionContext) -> BigReal:
 
     For x > 0, arccosh(coth x) = arctanh(sech x) = 2 atanh(e^-x), since
     coth x + csch x = coth(x/2) and (1 + sech x)/(1 - sech x) = coth^2(x/2),
-    and e^-L = sqrt(2) - 1.  That is taken 10 digits deeper than working
-    precision, whatever the caller's, since the value is memoized on ctx;
-    the series reads every bit of it.  Shared by APPENDIX_A3, APPENDIX_A4,
+    and e^-L = sqrt(2) - 1.  That is taken at the rules' precision
+    (quadrature.rule_precision), as the other appendix integrals are,
+    whatever the caller's, since the value is memoized on ctx; the series
+    reads every bit of it.  Shared by APPENDIX_A3, APPENDIX_A4,
     FIXED_POINT_3 and FIXED_POINT_4.
     """
-    with mp.workdps(ctx.working_dps + 10):
+    with quadrature.rule_precision(ctx):
         z = mp.sqrt(2) - 1
         return 2 * series.legendre_chi2(z, ctx).value
 

@@ -34,29 +34,15 @@ REFERENCE_DIGITS = TAIL_CTX.working_dps
 _LN2 = math.log(2)
 
 
-def _log_sum(marks) -> list:
-    """sum_{n=1}^{N} (ln n/ln 2) ln(1 + 1/(n(n+2))) for each N of the
-    ascending marks, each exactly rounded in binary64.
+def _log_sum(N: int) -> float:
+    """sum_{n=1}^{N} (ln n/ln 2) ln(1 + 1/(n(n+2))), exactly rounded in
+    binary64.
 
-    math.fsum adds each mark's prefix of binary64 terms from n = 1, without
-    rounding error, from a generator: no term list is kept.
+    math.fsum adds the binary64 terms from n = 1 without rounding error,
+    from a generator: no term list is kept.
     """
-    return [math.fsum(math.log(n) / _LN2 * math.log1p(1.0 / (n * (n + 2.0)))
-                      for n in range(1, N + 1)) for N in marks]
-
-
-def partial_products(marks, ctx: PrecisionContext) -> list:
-    """The partial products over the first N factors for each N of the
-    marks, which ascend from 1 (the n = 1 factor is unity), from one
-    _log_sum call; each carries PRODUCT_DIGITS at every ctx.
-    """
-    marks = list(marks)
-    if not marks:
-        return []
-    if not all(isinstance(m, int) for m in marks) or marks != sorted(marks) or marks[0] < 1:
-        raise DomainError(f"factor counts must be integers ascending from 1, got {marks}")
-    with ctx.workprec():
-        return [mp.exp(mpf(log_sum)) for log_sum in _log_sum(marks)]
+    return math.fsum(math.log(n) / _LN2 * math.log1p(1.0 / (n * (n + 2.0)))
+                     for n in range(1, N + 1))
 
 
 def khintchine_partial(N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -64,8 +50,10 @@ def khintchine_partial(N: int, ctx: PrecisionContext) -> SeriesResult:
     to PRODUCT_DIGITS at every ctx.  tail_bound is value (e^B - 1), with
     B = (ln N + 1)/(N ln 2) the integral-comparison bound on the log-space
     tail."""
-    value = partial_products([N], ctx)[0]
+    if not isinstance(N, int) or N < 1:
+        raise DomainError(f"factor count must be an integer >= 1, got {N!r}")
     with ctx.workprec():
+        value = mp.exp(mpf(_log_sum(N)))
         tail = value * mp.expm1((mp.log(N) + 1) / (N * mp.log(2)))
         return SeriesResult(value=value, terms_used=N, tail_bound=tail)
 
@@ -107,7 +95,7 @@ def khintchine_accelerated(ctx: PrecisionContext) -> SeriesResult:
     it covers the binary64 roundings (about 1.8e-15, from the bound at
     PRODUCT_DIGITS) and _em_log_tail's remainder, about 1.6e-24 at a = 2001."""
     with ctx.workprec():
-        value = mp.exp(mpf(_log_sum([ACCEL_TERMS])[0]) + _em_log_tail(ACCEL_TERMS))
+        value = mp.exp(mpf(_log_sum(ACCEL_TERMS)) + _em_log_tail(ACCEL_TERMS))
         return SeriesResult(value=value, terms_used=ACCEL_TERMS,
                             tail_bound=value * mpf(10) ** -PRODUCT_DIGITS)
 

@@ -19,6 +19,7 @@ from kgconst.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_USAGE,
+    _trace_rows,
     main,
     run,
 )
@@ -428,22 +429,27 @@ class TestTrace:
         assert accelerated == [accelerated[0]] * 3
         assert_digits_of_khinchin(rows[-1][1])
 
-    def test_khintchine_rows_take_one_log_sum_pass(self, capsys, monkeypatch):
-        # every partial-product row comes from one _log_sum call over all its
-        # marks, up to 10^6 factors; the accelerated row is
-        # khintchine_accelerated's own call
+    def test_khintchine_rows_sum_each_mark_once(self, capsys, monkeypatch):
+        # each partial-product row is khintchine_partial's product at its
+        # mark, one _log_sum call each, up to 10^6 factors; the accelerated
+        # row is khintchine_accelerated's own call
+        ctx = PrecisionContext(digits=20)
+        marks = [1, 10, 100, 1000, 1999]
+        _, rows, _ = _trace_rows("khintchine_partial", ctx, 1999)
+        assert [(n, value) for n, value, _ in rows] == [
+            (N, khintchine.khintchine_partial(N, ctx).value) for N in marks]
         calls = []
         log_sum = khintchine._log_sum
         monkeypatch.setattr(khintchine, "_log_sum",
-                            lambda marks: (calls.append(list(marks)), log_sum(marks))[1])
+                            lambda N: (calls.append(N), log_sum(N))[1])
         assert invoke(capsys, "trace", "khintchine_partial")[0] == EXIT_OK
-        assert calls == [[1, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6],
-                         [khintchine.ACCEL_TERMS]]
-        # below the accelerated row's factor count, the one call is all
+        assert calls == [1, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6,
+                         khintchine.ACCEL_TERMS]
+        # below the accelerated row's factor count, the marks are all
         calls.clear()
         code = invoke(capsys, "trace", "khintchine_partial", "--max-terms", "1999")[0]
         assert code == EXIT_NOT_CONVERGED
-        assert calls == [[1, 10, 100, 1000, 1999]]
+        assert calls == marks
 
     def test_khintchine_max_terms_below_accelerated(self, capsys):
         # the accelerated row sums ACCEL_TERMS factors, so a cap of

@@ -2,8 +2,9 @@
 KG_DEFINITION side, a_n summed by one route without digamma values, the
 integrals shared by the appendix identities and their fixed-point forms,
 the rewrite that gives A3, A4 and their fixed points the chi_2 series
-instead of a quadrature, and the log-moment series that gives A2 and
-FIXED_POINT_2 the head."""
+instead of a quadrature, the log-moment series that gives A2 and
+FIXED_POINT_2 the head, and a perturbation of each computed route, which
+fails exactly the rows that compute through it."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,14 +57,85 @@ def test_route_errors_become_failed_reports(ident, module, name, exc, monkeypatc
     assert r.error == f"{exc.__name__}: route failed"
 
 
-def test_routes_call_the_patched_function(monkeypatch):
-    # each route looks up the function it calls when it runs, so a patched
-    # haagerup_bound fails its row, and only that row
-    haagerup_bound = elliptic.haagerup_bound
-    monkeypatch.setattr(elliptic, "haagerup_bound",
-                        lambda ctx: haagerup_bound(ctx) * (1 + mpf("1e-25")))
-    reports = identities.verify_all(PrecisionContext(digits=30))
-    assert [r.id for r in reports if not r.passed] == [IdentityId.HAAGERUP_CONSISTENCY]
+DELTA = mpf("1e-25")
+
+
+def times(f):
+    return lambda *args: f(*args) * (1 + DELTA)
+
+
+def value_times(f):
+    def wrapped(*args):
+        res = f(*args)
+        return res._replace(value=res.value * (1 + DELTA))
+    return wrapped
+
+
+def each_times(f):
+    return lambda *args: tuple(v * (1 + DELTA) for v in f(*args))
+
+
+def integrand_shifted(f):
+    # each integer value v of the integrand becomes v + (v >> 83)
+    def wrapped(*args):
+        integrand = f(*args)
+
+        def shifted(*nodes):
+            v = integrand(*nodes)
+            return v + (v >> 83)
+        return shifted
+    return wrapped
+
+
+def plus_1e_5(f):
+    return lambda N: f(N) + 1e-5
+
+
+ID = IdentityId
+PERTURBED_ROUTES = [
+    (series, "double_series", value_times,
+     {ID.PARSEVAL_DOUBLE_SERIES, ID.PARSEVAL_CLOSURE, ID.KG_FROM_SERIES}),
+    # the alternating-series accelerator of a_n
+    (series, "_inner_tail", times, {ID.RECURRENCE, ID.COEFF_VS_QUADRATURE}),
+    (series, "legendre_chi2", value_times,
+     {ID.APPENDIX_A3, ID.APPENDIX_A4, ID.FIXED_POINT_3, ID.FIXED_POINT_4}),
+    (identities, "_log_moment_series", value_times,
+     {ID.APPENDIX_A2_CORRECTED, ID.FIXED_POINT_2}),
+    (quadrature, "integrate_analytic", value_times,
+     {ID.COEFF_VS_QUADRATURE, ID.APPENDIX_A1, ID.FIXED_POINT_1}),
+    (quadrature, "integrate_even_periodic", value_times,
+     {ID.HAAGERUP_CONSISTENCY, ID.KRIVINE_COMPLEX_MIDDLE_EQUALITY}),
+    (elliptic, "_cos2_over_root_q", integrand_shifted,
+     {ID.HAAGERUP_CONSISTENCY, ID.KRIVINE_COMPLEX_MIDDLE_EQUALITY}),
+    (elliptic, "_agm_KE", each_times,
+     {ID.HAAGERUP_CONSISTENCY, ID.KRIVINE_COMPLEX_MIDDLE_EQUALITY, ID.LEGENDRE_RELATION}),
+    (elliptic, "haagerup_bound", times, {ID.HAAGERUP_CONSISTENCY}),
+    # the rhs is mpmath's zeta series, so a shifted log-sum moves only the
+    # lhs, the accelerated product, by a factor e^(1e-5)
+    (khintchine, "_log_sum", plus_1e_5, {ID.KHINTCHINE_STABILITY}),
+]
+
+
+@pytest.mark.parametrize("module, name, perturb, failing", PERTURBED_ROUTES,
+                         ids=[f"{m.__name__.rsplit('.', 1)[1]}.{n}"
+                              for m, n, _, _ in PERTURBED_ROUTES])
+def test_perturbed_route_fails_exactly_its_rows(module, name, perturb, failing,
+                                                monkeypatch):
+    # each route looks up the function it calls when it runs, so a route
+    # perturbed by about 1e-25 (the binary64 log-sum by 1e-5) fails the rows
+    # that compute through it, and only those, each by its residual, not by
+    # an error; the memos are emptied before and after, so that no value
+    # crosses into or out of the run
+    clear_memos()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, perturb(getattr(module, name)))
+            reports = identities.verify_all(PrecisionContext(digits=50))
+    finally:
+        clear_memos()
+    failed = [r for r in reports if not r.passed]
+    assert {r.id for r in failed} == failing
+    assert [r.error for r in failed] == [None] * len(failed)
 
 
 def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
@@ -73,17 +145,6 @@ def test_kg_definition_fails_when_log_is_wrong(monkeypatch):
     r = verify(IdentityId.KG_DEFINITION, PrecisionContext(digits=30))
     assert not r.passed
     assert r.residual > mpf("1e-26")
-
-
-def test_khintchine_fails_when_log_sum_is_wrong(monkeypatch):
-    # the rhs is mpmath's zeta series, so a shifted log-sum moves only the
-    # lhs, the accelerated product, by a factor e^(1e-5)
-    log_sum = khintchine._log_sum
-    monkeypatch.setattr(khintchine, "_log_sum",
-                        lambda marks: [v + 1e-5 for v in log_sum(marks)])
-    r = verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=20))
-    assert not r.passed
-    assert r.residual > mpf("1e-5")
 
 
 def test_verify_all_without_digamma(monkeypatch):
@@ -96,19 +157,6 @@ def test_verify_all_without_digamma(monkeypatch):
     reports = identities.verify_all(PrecisionContext(digits=50))
     assert len(reports) == 18
     assert [(r.id, r.error) for r in reports if not r.passed] == []
-
-
-def test_shifted_accelerator_fails_only_its_rows(monkeypatch):
-    # the alternating-series accelerator gives a_n on one side of RECURRENCE
-    # (against a rational) and of COEFF_VS_QUADRATURE (against Fejer), and is
-    # no route of any other row
-    inner_tail = series._inner_tail
-    monkeypatch.setattr(series, "_inner_tail",
-                        lambda n: inner_tail(n) * (1 + mpf("1e-25")))
-    clear_memos()
-    reports = identities.verify_all(PrecisionContext(digits=50))
-    assert {r.id for r in reports if not r.passed} == {
-        IdentityId.RECURRENCE, IdentityId.COEFF_VS_QUADRATURE}
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from kgconst.khintchine import (
     PRODUCT_DIGITS,
     _em_log_tail,
     _log_sum,
-    partial_products,
 )
 
 # reference value of the constant, for regression only (first 16 digits)
@@ -49,36 +48,17 @@ class TestPartialProduct:
         b = khintchine_partial(1001, ctx15).value
         assert 0 < b - a < mpf("1e-4")
 
-    def test_invalid_N(self, ctx15):
+    @pytest.mark.parametrize("N", [0, -1, 2.5, "10"])
+    def test_invalid_N(self, ctx15, N):
         with pytest.raises(DomainError):
-            khintchine_partial(0, ctx15)
-
-    def test_no_marks(self, ctx15):
-        assert partial_products([], ctx15) == []
-
-    @pytest.mark.parametrize("marks", [[1, 5000, 2000], [2000, 10]])
-    def test_marks_must_ascend_from_one(self, ctx15, marks):
-        # marks are factor counts ascending from 1, as the trace's
-        # checkpoints are; a list out of order is refused, not reordered
-        with pytest.raises(DomainError):
-            partial_products(marks, ctx15)
-
-    def test_one_pass_gives_each_partial_product(self, ctx15, monkeypatch):
-        # every mark, short or long, from one _log_sum call
-        marks = [1, 2, 10, 1000, 1001, 5000, 20_000]
-        expected = [khintchine_partial(N, ctx15).value for N in marks]
-        calls = []
-        monkeypatch.setattr(khintchine, "_log_sum",
-                            lambda m: (calls.append(list(m)), _log_sum(m))[1])
-        assert partial_products(marks, ctx15) == expected
-        assert calls == [marks]
+            khintchine_partial(N, ctx15)
 
     def test_keeps_no_term_list(self, ctx15):
-        # each prefix is summed from a generator, so memory does not grow
-        # with the factor count
+        # the sum runs over a generator, so memory does not grow with the
+        # factor count
         tracemalloc.start()
         try:
-            partial_products([1, 10 ** 5], ctx15)
+            khintchine_partial(10 ** 5, ctx15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -143,11 +123,11 @@ class TestAccelerated:
         # _em_log_tail call, with no second product to compare it with
         sums, tails = [], []
         monkeypatch.setattr(khintchine, "_log_sum",
-                            lambda marks: (sums.append(list(marks)), _log_sum(marks))[1])
+                            lambda N: (sums.append(N), _log_sum(N))[1])
         monkeypatch.setattr(khintchine, "_em_log_tail",
                             lambda N: (tails.append(N), _em_log_tail(N))[1])
         khintchine_accelerated(ctx15)
-        assert sums == [[ACCEL_TERMS]]
+        assert sums == [ACCEL_TERMS]
         assert tails == [ACCEL_TERMS]
 
 
@@ -179,7 +159,7 @@ def test_product_with_tail_carries_fifteen_digits(N):
     # the binary64 sum plus the tail at 1000 and 2000 factors, and the
     # accelerated product, are within the product's 2e-15 of the constant
     with mp.workdps(40):
-        product = mp.exp(mpf(_log_sum([N])[0]) + _em_log_tail(N))
+        product = mp.exp(mpf(_log_sum(N)) + _em_log_tail(N))
         accelerated = khintchine_accelerated(PrecisionContext(digits=30)).value
         assert abs(product - mp.khinchin) < mpf("2e-15")
         assert abs(accelerated - mp.khinchin) < mpf("2e-15")
@@ -189,7 +169,7 @@ def test_stability_row_sums_at_most_two_thousand_terms(monkeypatch):
     # one _log_sum call, up to ACCEL_TERMS factors, per KHINTCHINE_STABILITY row
     lengths = []
     monkeypatch.setattr(khintchine, "_log_sum",
-                        lambda marks: (lengths.append(marks[-1]), _log_sum(marks))[1])
+                        lambda N: (lengths.append(N), _log_sum(N))[1])
     assert verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=20)).passed
     assert lengths == [ACCEL_TERMS]
     assert sum(lengths) <= 2000
