@@ -16,9 +16,7 @@ from mpmath import mp, mpf
 from kgconst import (
     PrecisionContext,
     ellip_E,
-    ellip_E_imag,
     ellip_K,
-    ellip_K_imag,
     haagerup_bound,
     kc_upper,
     solve_x0,
@@ -42,8 +40,10 @@ for k in ("0.2", "0.5", "0.8"):
 print()
 
 print("imaginary modulus (both reduce to the self-complementary point 1/sqrt(2)):")
-print("  K(i) =", mp.nstr(ellip_K_imag(ctx), 25))
-print("  E(i) =", mp.nstr(ellip_E_imag(ctx), 25))
+with ctx.workprec():
+    k = 1 / mp.sqrt(2)
+    print("  K(i) =", mp.nstr(ellip_K(k, ctx) / mp.sqrt(2), 25))
+    print("  E(i) =", mp.nstr(mp.sqrt(2) * ellip_E(k, ctx), 25))
 print("  Haagerup bound 1/(2K(i)-E(i)) =", mp.nstr(haagerup_bound(ctx), 25))
 print()
 

@@ -26,9 +26,7 @@ from .series import (
 from .elliptic import (
     RootResult,
     ellip_E,
-    ellip_E_imag,
     ellip_K,
-    ellip_K_imag,
     haagerup_bound,
     kc_upper,
     krivine_complex_f,
@@ -62,8 +60,6 @@ __all__ = [
     "RootResult",
     "ellip_K",
     "ellip_E",
-    "ellip_K_imag",
-    "ellip_E_imag",
     "haagerup_bound",
     "krivine_complex_f",
     "solve_x0",

@@ -56,7 +56,8 @@ _CONSTANTS = {
     "X0": (lambda ctx: elliptic.solve_x0(ctx).x0, "root of the complex-case equation"),
     "KC_UPPER": (elliptic.kc_upper, "Krivine complex upper limit 8/(pi(x0+1))"),
     "KHINTCHINE": (lambda ctx: khintchine.khintchine_accelerated(ctx).value,
-                   "Khintchine product, Euler-Maclaurin tail (15 digits)"),
+                   f"Khintchine product, Euler-Maclaurin tail "
+                   f"({khintchine.PRODUCT_DIGITS} digits)"),
 }
 
 _TRACE_TARGETS = ("double_series", "partial_sum_S", "khintchine_partial")

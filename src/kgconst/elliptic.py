@@ -1,6 +1,5 @@
 """Complete elliptic integrals K and E via the arithmetic-geometric mean,
-their imaginary-modulus values K(i) and E(i), Haagerup's bound
-1/(2K(i) - E(i)), and the root solve for the complex-case
+Haagerup's bound 1/(2K(i) - E(i)), and the root solve for the complex-case
 Krivine equation
 
     pi (x+1) / 8 = (1/x) [ E(x) - (1 - x^2) K(x) ].
@@ -186,24 +185,6 @@ def ellip_E_quadrature(k, ctx: PrecisionContext) -> BigReal:
                          lambda low, high, a: mp.sqrt(high), ctx).value
 
 
-def _imag_KE():
-    """(K(i), E(i)) = (K(k)/sqrt(2), sqrt(2) E(k)), k = 1/sqrt(2), from one AGM run."""
-    K, E, _ = _agm_KE(1 / mp.sqrt(2))
-    return K / mp.sqrt(2), mp.sqrt(2) * E
-
-
-def ellip_K_imag(ctx: PrecisionContext) -> BigReal:
-    """K(i) = integral of 1/sqrt(1 + sin^2(t)) over (0, pi/2)."""
-    with ctx.workprec():
-        return _imag_KE()[0]
-
-
-def ellip_E_imag(ctx: PrecisionContext) -> BigReal:
-    """E(i) = integral of sqrt(1 + sin^2(t)) over (0, pi/2)."""
-    with ctx.workprec():
-        return _imag_KE()[1]
-
-
 def legendre_lhs(k, ctx: PrecisionContext) -> BigReal:
     """E(k)K(k') + E(k')K(k) - K(k)K(k') with k' = sqrt((1-k)(1+k)); Legendre's
     relation makes it pi/2."""
@@ -219,10 +200,12 @@ def legendre_lhs(k, ctx: PrecisionContext) -> BigReal:
 
 
 def haagerup_bound(ctx: PrecisionContext) -> BigReal:
-    """Haagerup's suggested complex upper limit 1/(2K(i) - E(i))."""
+    """Haagerup's suggested complex upper limit 1/(2K(i) - E(i)), with
+    K(i) = K(k)/sqrt(2) and E(i) = sqrt(2) E(k) at the self-complementary
+    modulus k = 1/sqrt(2), from one AGM run."""
     with ctx.workprec():
-        K, E = _imag_KE()
-        return 1 / (2 * K - E)
+        K, E, _ = _agm_KE(1 / mp.sqrt(2))
+        return 1 / (2 * (K / mp.sqrt(2)) - mp.sqrt(2) * E)
 
 
 def haagerup_bound_quadrature(ctx: PrecisionContext) -> BigReal:

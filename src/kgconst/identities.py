@@ -2,8 +2,9 @@
 
 Each identity is one row of ``_TABLE``, keyed by its name: its paper anchor,
 ``lhs`` and ``rhs`` callables giving its two sides by independent routes
-through the owning modules, and a fixed tolerance where the check is
-intrinsically desk-scale (the 15-digit Khintchine product).  The table is
+through the owning modules, and a fixed tolerance where a side carries a
+fixed number of digits (the 15-digit Khintchine product, held to the
+accuracy it states).  The table is
 the registry: ``IdentityId`` is built from its keys.  ``verify`` reports the
 absolute residual, the number of digits of agreement, and a pass flag against
 the row's tolerance, or else the context tolerance.

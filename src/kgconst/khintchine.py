@@ -21,16 +21,16 @@ from .core import BigReal, PrecisionContext
 from .errors import DomainError
 from .series import SeriesResult
 
-# the fixed tolerance of the desk-scale Khintchine checks, whatever the digits
-STABILITY_TOLERANCE = mpf("1e-8")
 ACCEL_TERMS = 2_000
-# the tail and the zeta-series reference run at TAIL_CTX's 30 working digits
-TAIL_CTX = PrecisionContext(digits=20)
 # the digits the values carry: a binary64 log-series term takes five roundings
 # (math.log, _LN2, the division by it, 1/(n(n+2)), log1p) and math.fsum one,
 # so the product's log is within 6 * 2^-53 ln K < 7e-16, the product 2e-15
 PRODUCT_DIGITS = sys.float_info.dig
-REFERENCE_DIGITS = TAIL_CTX.working_dps
+# the Khintchine checks' tolerance, whatever the digits: the stated bound
+# value 10^-PRODUCT_DIGITS is below it, since K < 10
+STABILITY_TOLERANCE = mpf(10) ** (1 - PRODUCT_DIGITS)
+# the working digits of the tail and of the zeta-series reference
+REFERENCE_DIGITS = 30
 _LN2 = math.log(2)
 
 
@@ -61,7 +61,7 @@ def khintchine_partial(N: int, ctx: PrecisionContext) -> SeriesResult:
 def _em_log_tail(N: int) -> BigReal:
     """The log-space tail beyond N by Euler-Maclaurin,
     int_a^inf f + f(a)/2 - f'(a)/12 + f'''(a)/720 with a = N + 1, in closed
-    form in TAIL_CTX at every precision.
+    form at REFERENCE_DIGITS whatever the caller's precision.
 
     g(x) = ln(1 + 1/(x(x+2))) = sum_{m>=2} c_m x^-m, c_m = (-1)^m (2^m - 2)/m,
     so f = (1/ln 2) sum c_m x^-m ln x, and each part is a series in 1/a:
@@ -70,11 +70,11 @@ def _em_log_tail(N: int) -> BigReal:
     (x^-m ln x)' = x^-m-1 (1 - m ln x) and
     (x^-m ln x)''' = x^-m-3 (3m^2 + 6m + 2 - m(m+1)(m+2) ln x).
     The terms in m alternate, each below about 2/a times the last: the sum
-    stops at the first term below 2^-prec (12 terms at a = 1001), the
+    stops at the first term below 2^-prec (11 terms at a = 2001), the
     remainder below the next.  The Euler-Maclaurin remainder is about its
-    next term, -B_6/6! f^(5)(a) = -f^(5)(a)/30240: 1.8e-22 at a = 1001.
+    next term, -B_6/6! f^(5)(a) = -f^(5)(a)/30240: 1.6e-24 at a = 2001.
     """
-    with TAIL_CTX.workprec():
+    with mp.workdps(REFERENCE_DIGITS):
         a = mpf(N + 1)
         ln_a = mp.log(a)
         eps, total, m, term = mpf(2) ** -mp.prec, 0, 2, 1
@@ -102,6 +102,7 @@ def khintchine_accelerated(ctx: PrecisionContext) -> SeriesResult:
 
 def zeta_series_value() -> BigReal:
     """Khintchine's constant by mpmath's zeta series (Bailey, Borwein & Crandall,
-    Math. Comp. 66, 1997) at TAIL_CTX's 30 working digits: the product's check."""
-    with TAIL_CTX.workprec():
+    Math. Comp. 66, 1997) at REFERENCE_DIGITS working digits: the product's
+    check."""
+    with mp.workdps(REFERENCE_DIGITS):
         return +mp.khinchin

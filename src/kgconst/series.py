@@ -65,6 +65,9 @@ from .core import GUARD_BITS, BigReal, PrecisionContext
 from .errors import DomainError, NoConvergence
 from . import quadrature
 
+# terms beyond which legendre_chi2 gives up: about 1.3 s at 20 digits
+CHI2_MAX_TERMS = 2 ** 22
+
 
 class SeriesResult(NamedTuple):
     """A series value, the terms or partial sums it took, and a bound or
@@ -400,8 +403,9 @@ def legendre_chi2(z, ctx: PrecisionContext) -> SeriesResult:
     are short by under (J + 9/(1-q)^2) 2^-P, the returned tail_bound.
     P = mp.prec + bitlength(J + 9/(1-q)^2) + GUARD_BITS puts it below
     2^-(mp.prec + GUARD_BITS); the one rounding to an mpf dominates.  The
-    terms shrink by q per step, so J is about mp.prec / log2(1/q): 282 at
-    200 digits for z = sqrt(2) - 1.
+    terms shrink by q per step, so J is under P / log2(1/q) + 1: 282 at
+    200 digits for z = sqrt(2) - 1.  That count grows as 1/(1 - z), and
+    above CHI2_MAX_TERMS the call raises NoConvergence before the loop.
     """
     with ctx.workprec():
         prec = mp.prec
@@ -410,10 +414,15 @@ def legendre_chi2(z, ctx: PrecisionContext) -> SeriesResult:
         if not 0 < z < 1:
             raise DomainError(f"chi_2 series requires 0 < z < 1, got {z}")
         q = z * z
+        shrink = -mp.log(q, 2)  # the bits each term loses
         slack = 9 / (1 - q) ** 2
         # above J + slack: the terms to shrink 64 bits below 2^-prec
-        budget = int((prec + 64) / -mp.log(q, 2) + slack)
+        budget = int((prec + 64) / shrink + slack)
         P = prec + budget.bit_length() + GUARD_BITS
+        terms = int(P / shrink) + 1
+        if terms > CHI2_MAX_TERMS:
+            raise NoConvergence(f"chi_2 series at 1 - z = {mp.nstr(1 - z, 3)} needs "
+                                f"about {terms} terms, more than {CHI2_MAX_TERMS}")
         Z = int(mp.floor(mp.ldexp(z, P)))
     Q = Z * Z >> P
     power = Z

@@ -8,9 +8,7 @@ from kgconst import (
     NoConvergence,
     PrecisionContext,
     ellip_E,
-    ellip_E_imag,
     ellip_K,
-    ellip_K_imag,
     haagerup_bound,
     kc_upper,
     krivine_complex_f,
@@ -34,14 +32,14 @@ K_GRID = ["0.05", "0.3", "0.5", "0.7", "0.9", "0.99"]
 # trapezoid rule: a route that shares nothing with the AGM (mpmath's ellipk
 # and ellipe run the AGM too).
 # 1 + sin^2 t = cos^2 t + 2 sin^2 t, bounded on strips by elliptic._periodic
-def ellip_K_imag_quadrature(ctx):
+def K_imag_quadrature(ctx):
     with ctx.workprec():
         return elliptic._periodic(
             lambda K, W: on_integers(lambda s2, c2: 1 / mp.sqrt(1 + s2), W), mpf(2),
             lambda low, high, a: 1 / mp.sqrt(low), ctx).value
 
 
-def ellip_E_imag_quadrature(ctx):
+def E_imag_quadrature(ctx):
     with ctx.workprec():
         return elliptic._periodic(
             lambda K, W: on_integers(lambda s2, c2: mp.sqrt(1 + s2), W), mpf(2),
@@ -132,18 +130,28 @@ class TestLegendreCertificate:
             assert abs(legendre_lhs(k, ctx30) - mp.pi / 2) < mpf("1e-25")
 
 
+def imaginary_modulus_KE(ctx):
+    """(K(i), E(i)) = (K(k)/sqrt(2), sqrt(2) E(k)) at the self-complementary
+    modulus k = 1/sqrt(2), the reduction haagerup_bound uses."""
+    with ctx.workprec():
+        k = 1 / mp.sqrt(2)
+        return ellip_K(k, ctx) / mp.sqrt(2), mp.sqrt(2) * ellip_E(k, ctx)
+
+
 class TestImaginaryModulus:
     def test_reduction_vs_quadrature(self, ctx30):
-        assert abs(ellip_K_imag(ctx30) - ellip_K_imag_quadrature(ctx30)) < mpf("1e-25")
-        assert abs(ellip_E_imag(ctx30) - ellip_E_imag_quadrature(ctx30)) < mpf("1e-25")
+        K, E = imaginary_modulus_KE(ctx30)
+        assert abs(K - K_imag_quadrature(ctx30)) < mpf("1e-25")
+        assert abs(E - E_imag_quadrature(ctx30)) < mpf("1e-25")
 
     def test_against_mpmath_negative_parameter(self, ctx30):
         # K(i), E(i) with modulus i correspond to parameter m = -1
         with mp.workdps(60):
             ref_K = mp.ellipk(-1)
             ref_E = mp.ellipe(-1)
-        assert abs(ellip_K_imag(ctx30) - ref_K) < mpf("1e-35")
-        assert abs(ellip_E_imag(ctx30) - ref_E) < mpf("1e-35")
+        K, E = imaginary_modulus_KE(ctx30)
+        assert abs(K - ref_K) < mpf("1e-35")
+        assert abs(E - ref_E) < mpf("1e-35")
 
 
 class TestHaagerupBound:

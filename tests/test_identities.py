@@ -7,6 +7,7 @@ from kgconst import (
     IdentityId,
     NoConvergence,
     PrecisionContext,
+    khintchine,
     quadrature,
     series,
     verify,
@@ -130,11 +131,16 @@ class TestSingleVerify:
         assert r.error == "NoConvergence: double series did not converge"
 
     def test_khintchine_uses_fixed_tolerance(self):
-        # the product is desk-scale: it passes at high ctx digits because its
-        # tolerance stays pinned at the module's fixed 1e-8
+        # the product carries PRODUCT_DIGITS at every ctx: the row is held to
+        # 10^(1 - PRODUCT_DIGITS), which its stated bound value
+        # 10^-PRODUCT_DIGITS meets since K < 10, at every digit count
+        # (the module forms it in binary64, at mpmath's default precision)
+        assert mp.almosteq(khintchine.STABILITY_TOLERANCE,
+                           mpf(10) ** (1 - khintchine.PRODUCT_DIGITS), rel_eps=2 ** -52)
+        assert mp.nstr(khintchine.STABILITY_TOLERANCE, 1) == "1.0e-14"
         r = verify(IdentityId.KHINTCHINE_STABILITY, PrecisionContext(digits=30))
         assert r.passed
-        assert r.residual < mpf("1e-8")
+        assert r.residual < khintchine.STABILITY_TOLERANCE
 
 
 class TestSelectedIdentitiesAtThirtyDigits:

@@ -91,6 +91,10 @@ def plus_1e_5(f):
     return lambda N: f(N) + 1e-5
 
 
+def plus_1e_12(f):
+    return lambda N: f(N) + 1e-12
+
+
 ID = IdentityId
 PERTURBED_ROUTES = [
     (series, "double_series", value_times,
@@ -113,19 +117,32 @@ PERTURBED_ROUTES = [
     # the rhs is mpmath's zeta series, so a shifted log-sum moves only the
     # lhs, the accelerated product, by a factor e^(1e-5)
     (khintchine, "_log_sum", plus_1e_5, {ID.KHINTCHINE_STABILITY}),
+    # by e^(1e-12) - 1 = 1e-12 relative, 2.69e-12 absolute: above the
+    # row's tolerance 1e-14, the product's stated accuracy, and below the
+    # 1e-8 the row was held to before
+    (khintchine, "_log_sum", plus_1e_12, {ID.KHINTCHINE_STABILITY}),
 ]
 
 
+def route_ids(routes):
+    """module.name of each route, with the perturbation's name after a
+    route that is already listed."""
+    ids = []
+    for module, name, perturb, _ in routes:
+        route = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        ids.append(f"{route}:{perturb.__name__}" if route in ids else route)
+    return ids
+
+
 @pytest.mark.parametrize("module, name, perturb, failing", PERTURBED_ROUTES,
-                         ids=[f"{m.__name__.rsplit('.', 1)[1]}.{n}"
-                              for m, n, _, _ in PERTURBED_ROUTES])
+                         ids=route_ids(PERTURBED_ROUTES))
 def test_perturbed_route_fails_exactly_its_rows(module, name, perturb, failing,
                                                 monkeypatch):
     # each route looks up the function it calls when it runs, so a route
-    # perturbed by about 1e-25 (the binary64 log-sum by 1e-5) fails the rows
-    # that compute through it, and only those, each by its residual, not by
-    # an error; the memos are emptied before and after, so that no value
-    # crosses into or out of the run
+    # perturbed by about 1e-25 (the binary64 log-sum by 1e-5 or 1e-12) fails
+    # the rows that compute through it, and only those, each by its
+    # residual, not by an error; the memos are emptied before and after, so
+    # that no value crosses into or out of the run
     clear_memos()
     try:
         with monkeypatch.context() as patch:

@@ -94,9 +94,9 @@ class TestAccelerated:
         assert abs(accel - KNOWN) < abs(brute - KNOWN)
 
     def test_tail_runs_at_fixed_precision(self):
-        # the tail runs at the 30 working digits of TAIL_CTX at every caller
-        # precision, so the product does not move with the requested digits
-        # beyond it
+        # the tail runs at REFERENCE_DIGITS, 30 working digits, at every
+        # caller precision, so the product does not move with the requested
+        # digits beyond it
         for N in (ACCEL_TERMS // 2, ACCEL_TERMS):
             with mp.workdps(15):
                 low = _em_log_tail(N)

@@ -23,7 +23,7 @@ from kgconst import (
     verify_all,
 )
 from kgconst import cli, identities, quadrature, series
-from kgconst.series import _terms_to_tolerance, inner_term_magnitude
+from kgconst.series import CHI2_MAX_TERMS, _terms_to_tolerance, inner_term_magnitude
 from kgconst.core import GUARD_BITS
 
 
@@ -530,3 +530,12 @@ class TestLegendreChi2:
     def test_domain(self, z, ctx30):
         with pytest.raises(DomainError):
             legendre_chi2(z, ctx30)
+
+    def test_fails_fast_near_one(self, ctx30):
+        # at 1 - z = 2^-40 the loop would take about 8.6e13 terms; the count
+        # is taken before the loop, so the call raises at once (the precision
+        # ladder's 1 - 2^-10 at 140 digits takes 185,812 terms, under the cap)
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence, match=str(CHI2_MAX_TERMS)):
+            legendre_chi2(1 - 2 ** -40, ctx30)
+        assert time.perf_counter() - start < 0.1
