@@ -4,13 +4,17 @@ root equation, Haagerup's bound, the Khintchine product, and the related
 integral identities.
 """
 
-from .core import BigReal, PrecisionContext, const_KG, const_L, const_pi
-from .errors import (
+from .core import (
+    BigReal,
     DomainError,
     InvalidPrecision,
     KgconstError,
     NoConvergence,
     NonFiniteEvaluation,
+    PrecisionContext,
+    const_KG,
+    const_L,
+    const_pi,
 )
 from .identities import IdentityId, IdentityReport, verify, verify_all
 from .quadrature import QuadratureResult, integrate_analytic, integrate_even_periodic

@@ -33,8 +33,8 @@ import sys
 from mpmath import mp
 
 from . import elliptic, identities, khintchine, series
-from .core import GUARD_DIGITS, MIN_DIGITS, PrecisionContext, const_KG, const_L, const_pi
-from .errors import KgconstError, NoConvergence
+from .core import (GUARD_DIGITS, MIN_DIGITS, KgconstError, NoConvergence, PrecisionContext,
+                   const_KG, const_L, const_pi)
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2

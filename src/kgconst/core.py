@@ -6,6 +6,10 @@ all intermediate arithmetic at ``digits + GUARD_DIGITS`` decimal digits.  The
 returned values are plain ``mpmath.mpf`` instances (aliased ``BigReal``), or
 frozen records that carry one beside its work counts; both are immutable, so
 they are safe to share between tasks.
+
+Every error the package raises is a :class:`KgconstError`, defined here:
+:class:`InvalidPrecision`, :class:`DomainError`, :class:`NoConvergence` or
+:class:`NonFiniteEvaluation`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,27 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .errors import InvalidPrecision
+
+class KgconstError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class InvalidPrecision(KgconstError):
+    """The requested digit count is not an integer >= MIN_DIGITS."""
+
+
+class DomainError(KgconstError):
+    """Argument outside the mathematical domain of an operation."""
+
+
+class NoConvergence(KgconstError):
+    """An iterative scheme hit its refinement cap before reaching tolerance."""
+
+
+class NonFiniteEvaluation(KgconstError):
+    """An integrand returned a value that is not an int: the exact sum of
+    the quadrature rules takes integer values only."""
+
 
 # BigReal is a semantic alias: an arbitrary-precision real scalar.
 BigReal = mpf

@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .core import GUARD_BITS, BigReal, PrecisionContext
-from .errors import DomainError, NoConvergence
+from .core import GUARD_BITS, BigReal, DomainError, NoConvergence, PrecisionContext
 from . import quadrature
 
 ROOT_BRACKET = (mpf("0.01"), mpf("0.99"))
@@ -253,8 +252,11 @@ def solve_x0(ctx: PrecisionContext) -> RootResult:
 
     mpmath's Pegasus regula falsi, derivative-free, starts from the two
     points of ROOT_BRACKET.  Their signs are not checked: the residual gate
-    is the acceptance test.  ``iterations`` counts the distinct points at
-    which f was computed to find x0; the solver's repeat probes reuse them.
+    is the acceptance test, and the only failure reported.  ``findroot``
+    raises ValueError only for an unknown solver name, a bracket that is
+    not two distinct points, or ``verify=True``, none of which this call
+    can meet.  ``iterations`` counts the distinct points at which f was
+    computed to find x0; the solver's repeat probes reuse them.
     """
     with ctx.workprec():
         known = {}
@@ -264,11 +266,8 @@ def solve_x0(ctx: PrecisionContext) -> RootResult:
                 known[x] = krivine_complex_f(x, ctx)
             return known[x]
 
-        try:
-            # no verify probe: the residual gate below is the stricter test
-            x0 = +mp.findroot(f, ROOT_BRACKET, solver="pegasus", verify=False)
-        except ValueError as exc:
-            raise NoConvergence(f"root solve failed: {exc}") from exc
+        # no verify probe: the residual gate below is the stricter test
+        x0 = +mp.findroot(f, ROOT_BRACKET, solver="pegasus", verify=False)
         residual = abs(krivine_complex_f(x0, ctx))
         if residual >= ctx.tolerance:
             raise NoConvergence(

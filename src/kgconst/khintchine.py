@@ -17,8 +17,7 @@ import sys
 
 from mpmath import mp, mpf
 
-from .core import BigReal, PrecisionContext
-from .errors import DomainError
+from .core import BigReal, DomainError, PrecisionContext
 from .series import SeriesResult
 
 ACCEL_TERMS = 2_000

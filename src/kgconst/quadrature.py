@@ -41,8 +41,8 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .core import GUARD_BITS, BigReal, PrecisionContext
-from .errors import DomainError, NoConvergence, NonFiniteEvaluation
+from .core import (GUARD_BITS, BigReal, DomainError, NoConvergence, NonFiniteEvaluation,
+                   PrecisionContext)
 
 # decimal digits beyond ctx.working_dps at which both rules evaluate and sum
 RULE_EXTRA_DPS = 10

@@ -61,8 +61,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .core import GUARD_BITS, BigReal, PrecisionContext
-from .errors import DomainError, NoConvergence
+from .core import GUARD_BITS, BigReal, DomainError, NoConvergence, PrecisionContext
 from . import quadrature
 
 # terms beyond which legendre_chi2 gives up: about 1.3 s at 20 digits

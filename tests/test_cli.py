@@ -128,6 +128,16 @@ class TestCompute:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_not_converged_at_the_residual_gate(self, capsys, monkeypatch):
+        # a solver that returns a point that is not a root: solve_x0's
+        # residual gate, not the solver, reports it
+        monkeypatch.setattr(mp, "findroot", lambda *args, **kwargs: mpf("0.3"))
+        code, out, err = invoke(capsys, "compute", "X0")
+        assert code == EXIT_NOT_CONVERGED
+        assert out == ""
+        assert err.startswith("error: root residual")
+        assert "Traceback" not in err
+
     def test_invalid_digits(self, capsys):
         code, _, err = invoke(capsys, "compute", "PI", "--digits", "5")
         assert code == EXIT_USAGE

@@ -209,6 +209,18 @@ class TestRootSolve:
         with pytest.raises(DomainError):
             krivine_complex_f(1, ctx30)
 
+    @pytest.mark.parametrize("x", [0, 1, -0.5, 1.5])
+    def test_middle_domain_guard(self, x, ctx30):
+        with pytest.raises(DomainError, match="middle expression requires 0 < x < 1"):
+            krivine_complex_middle(x, ctx30)
+
+    def test_residual_gate_rejects_a_point_that_is_not_a_root(self, ctx30, monkeypatch):
+        # f(0.3) = -0.2721..., so the gate, not the solver, must refuse it
+        monkeypatch.setattr(mp, "findroot", lambda *args, **kwargs: mpf("0.3"))
+        with pytest.raises(NoConvergence, match=r"^root residual 0\.2721\d* did not "
+                                                r"reach tolerance 1\.0e-30$"):
+            solve_x0(ctx30)
+
 
 class TestUpperLimit:
     def test_value_and_ordering(self, ctx30):

@@ -189,8 +189,7 @@ def integrate_calls(monkeypatch):
         return res
 
     monkeypatch.setattr(quadrature, "integrate_analytic", counting)
-    identities._tail_integral.cache_clear()
-    identities._head_integral.cache_clear()
+    clear_memos()
     return calls
 
 
@@ -207,7 +206,7 @@ def head_series_calls(monkeypatch):
         return res
 
     monkeypatch.setattr(identities, "_log_moment_series", counting)
-    identities._head_integral.cache_clear()
+    clear_memos()
     return calls
 
 
@@ -300,7 +299,7 @@ def test_head_series_value_and_terms(digits):
     # 2 (alpha + beta) rho_a^-K/(1 - 1/rho_a) is below 2^-(prec + GUARD_BITS)
     # (up to one more, for the float logarithms)
     ctx = PrecisionContext(digits=digits)
-    identities._head_integral.cache_clear()
+    clear_memos()
     value = identities._head_integral(ctx)
     with quadrature.rule_precision(ctx):
         prec = mp.prec
@@ -330,7 +329,7 @@ def test_tail_takes_one_exp_per_pair_of_nodes(digits, exps, monkeypatch):
             calls[_name] += 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(mp, name, counting)
-    identities._tail_integral.cache_clear()
+    clear_memos()
     identities._tail_integral(PrecisionContext(digits=digits))
     assert calls == {"exp": exps, "sinh": 0}
 
@@ -340,7 +339,7 @@ def test_tail_value_across_the_ladder(digits):
     # the tail's integer integrand (identities._tail_integral) within the
     # rule's error bound and rounding of pi^2/8 - L^2/2
     ctx = PrecisionContext(digits=digits)
-    identities._tail_integral.cache_clear()
+    clear_memos()
     value = identities._tail_integral(ctx)
     with mp.workdps(ctx.working_dps + 40):
         L = mp.log(1 + mp.sqrt(2))

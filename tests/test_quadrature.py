@@ -15,6 +15,7 @@ from kgconst import (
 from kgconst import elliptic, quadrature, series
 from kgconst.quadrature import _fejer_rule, _sine_table, _table_bits, _weight_sums
 
+from conftest import clear_memos
 from integrands import integrate, on_integers
 
 
@@ -90,7 +91,7 @@ class TestEndpointSingularities:
                          bounds, bits)
 
         monkeypatch.setattr(quadrature, "integrate_analytic", recording)
-        identities._tail_integral.cache_clear()
+        clear_memos()
         value = identities._tail_integral(ctx30)
         with ctx30.workprec():
             L = mp.log(1 + mp.sqrt(2))
@@ -491,7 +492,7 @@ class TestProvedBounds:
         # must match its formula in PROVED, which is sampled off the axis
         ctx = PrecisionContext(digits=30)
         calls = _recording(monkeypatch)
-        identities._tail_integral.cache_clear()
+        clear_memos()
         slack = mpf(2) ** -21
         close = mpf(10) ** -(ctx.working_dps - 5)
         for name, (run, _, formula) in PROVED.items():
@@ -553,7 +554,7 @@ class TestProvedBounds:
         # the rule's rounding, RULE_EXTRA_DPS digits finer than its target
         ctx = PrecisionContext(digits=digits)
         calls = _recording(monkeypatch)
-        identities._tail_integral.cache_clear()
+        clear_memos()
         rounding = mpf(10) ** -(ctx.working_dps + 5)
         for name, (run, closed, _) in PROVED.items():
             del calls[:]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from conftest import clear_memos
 from kgconst import (
     DomainError,
     IdentityId,
@@ -101,6 +102,10 @@ class TestPartialSums:
         assert partial_sums([0], ctx30)[0] == 0
         assert abs(partial_sums([1], ctx30)[0] - mpf(2) / 3) < mpf("1e-38")
         assert abs(partial_sums([2], ctx30)[0] - mpf(64) / 105) < mpf("1e-38")
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_no_indices(self, squared, ctx30):
+        assert partial_sums([], ctx30, squared=squared) == []
 
     def test_large_sum_within_remainder_bound(self, ctx30):
         n = 10 ** 4
@@ -349,7 +354,7 @@ def test_non_integer_index_raises_domain_error(fn, index, ctx15):
 @pytest.fixture
 def perturbed_sums(monkeypatch):
     """Adds (-1)^n/n^5 to every fixed-point partial sum at n, with the
-    double_series memo cleared on entry and exit."""
+    route memos cleared on entry and exit."""
     kernel = series._fixed_point_sums
 
     def perturbed(marks, *, squared=False):
@@ -358,9 +363,9 @@ def perturbed_sums(monkeypatch):
                 for n, v in zip(marks, sums)], shift
 
     monkeypatch.setattr(series, "_fixed_point_sums", perturbed)
-    double_series.cache_clear()
+    clear_memos()
     yield
-    double_series.cache_clear()
+    clear_memos()
 
 
 class TestDoubleSeries:
@@ -409,7 +414,7 @@ class TestDoubleSeries:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate_analytic", counting)
-        double_series.cache_clear()
+        clear_memos()
         double_series(PrecisionContext(digits=45))
         assert calls == []
 
@@ -437,7 +442,7 @@ class TestDoubleSeries:
             return ws
 
         monkeypatch.setattr(series, "_richardson_weights", recording)
-        double_series.cache_clear()
+        clear_memos()
         double_series(ctx)
         assert calls
         for weight, extra in calls:
